@@ -16,7 +16,8 @@ configuration into the output directory.  Outputs are deterministic:
 identical configurations produce byte-identical files (floats are
 rendered with 17 significant digits, metadata lines are prefixed ``#``
 and carry no wall-clock content).  The exit code is 0 exactly when every
-scenario verdict passed.
+scenario verdict passed, 1 when a verdict failed, and 2 for a
+configuration, I/O or runtime error.
 """
 
 from __future__ import annotations
@@ -407,15 +408,14 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = args.out if args.out is not None else Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         result = RUNNERS[args.scenario](cfg, out_dir)
-    except (ValueError, ArithmeticError) as exc:
+        write_meta(out_dir / "meta.txt", cfg, args.scenario)
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"viscokern: {args.scenario} failed: {exc}", file=sys.stderr)
         return 2
 
-    write_meta(out_dir / "meta.txt", cfg, args.scenario)
     print(f"{args.scenario}: {'PASS' if result.passed else 'FAIL'} - {result.summary}")
     for path in result.files:
         print(f"  wrote {path}")

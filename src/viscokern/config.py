@@ -19,11 +19,9 @@ Recognised keys, with their defaults:
     discretization.n_interior = 127
     discretization.n_steps = 512
     discretization.stride = 1
-    scenario.name = solve
     scenario.epsilon_list = 0.1,0.05,0.025
     scenario.a_list = 0.1,0.05,0.025
     scenario.levels = 3
-    scenario.n_modes = 5
     scenario.study = manufactured   # convergence: manufactured | self
     output.directory = out
     output.stride = 1
@@ -49,7 +47,6 @@ from .mollify import MollifiedKernel
 from .solver import ProblemSpec
 
 KERNEL_TYPES = ("wedge", "prony", "tabulated", "expression")
-SCENARIOS = ("solve", "wave-limit", "mollify-study", "convergence", "energy-audit")
 STUDIES = ("manufactured", "self")
 
 #: keys every kernel variant accepts, and the variant-specific ones
@@ -80,11 +77,9 @@ _DEFAULTS: dict[str, str] = {
     "discretization.n_interior": "127",
     "discretization.n_steps": "512",
     "discretization.stride": "1",
-    "scenario.name": "solve",
     "scenario.epsilon_list": "0.1,0.05,0.025",
     "scenario.a_list": "0.1,0.05,0.025",
     "scenario.levels": "3",
-    "scenario.n_modes": "5",
     "scenario.study": "manufactured",
     "output.directory": "out",
     "output.stride": "1",
@@ -118,11 +113,9 @@ class RunConfig:
     n_interior: int
     n_steps: int
     save_stride: int
-    scenario: str
     epsilon_list: tuple[float, ...]
     a_list: tuple[float, ...]
     levels: int
-    n_modes: int
     study: str
     out_dir: str
     output_stride: int
@@ -342,18 +335,14 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
             n_steps >= 2 and n_steps % save_stride:
         errors.append((reader.line("discretization.stride"), "stride must divide n_steps"))
 
-    scenario = reader.choice("scenario.name", SCENARIOS)
     epsilon_list = reader.float_list("scenario.epsilon_list")
     a_list = reader.float_list("scenario.a_list")
     levels = reader.integer("scenario.levels")
-    n_modes = reader.integer("scenario.n_modes")
     study = reader.choice("scenario.study", STUDIES)
     if any(e <= 0.0 for e in epsilon_list):
         errors.append((reader.line("scenario.epsilon_list"), "smoothing widths must be positive"))
     if any(a <= 0.0 for a in a_list):
         errors.append((reader.line("scenario.a_list"), "ramp times must be positive"))
-    if n_modes < 1:
-        errors.append((reader.line("scenario.n_modes"), "need n_modes >= 1"))
 
     out_dir = reader.text("output.directory")
     output_stride = reader.integer("output.stride")
@@ -380,11 +369,9 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         n_interior=n_interior,
         n_steps=n_steps,
         save_stride=save_stride,
-        scenario=scenario,
         epsilon_list=epsilon_list,
         a_list=a_list,
         levels=levels,
-        n_modes=n_modes,
         study=study,
         out_dir=out_dir,
         output_stride=output_stride,

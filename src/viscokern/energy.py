@@ -66,6 +66,13 @@ def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
     return rows @ w
 
 
+def _f_block(sol: SolutionField) -> np.ndarray:
+    """f sampled as (snapshot, node) on the full grid, boundaries included."""
+    grid = sol.grid
+    x_full = np.concatenate(([grid.a], grid.x, [grid.b]))
+    return expressions.evaluate(sol.spec.f_expr, x=x_full[None, :], t=sol.times[:, None])
+
+
 def reconstruct_velocities(sol: SolutionField) -> np.ndarray:
     """Central-difference velocities from saved snapshots (one-sided at the
     first and last steps: accuracy O(ds^2) inside, O(ds) at the ends)."""
@@ -109,8 +116,7 @@ def energy_series(sol: SolutionField, kernel=None) -> EnergyReport:
             "reduce save_stride"
         )
     ds = _uniform_spacing(sol.times)
-    grid = sol.grid
-    h = grid.h
+    h = sol.grid.h
     n_saved = len(sol.times)
 
     v = sol.v if sol.v is not None else reconstruct_velocities(sol)
@@ -138,13 +144,7 @@ def energy_series(sol: SolutionField, kernel=None) -> EnergyReport:
         + 0.5 * _trap_x(h, _full_rows(v[:1])[0] ** 2)
     )
     if not expressions.is_zero(sol.spec.f_expr):
-        x_full = np.concatenate(([grid.a], grid.x, [grid.b]))
-        f_rows = np.asarray(
-            [
-                [expressions.evaluate(sol.spec.f_expr, x=float(xi), t=float(t)) for xi in x_full]
-                for t in sol.times
-            ]
-        )
+        f_rows = _f_block(sol)
         space = _trap_x(h, f_rows * f_rows)
         wt = np.zeros(n_saved)
         wt[:-1] += 0.5 * ds
@@ -223,27 +223,21 @@ def identity_residual(sol: SolutionField, kernel=None) -> np.ndarray:
     kernel = kernel if kernel is not None else sol.spec.kernel
     report = energy_series(sol, kernel)
     ds = _uniform_spacing(sol.times)
-    grid = sol.grid
-    h = grid.h
+    h = sol.grid.h
     gddot_at = np.atleast_1d(kernel.gddot(sol.times))  # may raise
     gdot_at = np.atleast_1d(kernel.gdot(sol.times, kink_policy="left"))
     v = sol.v if sol.v is not None else reconstruct_velocities(sol)
     uxs = _ux_rows(h, sol.u)
 
-    f_zero = expressions.is_zero(sol.spec.f_expr)
-    x_full = np.concatenate(([grid.a], grid.x, [grid.b]))
+    f_rows = None if expressions.is_zero(sol.spec.f_expr) else _f_block(sol)
     # stop one step short of the end: the final velocity is one-sided and
     # would leak an O(1) artefact into the centred rate at the last step
     residuals = np.empty(len(sol.times) - 3)
     for n in range(1, len(sol.times) - 2):
         rate = (report.total[n + 1] - report.total[n - 1]) / (2.0 * ds)
         rhs = 0.5 * gdot_at[n] * float(_trap_x(h, uxs[n][None, :] ** 2)[0])
-        if not f_zero:
-            f_row = np.asarray(
-                [expressions.evaluate(sol.spec.f_expr, x=float(xi), t=float(sol.times[n]))
-                 for xi in x_full]
-            )
-            rhs += float(_trap_x(h, (f_row * _full_rows(v[n : n + 1])[0])[None, :])[0])
+        if f_rows is not None:
+            rhs += float(_trap_x(h, (f_rows[n] * _full_rows(v[n : n + 1])[0])[None, :])[0])
         diffs = uxs[n][None, :] - uxs[n::-1]
         d_vals = _trap_x(h, diffs * diffs)
         w = np.full(n + 1, ds)

@@ -14,7 +14,8 @@ moduli G(t) are all ingested as expression strings over the variables
 with FUNC one of sin, cos, exp, sqrt, abs.  Precedence, strongest first:
 ``^``, unary ``-``, ``* /``, ``+ -``.  Consequently ``2^3^2`` is 512 and
 ``-2^2`` is -4.  Every node remembers its byte offset in the source so
-parse and evaluation errors can point at the offending token.
+parse and evaluation errors can point at the offending token.  A tree is
+evaluated on whole numpy arrays of points at once (:func:`evaluate`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -205,54 +208,73 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-def evaluate(expr: Expr, x: float = 0.0, t: float = 0.0) -> float:
-    """Evaluate *expr* in IEEE double precision at the point (x, t).
+def evaluate(expr: Expr, x: float | np.ndarray = 0.0,
+             t: float | np.ndarray = 0.0) -> float | np.ndarray:
+    """Evaluate *expr* in IEEE double precision at the points (x, t).
 
-    Domain faults (division by zero, sqrt of a negative, overflow) raise
-    :class:`EvalError` pointing at the operator or call that failed.
+    ``x`` and ``t`` are scalars or arrays that broadcast together; the
+    result is a float for scalar input and a new ndarray of the broadcast
+    shape otherwise.  The tree is walked once, with numpy operations on
+    whole arrays.  A domain fault at any element (division by zero, sqrt
+    of a negative, a fractional power of a negative base, zero to a
+    negative power, sin/cos of an infinity, overflow to inf from finite
+    operands in ``exp`` or ``^``) raises :class:`EvalError` pointing at
+    the operator or call that failed.
     """
+    xa = np.asarray(x, dtype=float)
+    ta = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _eval(expr, xa, ta)
+    if xa.ndim == 0 and ta.ndim == 0:
+        return float(out)
+    return np.array(np.broadcast_to(out, np.broadcast_shapes(xa.shape, ta.shape)), dtype=float)
+
+
+def _fault(mask, message: str, node: Expr) -> None:
+    if np.any(mask):
+        raise EvalError(message, node.pos)
+
+
+def _eval(expr: Expr, x: np.ndarray, t: np.ndarray):
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
-        return float(x) if expr.name == "x" else float(t)
+        return x if expr.name == "x" else t
     if isinstance(expr, Unary):
-        return -evaluate(expr.operand, x, t)
+        return -_eval(expr.operand, x, t)
     if isinstance(expr, Binary):
-        lhs = evaluate(expr.left, x, t)
-        rhs = evaluate(expr.right, x, t)
-        try:
-            if expr.op == "+":
-                return lhs + rhs
-            if expr.op == "-":
-                return lhs - rhs
-            if expr.op == "*":
-                return lhs * rhs
-            if expr.op == "/":
-                if rhs == 0.0:
-                    raise EvalError("division by zero", expr.pos)
-                return lhs / rhs
-            result = lhs ** rhs
-            if isinstance(result, complex):
-                raise EvalError("fractional power of a negative base", expr.pos)
-            return result
-        except OverflowError:
-            raise EvalError("overflow", expr.pos) from None
+        lhs = _eval(expr.left, x, t)
+        rhs = _eval(expr.right, x, t)
+        if expr.op == "+":
+            return lhs + rhs
+        if expr.op == "-":
+            return lhs - rhs
+        if expr.op == "*":
+            return lhs * rhs
+        if expr.op == "/":
+            _fault(rhs == 0.0, "division by zero", expr)
+            return lhs / rhs
+        # the faults of Python's float power, checked element-wise
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        _fault((lhs == 0.0) & (rhs < 0.0) & finite, "zero raised to a negative power", expr)
+        _fault((lhs < 0.0) & (rhs != np.floor(rhs)) & finite,
+               "fractional power of a negative base", expr)
+        result = np.power(lhs, rhs)
+        _fault(np.isinf(result) & finite, "overflow", expr)
+        return result
     if isinstance(expr, Call):
-        arg = evaluate(expr.arg, x, t)
-        try:
-            if expr.func == "sin":
-                return math.sin(arg)
-            if expr.func == "cos":
-                return math.cos(arg)
-            if expr.func == "exp":
-                return math.exp(arg)
-            if expr.func == "sqrt":
-                if arg < 0.0:
-                    raise EvalError("sqrt of a negative value", expr.pos)
-                return math.sqrt(arg)
-            return abs(arg)
-        except OverflowError:
-            raise EvalError("overflow", expr.pos) from None
+        arg = _eval(expr.arg, x, t)
+        if expr.func in ("sin", "cos"):
+            _fault(np.isinf(arg), f"{expr.func} of an infinite value", expr)
+            return np.sin(arg) if expr.func == "sin" else np.cos(arg)
+        if expr.func == "exp":
+            result = np.exp(arg)
+            _fault(np.isinf(result) & np.isfinite(arg), "overflow", expr)
+            return result
+        if expr.func == "sqrt":
+            _fault(arg < 0.0, "sqrt of a negative value", expr)
+            return np.sqrt(arg)
+        return np.abs(arg)
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -66,10 +66,6 @@ class Field:
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n_interior))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, np.asarray([fn(xi) for xi in grid.x], dtype=float))
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 

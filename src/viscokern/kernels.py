@@ -12,18 +12,15 @@ jump (wedge and tabulated variants).  Four kernel families are provided:
   i.e. a general piecewise-linear (wedge-like) kernel.
 * :class:`ExpressionKernel` -- formula in ``t`` via :mod:`.expressions`.
 
-Kernels are immutable after construction and safe to share across threads;
-the only mutable state is the integrated-kernel quadrature cache, which is
-lock protected.
+Kernels and integrated kernels are immutable after construction and safe
+to share across threads; they hold no caches.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import expressions
 
@@ -33,7 +30,9 @@ DEFAULT_AUDIT_TOL = 1e-9
 
 #: quadrature tolerances for the integrated kernel
 QUAD_TOL_CLOSED_CHECK = 1e-10  # cross-checks against closed forms
-QUAD_TOL_EXPRESSION = 1e-8     # adaptive quadrature of formula kernels
+QUAD_TOL_EXPRESSION = 1e-8     # panel quadrature of formula kernels
+#: panel halvings before IntegratedKernel.value gives up (2**12 panels)
+QUAD_MAX_HALVINGS = 12
 
 
 class KernelRangeError(ValueError):
@@ -46,7 +45,7 @@ class DerivativeUndefinedError(ValueError):
 
 
 class QuadratureToleranceError(ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Refined quadrature could not reach the requested tolerance."""
 
 
 def _as_array(t) -> tuple[np.ndarray, bool]:
@@ -335,25 +334,18 @@ class ExpressionKernel(RelaxationKernel):
             raise ValueError(f"kernel expression may only use t, found {sorted(extra)}")
 
     def g(self, t):
-        arr, scalar = _as_array(t)
+        arr, _ = _as_array(t)
         self._check_nonneg_time(arr)
-        out = np.empty_like(arr, dtype=float)
-        for idx, ti in np.ndenumerate(arr):
-            out[idx] = expressions.evaluate(self.expr, t=float(ti))
-        return _ret(out, scalar)
+        return expressions.evaluate(self.expr, t=arr)
 
     def gdot(self, t, kink_policy: str | None = "left"):
         arr, scalar = _as_array(t)
         self._check_nonneg_time(arr)
-        out = np.empty_like(arr, dtype=float)
-        for idx, ti in np.ndenumerate(arr):
-            ti = float(ti)
-            step = self.FD_STEP * (1.0 + abs(ti))
-            if ti < step:  # stay inside the domain near t = 0
-                out[idx] = (self.g(ti + step) - self.g(ti)) / step
-            else:
-                out[idx] = (self.g(ti + step) - self.g(ti - step)) / (2.0 * step)
-        return _ret(out, scalar)
+        step = self.FD_STEP * (1.0 + np.abs(arr))
+        one_sided = arr < step  # stay inside the domain near t = 0
+        lo = np.where(one_sided, arr, arr - step)
+        width = np.where(one_sided, step, 2.0 * step)
+        return _ret((self.g(arr + step) - self.g(lo)) / width, scalar)
 
     def describe(self) -> str:
         return f"expression({self.source!r})"
@@ -363,9 +355,10 @@ class IntegratedKernel:
     """K(xi) = int_0^xi G(tau) dtau, the quantity the weak form consumes.
 
     Wedge, Prony and tabulated kernels evaluate through exact closed
-    forms; other variants fall back to adaptive quadrature with a
-    lock-protected cache, or to cumulative fixed-order panels on sorted
-    grids (:meth:`cumulative`).
+    forms.  Other variants use panel-wise 16-point Gauss with panels split
+    at kink times and capped by the kernel's smoothness scale: on sorted
+    grids in one pass (:meth:`cumulative`), and at a single abscissa by
+    halving the panel width until two estimates agree (:meth:`value`).
     """
 
     def __init__(self, source: RelaxationKernel, quad_tol: float | None = None):
@@ -375,49 +368,39 @@ class IntegratedKernel:
                 QUAD_TOL_CLOSED_CHECK if source.has_closed_k else QUAD_TOL_EXPRESSION
             )
         self.quad_tol = quad_tol
-        self._cache: dict[float, float] = {}
-        self._lock = threading.Lock()
 
     def value(self, xi) -> float:
-        """K at a single abscissa xi >= 0."""
+        """K at a single abscissa xi >= 0.
+
+        Without a closed form, :meth:`cumulative` integrates [0, xi] on 1,
+        2, 4, ... equal panels (before kink splits) until two successive
+        estimates agree to ``quad_tol`` relative (absolute below 1), and
+        raises :class:`QuadratureToleranceError` after
+        ``2**QUAD_MAX_HALVINGS`` panels.
+        """
         xi = float(xi)
         if xi < 0.0:
             raise KernelRangeError("K(xi) is defined for xi >= 0")
         closed = self.source._k_closed(np.asarray([xi]))
         if closed is not None:
             return float(closed[0])
-        with self._lock:
-            if xi in self._cache:
-                return self._cache[xi]
-        val = self._quad(xi)
-        with self._lock:
-            self._cache[xi] = val
-        return val
-
-    def _quad(self, xi: float) -> float:
         if xi == 0.0:
             return 0.0
-        pts = [c for c in self.source.kink_times if 0.0 < c < xi] or None
-        val, err = integrate.quad(
-            lambda s: float(self.source.g(s)),
-            0.0,
-            xi,
-            points=pts,
-            limit=200,
-            epsabs=self.quad_tol / 10.0,
-            epsrel=self.quad_tol / 10.0,
+        est = float(self.cumulative([0.0, xi])[-1])
+        for halving in range(1, QUAD_MAX_HALVINGS + 1):
+            prev, est = est, float(self.cumulative(np.linspace(0.0, xi, 2**halving + 1))[-1])
+            if abs(est - prev) <= self.quad_tol * max(1.0, abs(est)):
+                return est
+        raise QuadratureToleranceError(
+            f"K({xi}) did not settle to tolerance {self.quad_tol:.2e} within "
+            f"{2**QUAD_MAX_HALVINGS} panels (last change {abs(est - prev):.2e})"
         )
-        if err > self.quad_tol * max(1.0, abs(val)):
-            raise QuadratureToleranceError(
-                f"K({xi}) quadrature error estimate {err:.2e} exceeds "
-                f"tolerance {self.quad_tol:.2e}"
-            )
-        return val
 
     def cumulative(self, times) -> np.ndarray:
         """K at every point of an ascending grid (typically the solver's
         uniform lag grid), via closed form or panel-wise 16-point Gauss
-        with panels split at kink times."""
+        with panels split at kink times and no wider than half the
+        kernel's smoothness scale."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("need a 1-D, nonempty grid")

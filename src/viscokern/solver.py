@@ -70,11 +70,7 @@ def _parse_data(source: str, allowed: set[str], what: str):
 
 
 def _sample_x(expr, x: np.ndarray) -> np.ndarray:
-    return np.asarray([expressions.evaluate(expr, x=xi) for xi in x], dtype=float)
-
-
-def _sample_xt(expr, x: np.ndarray, t: float) -> np.ndarray:
-    return np.asarray([expressions.evaluate(expr, x=xi, t=t) for xi in x], dtype=float)
+    return expressions.evaluate(expr, x=x)
 
 
 @dataclass
@@ -164,8 +160,7 @@ def _forcing_rows(spec: ProblemSpec, tgrid: np.ndarray) -> np.ndarray | None:
     """f sampled as (step, node), or None when f is the literal 0."""
     if expressions.is_zero(spec.f_expr):
         return None
-    x = spec.grid.x
-    return np.asarray([_sample_xt(spec.f_expr, x, float(t)) for t in tgrid])
+    return expressions.evaluate(spec.f_expr, x=spec.grid.x[None, :], t=tgrid[:, None])
 
 
 def _double_time_integral(fvals: np.ndarray | None, dt: float, shape) -> np.ndarray | None:

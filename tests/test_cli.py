@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import viscokern
 from viscokern import cli
 from viscokern.config import parse_config
 from viscokern.grids import Grid
@@ -239,6 +245,13 @@ class TestExitCodes:
         assert run_cli(["solve", "--config", cfgfile, "--out", tmp_path / "o"]) == 1
         assert "planted failure" in capsys.readouterr().err
 
+    def test_output_under_regular_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        assert run_cli(["solve", "--default", "--out", tmp_path / "f" / "sub"]) == 2
+        err = capsys.readouterr().err
+        assert "solve failed" in err
+        assert "Traceback" not in err
+
 
 class TestWaveReference:
     def test_quadrupled_stiffness_halves_the_period(self):
@@ -281,3 +294,16 @@ def test_default_configs_parse():
     for scenario, text in cli.DEFAULT_CONFIGS.items():
         cfg = parse_config(text)
         assert cfg is not None
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only oracle: a fresh interpreter importing the
+    # package must not pull it in
+    src = str(Path(viscokern.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, viscokern; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -22,7 +22,6 @@ class TestDefaults:
         assert isinstance(cfg.kernel, WedgeKernel)
         assert (cfg.kernel.g0, cfg.kernel.g_inf, cfg.kernel.ramp) == (2.0, 1.0, 1.0)
         assert (cfg.n_interior, cfg.n_steps, cfg.save_stride) == (127, 512, 1)
-        assert cfg.scenario == "solve"
         assert cfg.epsilon_list == (0.1, 0.05, 0.025)
         assert cfg.out_dir == "out"
         assert cfg.resolved["problem.T"] == "1.0"

@@ -94,6 +94,38 @@ class TestErrors:
         with pytest.raises(EvalError):
             evaluate(parse("x^0.5"), x=-2.0)
 
+    def test_zero_to_negative_power_position(self):
+        with pytest.raises(EvalError) as exc:
+            evaluate(parse("0^-1"))
+        assert exc.value.offset == 1
+
+    def test_sin_of_infinity_position(self):
+        with pytest.raises(EvalError) as exc:
+            evaluate(parse("2*sin(x)"), x=math.inf)
+        assert exc.value.offset == 2
+
+    # (source, the faulty point, a good point) for every fault above
+    FAULTS = [
+        ("1 + x/t", (1.0, 0.0), (1.0, 2.0)),
+        ("2*sqrt(x)", (-1.0, 0.0), (4.0, 0.0)),
+        ("exp(x)", (1e6, 0.0), (1.0, 0.0)),
+        ("x^0.5", (-2.0, 0.0), (2.0, 0.0)),
+        ("x^t", (0.0, -1.0), (2.0, -1.0)),
+        ("2*sin(x)", (math.inf, 0.0), (1.0, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("source, bad, good", FAULTS)
+    def test_array_fault_offset_matches_scalar(self, source, bad, good):
+        expr = parse(source)
+        with pytest.raises(EvalError) as scalar:
+            evaluate(expr, x=bad[0], t=bad[1])
+        xs = np.array([good[0], good[0], bad[0], good[0]])
+        ts = np.array([good[1], good[1], bad[1], good[1]])
+        with pytest.raises(EvalError) as array:
+            evaluate(expr, x=xs, t=ts)
+        assert array.value.offset == scalar.value.offset
+        assert np.all(np.isfinite(evaluate(expr, x=xs[:2], t=ts[:2])))
+
 
 class TestRoundTrip:
     SOURCES = [
@@ -117,6 +149,55 @@ class TestRoundTrip:
                 except EvalError:
                     continue
                 assert evaluate(second, x=x, t=t) == a
+
+    def test_array_matches_scalar_pointwise(self):
+        # exact agreement with the scalar call; within a few ulp of a
+        # point-by-point walk in Python floats and the math module
+        rng = np.random.default_rng(910)
+        xs = rng.uniform(-2.0, 2.0, size=200)
+        ts = rng.uniform(0.1, 2.0, size=200)  # away from the x/t pole
+        for source in self.SOURCES + ["1 + exp(-2*t)", "3"]:
+            expr = parse(source)
+            block = evaluate(expr, x=xs, t=ts)
+            assert isinstance(block, np.ndarray) and block.shape == xs.shape
+            for x, t, b in zip(xs, ts, block):
+                value = evaluate(expr, x=x, t=t)
+                assert isinstance(value, float)
+                assert value == b, source
+                assert value == pytest.approx(_math_walk(expr, x, t), rel=4e-16, abs=1e-15)
+
+    def test_broadcast_block(self):
+        expr = parse("x*t + 1")
+        x = np.linspace(0.0, 1.0, 5)
+        t = np.linspace(0.0, 2.0, 3)
+        block = evaluate(expr, x=x[None, :], t=t[:, None])
+        assert block.shape == (3, 5)
+        np.testing.assert_array_equal(block, np.outer(t, x) + 1.0)
+        assert evaluate(parse("2"), x=x).shape == x.shape
+
+
+def _math_walk(expr, x, t):
+    """Point-wise reference: the tree walked in Python floats."""
+    kind = type(expr).__name__
+    if kind == "Num":
+        return expr.value
+    if kind == "Var":
+        return float(x) if expr.name == "x" else float(t)
+    if kind == "Unary":
+        return -_math_walk(expr.operand, x, t)
+    if kind == "Call":
+        arg = _math_walk(expr.arg, x, t)
+        return abs(arg) if expr.func == "abs" else getattr(math, expr.func)(arg)
+    lhs, rhs = _math_walk(expr.left, x, t), _math_walk(expr.right, x, t)
+    if expr.op == "+":
+        return lhs + rhs
+    if expr.op == "-":
+        return lhs - rhs
+    if expr.op == "*":
+        return lhs * rhs
+    if expr.op == "/":
+        return lhs / rhs
+    return lhs**rhs
 
 
 def test_variables():

@@ -10,6 +10,7 @@ from viscokern.kernels import (
     IntegratedKernel,
     KernelRangeError,
     PronyKernel,
+    QuadratureToleranceError,
     TabulatedKernel,
     WedgeKernel,
     catalog,
@@ -86,6 +87,24 @@ class TestEvalK:
         for xi in (0.5, 2.0):
             expected = IntegratedKernel(PRONY).value(xi)
             assert abs(ik.value(xi) - expected) < 1e-8
+
+    def test_value_refinement_gives_up(self):
+        # 16-point Gauss cannot resolve this oscillation on 4096 panels
+        ik = IntegratedKernel(ExpressionKernel("2 + sin(1000000*t)"))
+        with pytest.raises(QuadratureToleranceError, match="4096 panels"):
+            ik.value(1.0)
+
+    def test_value_without_closed_form_splits_at_kinks(self):
+        # the wedge integrand is linear on each side of the kink, so the
+        # kink-split panels reproduce the closed form to roundoff
+        class OpenWedge(WedgeKernel):
+            def _k_closed(self, xi):
+                return None
+
+        ik = IntegratedKernel(OpenWedge(2.0, 1.0, 1.0))
+        closed = IntegratedKernel(WEDGE)
+        for xi in (0.3, 1.0, 1.7, 3.1):
+            assert abs(ik.value(xi) - closed.value(xi)) < 1e-13
 
     def test_cumulative_matches_value(self):
         times = np.linspace(0.0, 3.0, 17)
