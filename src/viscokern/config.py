@@ -273,8 +273,10 @@ def _build_kernel(reader: _Reader, base_dir: Path, errors: list):
             source = reader.text("kernel.expression")
             base = ExpressionKernel(source)
     except (ValueError, OSError) as exc:
-        errors.append((reader.line(f"kernel.{'csv' if ktype == 'tabulated' else 'type'}") or 0,
-                       f"kernel: {exc}"))
+        # a number that failed to parse is reported already, not its NaN stand-in
+        if reader.ok("kernel.g0", "kernel.ginf", "kernel.a"):
+            errors.append((reader.line(f"kernel.{'csv' if ktype == 'tabulated' else 'type'}") or 0,
+                           f"kernel: {exc}"))
         base = None
 
     epsilon: float | None = None
@@ -282,8 +284,10 @@ def _build_kernel(reader: _Reader, base_dir: Path, errors: list):
     if eps_raw:
         try:
             epsilon = float(eps_raw)
-            if epsilon <= 0.0:
-                errors.append((reader.line("kernel.epsilon"), "kernel.epsilon must be positive"))
+            if not 0.0 < epsilon < np.inf:  # also fails for NaN
+                errors.append(
+                    (reader.line("kernel.epsilon"), "kernel.epsilon must be finite and positive")
+                )
                 epsilon = None
         except ValueError:
             errors.append(
@@ -339,10 +343,12 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     a_list = reader.float_list("scenario.a_list")
     levels = reader.integer("scenario.levels")
     study = reader.choice("scenario.study", STUDIES)
-    if any(e <= 0.0 for e in epsilon_list):
-        errors.append((reader.line("scenario.epsilon_list"), "smoothing widths must be positive"))
-    if any(a <= 0.0 for a in a_list):
-        errors.append((reader.line("scenario.a_list"), "ramp times must be positive"))
+    if not all(0.0 < e < np.inf for e in epsilon_list):
+        errors.append(
+            (reader.line("scenario.epsilon_list"), "smoothing widths must be finite and positive")
+        )
+    if not all(0.0 < a < np.inf for a in a_list):
+        errors.append((reader.line("scenario.a_list"), "ramp times must be finite and positive"))
 
     out_dir = reader.text("output.directory")
     output_stride = reader.integer("output.stride")

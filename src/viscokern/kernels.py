@@ -57,6 +57,16 @@ def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def require_positive(what: str, value: float, allow_zero: bool = False) -> float:
+    """*value* as a float, or ValueError unless it is finite and positive (or
+    zero, with *allow_zero*); a bare ``value <= 0`` test lets NaN through."""
+    value = float(value)
+    if not (np.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
+        sign = "nonnegative" if allow_zero else "positive"
+        raise ValueError(f"{what} must be finite and {sign}, got {value}")
+    return value
+
+
 class RelaxationKernel:
     """Base class; concrete variants implement ``g`` and ``gdot``."""
 
@@ -124,10 +134,8 @@ class WedgeKernel(RelaxationKernel):
     ramp: float
 
     def __post_init__(self):
-        if self.g0 <= 0.0 or self.g_inf <= 0.0:
-            raise ValueError("wedge moduli g0 and g_inf must be positive")
-        if self.ramp <= 0.0:
-            raise ValueError("wedge ramp time must be positive")
+        for name in ("g0", "g_inf", "ramp"):
+            require_positive(f"wedge {name}", getattr(self, name))
         object.__setattr__(self, "kink_times", (float(self.ramp),))
 
     @property
@@ -177,11 +185,10 @@ class PronyKernel(RelaxationKernel):
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((float(g), float(tau)) for g, tau in self.terms))
-        if self.g_inf < 0.0:
-            raise ValueError("long-time modulus g_inf must be nonnegative")
+        require_positive("long-time modulus g_inf", self.g_inf, allow_zero=True)
         for g, tau in self.terms:
-            if g <= 0.0 or tau <= 0.0:
-                raise ValueError("Prony weights and relaxation times must be positive")
+            require_positive("Prony weight", g)
+            require_positive("Prony relaxation time", tau)
 
     def g(self, t):
         arr, scalar = _as_array(t)
@@ -266,31 +273,27 @@ class TabulatedKernel(RelaxationKernel):
         arr, scalar = _as_array(t)
         self._check_nonneg_time(arr)
         self._check_range(arr)
-        out = np.empty_like(arr, dtype=float)
-        for idx, ti in np.ndenumerate(arr):
-            out[idx] = self._gdot_scalar(float(ti), kink_policy)
-        return _ret(out, scalar)
-
-    def _gdot_scalar(self, t: float, kink_policy: str | None) -> float:
-        lo, hi = self.times[0], self.times[-1]
-        if t in self.kink_times:
-            if kink_policy is None:
-                raise DerivativeUndefinedError(
-                    f"dG/dt is undefined at the sample node t = {t}; "
-                    "pass kink_policy='left' for the left-hand limit"
-                )
-            i = int(np.searchsorted(self.times, t))
-            step = 0.5 * (self.times[i] - self.times[i - 1])
-            return (self.g(t) - self.g(t - step)) / step
-        if t == hi:
-            step = 0.5 * (self.times[-1] - self.times[-2])
-            return (self.g(t) - self.g(t - step)) / step
-        if t == lo:
-            step = 0.5 * (self.times[1] - self.times[0])
-            return (self.g(t + step) - self.g(t)) / step
-        i = int(np.searchsorted(self.times, t))
-        step = 0.5 * min(t - self.times[i - 1], self.times[i] - t)
-        return (self.g(t + step) - self.g(t - step)) / (2.0 * step)
+        times = self.times
+        i = np.clip(np.searchsorted(times, arr), 1, len(times) - 1)
+        # backward difference on a node (interior kink or t_max), forward at
+        # t_min, each over half the adjacent segment; central elsewhere over
+        # half the distance to the nearer node
+        on_node = arr == times[i]
+        at_lo = arr == times[0]
+        at_kink = on_node & (i < len(times) - 1)
+        if kink_policy is None and np.any(at_kink):
+            raise DerivativeUndefinedError(
+                f"dG/dt is undefined at the sample node t = {arr[at_kink].flat[0]}; "
+                "pass kink_policy='left' for the left-hand limit"
+            )
+        left, right = arr - times[i - 1], times[i] - arr
+        one_sided = on_node | at_lo
+        step = 0.5 * np.where(one_sided, np.maximum(left, right), np.minimum(left, right))
+        hi = np.where(on_node, arr, arr + step)
+        lo = np.where(at_lo, arr, arr - step)
+        width = np.where(one_sided, step, 2.0 * step)
+        diff = np.interp(hi, times, self.values) - np.interp(lo, times, self.values)
+        return _ret(diff / width, scalar)
 
     def gdot_limits(self, t: float) -> tuple[float, float]:
         if t in self.kink_times:

@@ -139,3 +139,16 @@ class TestValidation:
     def test_negative_epsilon_rejected(self):
         errs = errors_of("kernel.epsilon = -0.1")
         assert any("positive" in msg for _, msg in errs)
+
+    def test_non_finite_kernel_parameters_rejected(self):
+        assert errors_of("problem.T = 1.0\nkernel.epsilon = nan") == [
+            (2, "kernel.epsilon must be finite and positive")
+        ]
+        errs = errors_of("kernel.type = wedge\nkernel.a = inf")
+        assert errs == [(1, "kernel: wedge ramp must be finite and positive, got inf")]
+        errs = errors_of("problem.T = 1.0\nscenario.epsilon_list = 0.1, nan\nscenario.a_list = inf")
+        assert [line for line, _ in errs] == [2, 3]
+
+    def test_unparseable_kernel_number_reported_once(self):
+        errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")
+        assert errs == [(2, "kernel.g0: expected a number, got 'abc'")]

@@ -168,6 +168,33 @@ class TestEvalGdot:
         with pytest.raises(DerivativeUndefinedError):
             tab.gdot(0.5, kink_policy=None)
 
+    def test_tabulated_gdot_matches_scalar_formula(self):
+        tab = TabulatedKernel([0.0, 0.3, 0.31, 1.0, 2.5, 4.0], [2.0, 1.7, 1.69, 1.3, 1.1, 1.0])
+
+        def scalar_gdot(t):
+            # the per-point half-segment differences the array form replaced
+            lo, hi = tab.times[0], tab.times[-1]
+            if t in tab.kink_times or t == hi:
+                i = int(np.searchsorted(tab.times, t))
+                step = 0.5 * (tab.times[i] - tab.times[i - 1])
+                return (tab.g(t) - tab.g(t - step)) / step
+            if t == lo:
+                step = 0.5 * (tab.times[1] - tab.times[0])
+                return (tab.g(t + step) - tab.g(t)) / step
+            i = int(np.searchsorted(tab.times, t))
+            step = 0.5 * min(t - tab.times[i - 1], tab.times[i] - t)
+            return (tab.g(t + step) - tab.g(t - step)) / (2.0 * step)
+
+        ts = np.concatenate([tab.times, np.linspace(0.0, 4.0, 257), [1e-12, 0.305, 4.0 - 1e-12]])
+        expected = np.array([scalar_gdot(float(t)) for t in ts])
+        np.testing.assert_array_equal(tab.gdot(ts), expected)
+        np.testing.assert_array_equal(tab.gdot(ts.reshape(2, -1)), expected.reshape(2, -1))
+        assert tab.gdot(0.31) == scalar_gdot(0.31)
+        assert tab.gdot(4.0, kink_policy=None) == scalar_gdot(4.0)
+        assert tab.gdot(0.0, kink_policy=None) == scalar_gdot(0.0)
+        with pytest.raises(DerivativeUndefinedError, match="t = 0.31"):
+            tab.gdot(np.array([0.2, 0.31]), kink_policy=None)
+
     def test_expression_finite_difference(self):
         expr = catalog()["expression"]
         assert expr.gdot(1.0) == pytest.approx(PRONY.gdot(1.0), rel=1e-6)
@@ -255,6 +282,23 @@ class TestConstruction:
             PronyKernel(1.0, ((1.0, 0.0),))
         # g_inf = 0 with no terms is allowed (vanishing-modulus surrogate)
         assert PronyKernel(0.0).g(1.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_wedge_rejects_non_finite(self, slot, bad):
+        params = [2.0, 1.0, 1.0]
+        params[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WedgeKernel(*params)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_prony_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PronyKernel(bad)
+        with pytest.raises(ValueError, match="finite"):
+            PronyKernel(1.0, ((bad, 0.5),))
+        with pytest.raises(ValueError, match="finite"):
+            PronyKernel(1.0, ((1.0, bad),))
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):

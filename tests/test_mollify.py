@@ -1,11 +1,17 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from viscokern.kernels import (
     IntegratedKernel,
     PronyKernel,
     QuadratureToleranceError,
+    RelaxationKernel,
+    TabulatedKernel,
     WedgeKernel,
     catalog,
     check_admissibility,
@@ -14,6 +20,7 @@ from viscokern.mollify import MollifiedKernel, Mollifier, mollify, sup_distance_
 
 WEDGE = WedgeKernel(2.0, 1.0, 1.0)
 QUAD_TOL = 1e-10
+leggauss = lru_cache(np.polynomial.legendre.leggauss)
 
 
 def geps_oracle(base, eps: float, t: float) -> float:
@@ -30,6 +37,41 @@ def geps_oracle(base, eps: float, t: float) -> float:
         epsrel=1e-13,
     )
     return val
+
+
+def split_reference(mk, t: float, weight_fn) -> float:
+    """Per-point reference for MollifiedKernel._eval_many: the sigma
+    interval is split at the kink images strictly inside (-1, 1) and each
+    segment gets its own composite Gauss rule."""
+    eps = mk.epsilon
+    images = (1.0 + (t - c) / eps for c in mk.base.kink_times)
+    pts = [-1.0] + sorted(s for s in images if -1.0 < s < 1.0) + [1.0]
+    x, w = leggauss(mk.quad_order)
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        edges = np.linspace(lo, hi, mk.quad_panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        nodes, weights = (mid + half * x).ravel(), (half * w).ravel()
+        total += (weights * weight_fn(nodes)) @ mk.base.g(eps + t - eps * nodes)
+    return total
+
+
+class CountingKernel(RelaxationKernel):
+    """Delegates to *base* and records every call to g."""
+
+    def __init__(self, base):
+        self.base = base
+        self.kink_times = base.kink_times
+        self.calls = 0
+        self.largest = 0
+        self.elements = 0
+
+    def g(self, t):
+        self.calls += 1
+        self.largest = max(self.largest, np.size(t))
+        self.elements += np.size(t)
+        return self.base.g(t)
 
 
 class TestMollifier:
@@ -106,6 +148,9 @@ class TestMollifiedKernel:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             MollifiedKernel(WEDGE, -0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MollifiedKernel(WEDGE, bad)
         with pytest.raises(QuadratureToleranceError):
             MollifiedKernel(WEDGE, 1e-13)
 
@@ -113,6 +158,67 @@ class TestMollifiedKernel:
         mk = mollify(WEDGE, 0.05)
         assert isinstance(mk, MollifiedKernel)
         assert mk.epsilon == 0.05
+
+
+class TestBatchedKinkWindows:
+    # gddot weighs G by the bump's second derivative over eps**2, so its
+    # roundoff grows like max|G| / eps relative to its peak: widths from
+    # 0.025 (the smallest in the default study) keep it below 1e-12
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(0.025, 0.2),
+        kink=st.floats(0.05, 1.5),
+        gap=st.floats(0.0, 1.0),
+        where=st.floats(-0.1, 1.1),
+    )
+    # dyadic values put a kink image exactly at sigma = -1 (t = kink - 2 eps)
+    # and at sigma = +1 (t equal to a kink, the second kink inside)
+    @example(eps=0.0625, kink=0.5, gap=0.5, where=1.0)
+    @example(eps=0.0625, kink=0.5, gap=0.5, where=0.0)
+    # two kinks in one window
+    @example(eps=0.1, kink=0.5, gap=0.05, where=0.5)
+    def test_matches_split_reference(self, eps, kink, gap, where):
+        # convex tabulated base whose slope jumps at `kink` and at
+        # `kink + gap * 2 eps`, so both fall in one window when gap < 1
+        second = kink + max(gap, 1e-3) * 2.0 * eps
+        times = np.array([0.0, kink, second, second + 1.0, 5.0])
+        slopes = np.array([-1.0, -0.5, -0.2, -0.05])
+        values = 2.0 + np.concatenate([[0.0], np.cumsum(slopes * np.diff(times))])
+        base = TabulatedKernel(times, values)
+        mk = MollifiedKernel(base, eps)
+        m = mk.mollifier
+        t_probe = max(kink - 2.0 * eps * where, 0.0)
+        grid = np.linspace(max(kink - 2.5 * eps, 0.0), second + 0.5 * eps, 33)
+        ts = np.concatenate([[t_probe, kink, second], grid])
+        if kink >= 2.0 * eps:
+            ts = np.append(ts, [kink - 2.0 * eps, second - 2.0 * eps])
+        for name, weight_fn, scale in (
+            ("g", m.value, 1.0),
+            ("gdot", m.derivative, eps),
+            ("gddot", m.second_derivative, eps**2),
+        ):
+            got = getattr(mk, name)(ts)
+            ref = np.array([split_reference(mk, float(t), weight_fn) for t in ts]) / scale
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_one_base_call_per_block(self):
+        # every window (t, t + 0.2) holds the kink at 1
+        base = CountingKernel(WEDGE)
+        mk = MollifiedKernel(base, 0.1)
+        ts = np.linspace(0.8, 1.0, 4098)[1:-1]
+        mk.g(ts)
+        assert base.calls <= 64  # one per block of rows; the per-point loop made 4096
+        assert base.largest <= 4096 * 256  # no block larger than a kink-free one
+
+    def test_work_follows_kinks_in_window(self):
+        # 1001 samples: hundreds of kinks, but each window of width 0.02
+        # meets at most five of them
+        grid = np.linspace(0.0, 4.0, 1001)
+        base = CountingKernel(TabulatedKernel(grid, 1.0 + np.exp(-grid)))
+        mk = MollifiedKernel(base, 0.01)
+        ts = np.linspace(0.0, 3.9, 500)
+        mk.g(ts)
+        assert base.elements <= len(ts) * 6 * 256
 
 
 class TestMollifiedDerivatives:
