@@ -20,14 +20,7 @@ from .energy import (
     reconstruct_velocities,
 )
 from .expressions import EvalError, ParseError, evaluate, parse
-from .grids import (
-    Field,
-    Grid,
-    GridMismatchError,
-    dirichlet_eigenpairs,
-    laplacian_apply,
-    project,
-)
+from .grids import Grid, dirichlet_eigenpairs
 from .kernels import (
     AdmissibilityReport,
     DerivativeUndefinedError,
@@ -42,7 +35,7 @@ from .kernels import (
     catalog,
     check_admissibility,
 )
-from .mollify import MollifiedKernel, Mollifier, mollify, sup_distance_K
+from .mollify import MollifiedKernel, sup_distance_K
 from .solver import (
     ConfigurationError,
     ManufacturedProblem,
@@ -55,7 +48,6 @@ from .solver import (
     l2_error_vs,
     l2_norm,
     manufactured_prony,
-    memory_term,
     solve,
     solve_differential,
     solve_integral,
@@ -72,15 +64,12 @@ __all__ = [
     "EnergyReport",
     "EvalError",
     "ExpressionKernel",
-    "Field",
     "Grid",
-    "GridMismatchError",
     "IntegratedKernel",
     "KernelRangeError",
     "ManufacturedProblem",
     "ModeDecayReport",
     "MollifiedKernel",
-    "Mollifier",
     "ParseError",
     "ProblemSpec",
     "PronyKernel",
@@ -103,14 +92,10 @@ __all__ = [
     "l2_distance",
     "l2_error_vs",
     "l2_norm",
-    "laplacian_apply",
     "manufactured_prony",
-    "memory_term",
     "mode_decay_diagnostic",
-    "mollify",
     "parse",
     "parse_config",
-    "project",
     "reconstruct_velocities",
     "solve",
     "solve_differential",

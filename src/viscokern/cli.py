@@ -32,7 +32,7 @@ import numpy as np
 from . import energy as energy_mod
 from . import expressions
 from .config import ConfigError, RunConfig, parse_config
-from .grids import Field, dirichlet_eigenpairs, project
+from .grids import dirichlet_eigenpairs
 from .kernels import (
     DerivativeUndefinedError,
     WedgeKernel,
@@ -116,11 +116,10 @@ def _wave_reference(spec, g_inf: float):
     """Exact wave-equation evolution of the sampled u0 (u1 = 0, f = 0):
     sine-mode expansion with frequencies sqrt(g_inf * lambda_i)."""
     grid = spec.grid
-    pairs = dirichlet_eigenpairs(grid, grid.n_interior)
-    modes = np.asarray([w.values for _, w in pairs])
-    lams = np.asarray([lam for lam, _ in pairs])
-    u0_field = Field(grid, _sample_x(spec.u0_expr, grid.x))
-    coefs = np.asarray([project(u0_field, w) for _, w in pairs])
+    lams, modes = dirichlet_eigenpairs(grid, grid.n_interior)
+    u0v = _sample_x(spec.u0_expr, grid.x)
+    # one dot per mode: modes @ u0v rounds differently and moves the CSV
+    coefs = np.asarray([grid.h * np.dot(u0v, w) for w in modes])
     freqs = np.sqrt(g_inf * lams)
 
     def reference(times: np.ndarray) -> np.ndarray:
@@ -288,7 +287,7 @@ def run_energy_audit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
         f"bound = {fmt(report.bound)}",
     ]
     try:
-        residual = energy_mod.identity_residual(sol)
+        residual = energy_mod.identity_residual(sol, report)
         if len(residual):
             meta.append(f"identity_residual_max = {fmt(np.max(np.abs(residual)))}")
         else:
@@ -414,6 +413,9 @@ def main(argv=None) -> int:
         write_meta(out_dir / "meta.txt", cfg, args.scenario)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"viscokern: {args.scenario} failed: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"viscokern: {args.scenario} failed: out of memory: {exc}", file=sys.stderr)
         return 2
 
     print(f"{args.scenario}: {'PASS' if result.passed else 'FAIL'} - {result.summary}")

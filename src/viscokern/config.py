@@ -130,10 +130,6 @@ class RunConfig:
         n_steps: int | None = None,
         kernel: RelaxationKernel | None = None,
         scheme: str | None = None,
-        save_stride: int | None = None,
-        u0: str | None = None,
-        u1: str | None = None,
-        f: str | None = None,
     ) -> ProblemSpec:
         """ProblemSpec for this configuration, with scenario overrides."""
         return ProblemSpec(
@@ -141,11 +137,11 @@ class RunConfig:
             horizon=self.horizon,
             n_steps=n_steps or self.n_steps,
             kernel=kernel if kernel is not None else self.kernel,
-            u0=u0 if u0 is not None else self.u0,
-            u1=u1 if u1 is not None else self.u1,
-            f=f if f is not None else self.f,
+            u0=self.u0,
+            u1=self.u1,
+            f=self.f,
             scheme=scheme or self.scheme,
-            save_stride=save_stride or self.save_stride,
+            save_stride=self.save_stride,
         )
 
 
@@ -182,9 +178,6 @@ class _Reader:
 
     def raw(self, key: str) -> str:
         return self.entries.get(key, (_DEFAULTS[key], 0))[0]
-
-    def text(self, key: str) -> str:
-        return self.raw(key)
 
     def ok(self, *keys: str) -> bool:
         """True when none of *keys* already failed (avoids cascade errors)."""
@@ -270,7 +263,7 @@ def _build_kernel(reader: _Reader, base_dir: Path, errors: list):
                     raise ValueError(f"{path}: expected two columns (t, G)")
                 base = TabulatedKernel(data[:, 0], data[:, 1])
         else:
-            source = reader.text("kernel.expression")
+            source = reader.raw("kernel.expression")
             base = ExpressionKernel(source)
     except (ValueError, OSError) as exc:
         # a number that failed to parse is reported already, not its NaN stand-in
@@ -314,8 +307,11 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     domain_a = reader.floating("problem.a")
     domain_b = reader.floating("problem.b")
     horizon = reader.floating("problem.T")
-    if np.isfinite(domain_a) and np.isfinite(domain_b) and domain_b <= domain_a:
-        errors.append((reader.line("problem.b"), "problem domain needs b > a"))
+    for key, value in (("problem.a", domain_a), ("problem.b", domain_b), ("problem.T", horizon)):
+        if reader.ok(key) and not np.isfinite(value):
+            errors.append((reader.line(key), f"{key} must be finite, got {reader.raw(key)}"))
+    if np.isfinite(domain_a) and np.isfinite(domain_b) and not 0.0 < domain_b - domain_a < np.inf:
+        errors.append((reader.line("problem.b"), "problem domain needs b > a and finite b - a"))
     if np.isfinite(horizon) and horizon <= 0.0:
         errors.append((reader.line("problem.T"), "problem.T must be positive"))
 
@@ -350,7 +346,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     if not all(0.0 < a < np.inf for a in a_list):
         errors.append((reader.line("scenario.a_list"), "ramp times must be finite and positive"))
 
-    out_dir = reader.text("output.directory")
+    out_dir = reader.raw("output.directory")
     output_stride = reader.integer("output.stride")
     if output_stride < 1:
         errors.append((reader.line("output.stride"), "need output.stride >= 1"))

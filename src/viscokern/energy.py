@@ -66,6 +66,18 @@ def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
     return rows @ w
 
 
+def _lag_integral(h: float, ds: float, uxs: np.ndarray, n: int, weight: np.ndarray) -> float:
+    """ds-trapezoid of weight(s) D(t_n, s) over the lags s_k = k*ds,
+    k = 0..n, where D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx and
+    *weight* holds the kernel at the saved times."""
+    diffs = uxs[n][None, :] - uxs[n::-1]
+    d_vals = _trap_x(h, diffs * diffs)
+    w = np.full(n + 1, ds)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return float(w @ (weight[: n + 1] * d_vals))
+
+
 def _f_block(sol: SolutionField) -> np.ndarray:
     """f sampled as (snapshot, node) on the full grid, boundaries included."""
     grid = sol.grid
@@ -101,7 +113,7 @@ class EnergyReport:
         return float(self.total[0])
 
 
-def energy_series(sol: SolutionField, kernel=None) -> EnergyReport:
+def energy_series(sol: SolutionField) -> EnergyReport:
     """Per-snapshot energy terms plus the a-priori bound.
 
     Velocities are taken from the solution when the differential scheme
@@ -109,7 +121,7 @@ def energy_series(sol: SolutionField, kernel=None) -> EnergyReport:
     history integral runs over the saved snapshots, so a coarse save
     stride coarsens it too; fewer than three snapshots are rejected.
     """
-    kernel = kernel if kernel is not None else sol.spec.kernel
+    kernel = sol.spec.kernel
     if len(sol.times) < 3:
         raise ConfigurationError(
             "energy series needs at least 3 saved snapshots; "
@@ -129,13 +141,7 @@ def energy_series(sol: SolutionField, kernel=None) -> EnergyReport:
 
     history = np.zeros(n_saved)
     for n in range(1, n_saved):
-        # D(t_n, s_k) = int |u_x(t_n) - u_x(t_n - s_k)|^2 dx, k = 0..n
-        diffs = uxs[n][None, :] - uxs[n::-1]
-        d_vals = _trap_x(h, diffs * diffs)
-        w = np.full(n + 1, ds)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        history[n] = -0.5 * float(w @ (gdot_at[: n + 1] * d_vals))
+        history[n] = -0.5 * _lag_integral(h, ds, uxs, n, gdot_at)
 
     horizon = sol.spec.horizon
     alpha = max(1.0 / float(kernel.g(horizon + 1.0)), 1.0)
@@ -209,7 +215,7 @@ def dissipation_check(
     )
 
 
-def identity_residual(sol: SolutionField, kernel=None) -> np.ndarray:
+def identity_residual(sol: SolutionField, report: EnergyReport) -> np.ndarray:
     """Residual of the energy rate identity at the interior saved steps:
 
         dE/dt = int f u_t + 1/2 Gdot(t) int |u_x|^2
@@ -219,9 +225,9 @@ def identity_residual(sol: SolutionField, kernel=None) -> np.ndarray:
     mollified); for a raw wedge the curvature is a point mass at the kink
     and the identity is not evaluated.  Purely diagnostic: the residual
     carries the O(ds) differencing error of the outer derivative.
+    *report* is :func:`energy_series` of the same solution.
     """
-    kernel = kernel if kernel is not None else sol.spec.kernel
-    report = energy_series(sol, kernel)
+    kernel = sol.spec.kernel
     ds = _uniform_spacing(sol.times)
     h = sol.grid.h
     gddot_at = np.atleast_1d(kernel.gddot(sol.times))  # may raise
@@ -238,12 +244,7 @@ def identity_residual(sol: SolutionField, kernel=None) -> np.ndarray:
         rhs = 0.5 * gdot_at[n] * float(_trap_x(h, uxs[n][None, :] ** 2)[0])
         if f_rows is not None:
             rhs += float(_trap_x(h, (f_rows[n] * _full_rows(v[n : n + 1])[0])[None, :])[0])
-        diffs = uxs[n][None, :] - uxs[n::-1]
-        d_vals = _trap_x(h, diffs * diffs)
-        w = np.full(n + 1, ds)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        rhs -= 0.5 * float(w @ (gddot_at[: n + 1] * d_vals))
+        rhs -= 0.5 * _lag_integral(h, ds, uxs, n, gddot_at)
         residuals[n - 1] = rate - rhs
     return residuals
 
@@ -297,8 +298,7 @@ def mode_decay_diagnostic(
     coarse, fine = (sol_a, sol_b) if ga.n_interior <= gb.n_interior else (sol_b, sol_a)
     times = coarse.times if len(coarse.times) <= len(fine.times) else fine.times
     grid = coarse.grid
-    pairs = dirichlet_eigenpairs(grid, n_modes)  # validates n_modes
-    modes = np.asarray([w.values for _, w in pairs])
+    _, modes = dirichlet_eigenpairs(grid, n_modes)  # validates n_modes
     mags = np.empty((n_modes, len(times)))
     for k, t in enumerate(times):
         wa = _values_on(sol_a, grid.x, float(t))

@@ -1,22 +1,19 @@
 """Uniform 1-D grid on (a, b) with homogeneous Dirichlet boundaries.
 
-Only interior nodal values are stored; the boundary values are
-identically zero and never appear as unknowns.  The module provides the
-standard second-order three-point Laplacian, the sine eigenpairs of the
-Dirichlet problem, and the discrete L2 inner product (uniform weight h,
-i.e. the trapezoid rule with the zero boundary terms dropped).
+Only interior nodal values are stored, as plain arrays; the boundary
+values are identically zero and never appear as unknowns.  The module
+provides the standard second-order three-point Laplacian and the sine
+eigenpairs of the Dirichlet problem, normalized in the discrete L2 norm
+(uniform weight h, i.e. the trapezoid rule with the zero boundary terms
+dropped).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-
-class GridMismatchError(ValueError):
-    """Operation mixing fields that live on different grids."""
 
 
 @dataclass(frozen=True)
@@ -26,8 +23,9 @@ class Grid:
     n_interior: int
 
     def __post_init__(self):
-        if self.b <= self.a:
-            raise ValueError("need b > a")
+        # one comparison rejects b <= a, NaN ends and an infinite length
+        if not 0.0 < self.b - self.a < np.inf:
+            raise ValueError(f"need finite ends with b > a, got ({self.a}, {self.b})")
         if self.n_interior < 1:
             raise ValueError("need at least one interior node")
 
@@ -47,29 +45,6 @@ class Grid:
         return pts
 
 
-@dataclass
-class Field:
-    """Nodal values on the interior of a grid (boundary is zero)."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_interior,):
-            raise ValueError(
-                f"expected {self.grid.n_interior} nodal values, "
-                f"got shape {self.values.shape}"
-            )
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.n_interior))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
 def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
     """Three-point second difference with zero ghost values at both ends."""
     out = np.empty_like(values)
@@ -82,19 +57,15 @@ def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def laplacian_apply(f: Field) -> Field:
-    """Discrete u_xx: second-order central differences, zero boundaries."""
-    return Field(f.grid, laplacian_values(f.values, f.grid.h))
-
-
-def dirichlet_eigenpairs(grid: Grid, count: int) -> list[tuple[float, Field]]:
+def dirichlet_eigenpairs(grid: Grid, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First *count* eigenpairs of -w'' = lambda w with zero boundaries.
 
-    Returns the continuous eigenvalues ``(i*pi/(b-a))**2`` with the sine
-    eigenfunctions sampled on the grid and normalized in the discrete L2
-    norm (trapezoid mass).  The sampled sine vectors happen to be exact
-    eigenvectors of the discrete Laplacian as well, with eigenvalues
-    ``(4/h^2) sin^2(i*pi*h/(2(b-a)))``.
+    Returns ``(eigenvalues, modes)``: the continuous eigenvalues
+    ``(i*pi/(b-a))**2`` and a ``(count, n_interior)`` array whose row
+    i - 1 is the i-th sine eigenfunction sampled on the grid and
+    normalized in the discrete L2 norm (trapezoid mass).  The sampled sine
+    vectors happen to be exact eigenvectors of the discrete Laplacian as
+    well, with eigenvalues ``(4/h^2) sin^2(i*pi*h/(2(b-a)))``.
     """
     if count < 1:
         raise ValueError("need count >= 1")
@@ -104,17 +75,7 @@ def dirichlet_eigenpairs(grid: Grid, count: int) -> list[tuple[float, Field]]:
             f"{grid.n_interior} modes, requested {count}"
         )
     L = grid.length
-    pairs = []
-    for i in range(1, count + 1):
-        lam = (i * np.pi / L) ** 2
-        w = np.sqrt(2.0 / L) * np.sin(i * np.pi * (grid.x - grid.a) / L)
-        w /= np.sqrt(grid.h * np.sum(w * w))
-        pairs.append((lam, Field(grid, w)))
-    return pairs
-
-
-def project(f: Field, w: Field) -> float:
-    """Discrete L2 inner product h * sum(f_j * w_j)."""
-    if f.grid != w.grid:
-        raise GridMismatchError("fields live on different grids")
-    return float(f.grid.h * np.dot(f.values, w.values))
+    i = np.arange(1, count + 1)[:, None]
+    modes = np.sqrt(2.0 / L) * np.sin(i * np.pi * (grid.x - grid.a) / L)
+    modes /= np.sqrt(grid.h * np.sum(modes * modes, axis=1, keepdims=True))
+    return (i[:, 0] * np.pi / L) ** 2, modes

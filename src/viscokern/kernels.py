@@ -112,9 +112,6 @@ class RelaxationKernel:
         except KernelRangeError:
             return True  # closed form exists, the probe point just isn't covered
 
-    def integrated(self) -> "IntegratedKernel":
-        return IntegratedKernel(self)
-
     def describe(self) -> str:
         return type(self).__name__
 

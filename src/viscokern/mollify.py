@@ -6,12 +6,14 @@ smooth average
     G_eps(t) = int_{t-eps}^{t+eps} rho((t - tau)/eps) (1/eps) G(eps + tau) dtau
              = int_{-1}^{1} rho(sigma) G(eps + t - eps*sigma) dsigma,
 
-where rho is an even C-infinity bump supported on (-1, 1) with unit mass.
-The forward shift by eps keeps every argument of G at or beyond t, so the
-average is well defined down to t = 0 (at the price of G_eps(0) != G(0) in
-general).  Averaging with an even unit-mass weight preserves positivity,
-monotone decrease and convexity, reproduces constants exactly, and on any
-affine stretch of G satisfies the shift identity G_eps(t) = G(t + eps).
+where ``rho`` is the standard even bump exp(1/(s^2 - 1)) on (-1, 1),
+scaled to unit mass and zero outside; ``rho_d1`` and ``rho_d2`` are its
+first and second derivatives.  The forward shift by eps keeps every
+argument of G at or beyond t, so the average is well defined down to
+t = 0 (at the price of G_eps(0) != G(0) in general).  Averaging with an
+even unit-mass weight preserves positivity, monotone decrease and
+convexity, reproduces constants exactly, and on any affine stretch of G
+satisfies the shift identity G_eps(t) = G(t + eps).
 
 Evaluation uses one composite Gauss rule on [-1, 1] for every time.  A
 window free of kinks applies it as it is; a window that holds kinks is cut
@@ -19,7 +21,8 @@ at their images sigma = 1 + (t - c)/eps, so every sub-integrand is smooth,
 and the rule is mapped affinely onto each segment.  All windows with the
 same number of kinks are integrated together in blocks of bounded size
 (see ``MollifiedKernel._eval_many``).  Derivatives in t are taken under
-the integral sign using the bump's derivatives.
+the integral sign: G_eps' and G_eps'' weigh G by ``rho_d1`` and ``rho_d2``
+and divide by eps and eps**2.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from .kernels import (
 
 #: composite rule on the bump: panels x Gauss order.  A single 16-point rule
 #: leaves ~5e-6 mass error on the bump profile, far too coarse for the
-#: 1e-10 reproduction contracts, so the default is 8 panels of order 32
+#: 1e-10 reproduction contracts, so the rule has 8 panels of order 32
 #: (mass error below 1e-15).
-DEFAULT_QUAD_ORDER = 32
-DEFAULT_QUAD_PANELS = 8
+QUAD_ORDER = 32
+QUAD_PANELS = 8
 #: quadrature nodes per work block in windows that hold a kink.  Blocks of
 #: 2**20 nodes raised the peak RSS of a 256x2048 mollify-study from 74 to
 #: 109 MB; 2**17 keeps it at the level of the kink-free path.
@@ -88,18 +91,19 @@ def _bump_mass() -> float:
     return float(weights @ _on_support(nodes, _bump, 1.0))
 
 
-class Mollifier:
-    """The standard even bump ``exp(1/(s^2 - 1))`` on (-1, 1), scaled to
-    unit mass.  Instances are stateless and safe to share."""
+def rho(s):
+    """The unit-mass bump on (-1, 1), zero outside; float for a scalar."""
+    return _on_support(s, _bump, _bump_mass())
 
-    def value(self, s):
-        return _on_support(s, _bump, _bump_mass())
 
-    def derivative(self, s):
-        return _on_support(s, _bump_d1, _bump_mass())
+def rho_d1(s):
+    """First derivative of :func:`rho`."""
+    return _on_support(s, _bump_d1, _bump_mass())
 
-    def second_derivative(self, s):
-        return _on_support(s, _bump_d2, _bump_mass())
+
+def rho_d2(s):
+    """Second derivative of :func:`rho`."""
+    return _on_support(s, _bump_d2, _bump_mass())
 
 
 class MollifiedKernel(RelaxationKernel):
@@ -112,14 +116,7 @@ class MollifiedKernel(RelaxationKernel):
 
     kink_times: tuple[float, ...] = ()
 
-    def __init__(
-        self,
-        base: RelaxationKernel,
-        epsilon: float,
-        mollifier: Mollifier | None = None,
-        quad_order: int = DEFAULT_QUAD_ORDER,
-        quad_panels: int = DEFAULT_QUAD_PANELS,
-    ):
+    def __init__(self, base: RelaxationKernel, epsilon: float):
         epsilon = require_positive("smoothing width epsilon", epsilon)
         if epsilon <= 1e-12:
             raise QuadratureToleranceError(
@@ -127,9 +124,6 @@ class MollifiedKernel(RelaxationKernel):
             )
         self.base = base
         self.epsilon = epsilon
-        self.mollifier = mollifier or Mollifier()
-        self.quad_order = int(quad_order)
-        self.quad_panels = int(quad_panels)
         self.smoothness_scale = self.epsilon
 
     # ------------------------------------------------------------------
@@ -156,7 +150,7 @@ class MollifiedKernel(RelaxationKernel):
             raise QuadratureToleranceError(
                 f"epsilon = {eps} underflows the time resolution at t ~ {t.max()}"
             )
-        nodes, weights = _unit_rule(self.quad_panels, self.quad_order)
+        nodes, weights = _unit_rule(QUAD_PANELS, QUAD_ORDER)
         # the window of t meets the kinks c in (t, t + 2 eps)
         kinks = np.sort(np.asarray(self.base.kink_times, dtype=float))
         first = np.searchsorted(kinks, t, side="right")
@@ -192,30 +186,17 @@ class MollifiedKernel(RelaxationKernel):
     # kernel interface
     # ------------------------------------------------------------------
     def g(self, t):
-        return self._eval_many(t, self.mollifier.value, 0)
+        return self._eval_many(t, rho, 0)
 
     def gdot(self, t, kink_policy: str | None = "left"):
         # smooth everywhere; differentiate under the integral sign
-        return self._eval_many(t, self.mollifier.derivative, 1)
+        return self._eval_many(t, rho_d1, 1)
 
     def gddot(self, t):
-        return self._eval_many(t, self.mollifier.second_derivative, 2)
-
-    def integrated(self) -> IntegratedKernel:
-        return IntegratedKernel(self)
+        return self._eval_many(t, rho_d2, 2)
 
     def describe(self) -> str:
         return f"mollified({self.base.describe()}, eps={self.epsilon})"
-
-
-def mollify(
-    base: RelaxationKernel,
-    epsilon: float,
-    mollifier: Mollifier | None = None,
-    **quad_kwargs,
-) -> MollifiedKernel:
-    """Smooth *base* with width *epsilon*; see :class:`MollifiedKernel`."""
-    return MollifiedKernel(base, epsilon, mollifier, **quad_kwargs)
 
 
 def sup_distance_K(

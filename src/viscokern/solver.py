@@ -29,12 +29,12 @@ term needs it anyway) and save snapshots at a configurable stride.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expressions
-from .grids import Field, Grid, laplacian_values
+from .grids import Grid, laplacian_values
 from .kernels import (
     DerivativeUndefinedError,
     IntegratedKernel,
@@ -94,8 +94,10 @@ class ProblemSpec:
     save_stride: int = 1
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ConfigurationError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:  # also fails for NaN
+            raise ConfigurationError(
+                f"horizon must be finite and positive, got {self.horizon}"
+            )
         if self.n_steps < 2:
             raise ConfigurationError("need at least 2 time steps")
         if self.scheme not in SCHEMES:
@@ -135,14 +137,11 @@ class SolutionField:
     times: np.ndarray
     u: np.ndarray                      # (n_saved, n_interior)
     v: np.ndarray | None = None        # velocities, differential scheme
-    meta: dict = dc_field(default_factory=dict)
+    meta: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> Grid:
         return self.spec.grid
-
-    def field(self, k: int) -> Field:
-        return Field(self.grid, self.u[k].copy())
 
 
 def solve(spec: ProblemSpec) -> SolutionField:
@@ -183,7 +182,7 @@ def _check_finite(values: np.ndarray, step: int, t: float, scheme: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# memory-term quadrature (shared by the solvers and exposed for testing)
+# memory-term quadrature (shared by the solvers)
 # ---------------------------------------------------------------------------
 
 def _k_history_sum(lap_hist: np.ndarray, n: int, dt: float, kvals: np.ndarray) -> np.ndarray:
@@ -239,52 +238,6 @@ def _gdot_history_sum(
         )
         q = q + (exact - base)
     return q
-
-
-MEMORY_MODES = ("K-form", "Gdot-form")
-
-
-def memory_term(
-    history,
-    kernel: RelaxationKernel,
-    t_n: float,
-    dt: float,
-    mode: str = "K-form",
-    grid: Grid | None = None,
-) -> Field:
-    """Assembled memory convolution at time ``t_n``, exposed for testing.
-
-    ``history`` is the list of displacement Fields at t_m = m*dt.  In
-    K-form it holds u^0 .. u^{n-1} with t_n = n*dt (the newest node has
-    zero weight through K(0) = 0); in Gdot-form it holds u^0 .. u^n with
-    t_n = (len-1)*dt.  An empty history yields the zero field on *grid*.
-    """
-    if mode not in MEMORY_MODES:
-        raise ValueError(f"mode must be one of {MEMORY_MODES}")
-    history = list(history)
-    if not history:
-        if grid is None:
-            raise ValueError("empty history needs an explicit grid")
-        return Field.zeros(grid)
-    grid = history[0].grid
-    if any(f.grid != grid for f in history):
-        raise ConfigurationError("history fields live on different grids")
-    n_expected = len(history) if mode == "K-form" else len(history) - 1
-    if abs(t_n - n_expected * dt) > 1e-9 * max(dt, 1.0):
-        raise ConfigurationError(
-            f"inconsistent history: {len(history)} entries with dt = {dt} "
-            f"do not reach t_n = {t_n} in {mode}"
-        )
-    lap_hist = np.asarray([laplacian_values(f.values, grid.h) for f in history])
-    if mode == "K-form":
-        n = len(history)
-        kvals = IntegratedKernel(kernel).cumulative(dt * np.arange(n + 1))
-        return Field(grid, _k_history_sum(lap_hist, n, dt, kvals))
-    n = len(history) - 1
-    if n == 0:
-        return Field.zeros(grid)
-    gd = kernel.gdot(dt * np.arange(n + 1), kink_policy="left")
-    return Field(grid, _gdot_history_sum(lap_hist, kernel, n, dt, gd))
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,27 @@ class TestScenarios:
         totals = [float(r[4]) for r in rows]
         assert totals[-1] < totals[0]
 
+    def test_energy_audit_computes_series_once(self, tmp_path, monkeypatch):
+        # the identity residual reuses the report instead of recomputing it
+        calls = []
+        series = cli.energy_mod.energy_series
+
+        def counting(sol):
+            calls.append(sol)
+            return series(sol)
+
+        monkeypatch.setattr(cli.energy_mod, "energy_series", counting)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            "problem.scheme = differential\nproblem.f = sin(pi*x)*t\n"
+            "kernel.type = prony\nkernel.ginf = 1.0\nkernel.terms = 1:0.5\n"
+            "discretization.n_interior = 16\ndiscretization.n_steps = 64\n"
+        )
+        run_cli(["energy-audit", "--config", cfgfile, "--out", tmp_path / "o"])
+        meta, _, _ = read_csv(tmp_path / "o" / "energy_audit.csv")
+        assert any("identity_residual_max" in line for line in meta)
+        assert len(calls) == 1
+
     def test_energy_audit_zero_data(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
@@ -251,6 +272,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "solve failed" in err
         assert "Traceback" not in err
+
+    def test_memory_error_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a stand-in for an oversize grid; nothing is really allocated
+        def stub(cfg, out_dir):
+            raise MemoryError("Unable to allocate 48.0 GiB for an array")
+
+        monkeypatch.setitem(cli.RUNNERS, "solve", stub)
+        assert run_cli(["solve", "--default", "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("viscokern: solve failed: out of memory: "
+                       "Unable to allocate 48.0 GiB for an array\n")
 
 
 class TestWaveReference:

@@ -91,6 +91,14 @@ class TestValidation:
         errs = errors_of("problem.T = -1.0")
         assert errs == [(1, "problem.T must be positive")]
 
+    @pytest.mark.parametrize("key, value", [
+        ("problem.a", "nan"), ("problem.a", "-inf"), ("problem.b", "inf"),
+        ("problem.b", "nan"), ("problem.T", "nan"), ("problem.T", "inf"),
+    ])
+    def test_non_finite_domain_and_horizon(self, key, value):
+        errs = errors_of(f"kernel.type = wedge\n{key} = {value}")
+        assert errs == [(2, f"{key} must be finite, got {value}")]
+
     def test_unknown_key_with_line(self):
         errs = errors_of("problem.T = 1.0\nproblem.tt = 2.0")
         assert errs == [(2, "unknown key 'problem.tt'")]
@@ -121,6 +129,8 @@ class TestValidation:
     def test_domain_order(self):
         errs = errors_of("problem.a = 2.0\nproblem.b = 1.0")
         assert any("b > a" in msg for _, msg in errs)
+        errs = errors_of("problem.a = -1e308\nproblem.b = 1e308")
+        assert errs == [(2, "problem domain needs b > a and finite b - a")]
 
     def test_stride_divides_steps(self):
         errs = errors_of("discretization.n_steps = 10\ndiscretization.stride = 3")

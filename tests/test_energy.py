@@ -148,14 +148,14 @@ class TestDissipationBranches:
 class TestIdentityResidual:
     def test_prony_residual_small(self):
         sol = standing_mode_solution(nx=64, nt=512)
-        residual = identity_residual(sol)
+        residual = identity_residual(sol, energy_series(sol))
         # O(ds) differencing noise on an O(1) energy scale
         assert np.max(np.abs(residual)) < 0.05
 
     def test_wedge_unsupported(self):
         sol = standing_mode_solution(nx=32, nt=256, kernel=WedgeKernel(2, 1, 0.4))
         with pytest.raises(DerivativeUndefinedError):
-            identity_residual(sol)
+            identity_residual(sol, energy_series(sol))
 
 
 class TestModeDecay:

@@ -16,7 +16,15 @@ from viscokern.kernels import (
     catalog,
     check_admissibility,
 )
-from viscokern.mollify import MollifiedKernel, Mollifier, mollify, sup_distance_K
+from viscokern.mollify import (
+    QUAD_ORDER,
+    QUAD_PANELS,
+    MollifiedKernel,
+    rho,
+    rho_d1,
+    rho_d2,
+    sup_distance_K,
+)
 
 WEDGE = WedgeKernel(2.0, 1.0, 1.0)
 QUAD_TOL = 1e-10
@@ -25,10 +33,9 @@ leggauss = lru_cache(np.polynomial.legendre.leggauss)
 
 def geps_oracle(base, eps: float, t: float) -> float:
     """Direct adaptive quadrature of the defining average."""
-    m = Mollifier()
     pts = [c - eps for c in base.kink_times if t - eps < c - eps < t + eps] or None
     val, _ = quad(
-        lambda tau: m.value((t - tau) / eps) / eps * float(base.g(eps + tau)),
+        lambda tau: rho((t - tau) / eps) / eps * float(base.g(eps + tau)),
         t - eps,
         t + eps,
         points=pts,
@@ -46,10 +53,10 @@ def split_reference(mk, t: float, weight_fn) -> float:
     eps = mk.epsilon
     images = (1.0 + (t - c) / eps for c in mk.base.kink_times)
     pts = [-1.0] + sorted(s for s in images if -1.0 < s < 1.0) + [1.0]
-    x, w = leggauss(mk.quad_order)
+    x, w = leggauss(QUAD_ORDER)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        edges = np.linspace(lo, hi, mk.quad_panels + 1)
+        edges = np.linspace(lo, hi, QUAD_PANELS + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         nodes, weights = (mid + half * x).ravel(), (half * w).ravel()
@@ -77,40 +84,35 @@ class CountingKernel(RelaxationKernel):
 class TestMollifier:
     def test_unit_mass_against_panel_oracle(self):
         # 10^4-panel Simpson quadrature of the normalized bump
-        m = Mollifier()
         s = np.linspace(-1.0, 1.0, 20001)
-        mass = simpson(m.value(s), x=s)
+        mass = simpson(rho(s), x=s)
         assert abs(mass - 1.0) < 1e-10
 
     def test_support_confinement_exact(self):
-        m = Mollifier()
-        assert m.value(1.5) == 0.0
-        assert m.value(-1.0) == 0.0
-        assert m.value(1.0) == 0.0
-        assert np.all(m.value(np.linspace(1.0, 5.0, 50)) == 0.0)
-        assert m.value(0.999) > 0.0
-        assert m.value(0.0) > 0.0
+        assert rho(1.5) == 0.0
+        assert rho(-1.0) == 0.0
+        assert rho(1.0) == 0.0
+        assert np.all(rho(np.linspace(1.0, 5.0, 50)) == 0.0)
+        assert rho(0.999) > 0.0
+        assert rho(0.0) > 0.0
 
     def test_evenness_exact(self):
-        m = Mollifier()
         s = np.linspace(0.0, 1.2, 101)
-        np.testing.assert_array_equal(m.value(s), m.value(-s))
-        assert m.value(0.7) == m.value(-0.7)
+        np.testing.assert_array_equal(rho(s), rho(-s))
+        assert rho(0.7) == rho(-0.7)
 
     def test_derivative_is_odd_and_consistent(self):
-        m = Mollifier()
         s = np.linspace(0.05, 0.95, 19)
-        np.testing.assert_array_equal(m.derivative(-s), -m.derivative(s))
+        np.testing.assert_array_equal(rho_d1(-s), -rho_d1(s))
         d = 1e-7
-        fd = (m.value(s + d) - m.value(s - d)) / (2 * d)
-        np.testing.assert_allclose(m.derivative(s), fd, rtol=1e-5, atol=1e-8)
+        fd = (rho(s + d) - rho(s - d)) / (2 * d)
+        np.testing.assert_allclose(rho_d1(s), fd, rtol=1e-5, atol=1e-8)
 
     def test_second_derivative_consistent(self):
-        m = Mollifier()
         s = np.linspace(0.05, 0.9, 18)
         d = 1e-5
-        fd = (m.value(s + d) - 2 * m.value(s) + m.value(s - d)) / d**2
-        np.testing.assert_allclose(m.second_derivative(s), fd, rtol=1e-4, atol=1e-6)
+        fd = (rho(s + d) - 2 * rho(s) + rho(s - d)) / d**2
+        np.testing.assert_allclose(rho_d2(s), fd, rtol=1e-4, atol=1e-6)
 
 
 class TestMollifiedKernel:
@@ -154,11 +156,6 @@ class TestMollifiedKernel:
         with pytest.raises(QuadratureToleranceError):
             MollifiedKernel(WEDGE, 1e-13)
 
-    def test_mollify_wrapper(self):
-        mk = mollify(WEDGE, 0.05)
-        assert isinstance(mk, MollifiedKernel)
-        assert mk.epsilon == 0.05
-
 
 class TestBatchedKinkWindows:
     # gddot weighs G by the bump's second derivative over eps**2, so its
@@ -186,16 +183,15 @@ class TestBatchedKinkWindows:
         values = 2.0 + np.concatenate([[0.0], np.cumsum(slopes * np.diff(times))])
         base = TabulatedKernel(times, values)
         mk = MollifiedKernel(base, eps)
-        m = mk.mollifier
         t_probe = max(kink - 2.0 * eps * where, 0.0)
         grid = np.linspace(max(kink - 2.5 * eps, 0.0), second + 0.5 * eps, 33)
         ts = np.concatenate([[t_probe, kink, second], grid])
         if kink >= 2.0 * eps:
             ts = np.append(ts, [kink - 2.0 * eps, second - 2.0 * eps])
         for name, weight_fn, scale in (
-            ("g", m.value, 1.0),
-            ("gdot", m.derivative, eps),
-            ("gddot", m.second_derivative, eps**2),
+            ("g", rho, 1.0),
+            ("gdot", rho_d1, eps),
+            ("gddot", rho_d2, eps**2),
         ):
             got = getattr(mk, name)(ts)
             ref = np.array([split_reference(mk, float(t), weight_fn) for t in ts]) / scale
@@ -257,25 +253,25 @@ class TestMollifiedDerivatives:
 
 class TestIntegratedMollified:
     def test_zero_at_origin(self):
-        ik = MollifiedKernel(WEDGE, 0.01).integrated()
+        ik = IntegratedKernel(MollifiedKernel(WEDGE, 0.01))
         assert ik.value(0.0) == 0.0
 
     def test_close_to_base_with_lipschitz_bound(self):
         # |K_eps(3) - K(3)| <= sup|G_eps - G| * 3 <= 2 * Lip(G) * eps * 3
         eps = 0.01
         lip = abs(WEDGE.slope)
-        ik_eps = MollifiedKernel(WEDGE, eps).integrated()
+        ik_eps = IntegratedKernel(MollifiedKernel(WEDGE, eps))
         ik = IntegratedKernel(WEDGE)
         assert abs(ik_eps.value(3.0) - ik.value(3.0)) <= 2.0 * lip * eps * 3.0
 
     def test_nondecreasing_on_grid(self):
-        ik = MollifiedKernel(WEDGE, 0.05).integrated()
+        ik = IntegratedKernel(MollifiedKernel(WEDGE, 0.05))
         vals = ik.cumulative(np.linspace(0.0, 3.0, 257))
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_cumulative_matches_adaptive_value(self):
         mk = MollifiedKernel(WEDGE, 0.05)
-        ik = mk.integrated()
+        ik = IntegratedKernel(mk)
         times = np.array([0.0, 0.4, 0.97, 1.3])
         cum = ik.cumulative(times)
         for t, v in zip(times[1:], cum[1:]):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from viscokern.grids import Field, Grid
+from viscokern.grids import Grid, laplacian_values
 from viscokern.kernels import (
     DerivativeUndefinedError,
     IntegratedKernel,
@@ -16,11 +16,12 @@ from viscokern.solver import (
     ProblemSpec,
     SolverDivergenceError,
     UnsupportedKernelError,
+    _gdot_history_sum,
+    _k_history_sum,
     cfl_limit,
     l2_distance,
     l2_error_vs,
     manufactured_prony,
-    memory_term,
     solve,
     solve_differential,
     solve_integral,
@@ -44,6 +45,11 @@ class TestSpecValidation:
             ProblemSpec(Grid(0, 1, 8), 1.0, 16, PRONY, scheme="spectral")
         with pytest.raises(ConfigurationError):
             ProblemSpec(Grid(0, 1, 8), 1.0, 16, PRONY, save_stride=3)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            ProblemSpec(Grid(0, 1, 8), horizon, 16, PRONY)
 
     def test_variable_discipline(self):
         with pytest.raises(ConfigurationError, match="u0"):
@@ -221,63 +227,44 @@ class TestLinearity:
 
 
 class TestMemoryTerm:
-    def test_empty_history(self):
-        g = Grid(0.0, 1.0, 8)
-        out = memory_term([], PRONY, 0.0, 0.1, "K-form", grid=g)
-        assert np.all(out.values == 0.0)
-        with pytest.raises(ValueError):
-            memory_term([], PRONY, 0.0, 0.1, "K-form")
+    # the memory sums of both schemes, on a Laplacian history held fixed
 
     def test_single_entry_weight(self):
         g = Grid(0.0, 1.0, 16)
-        u0 = Field(g, np.sin(np.pi * g.x))
+        lap = laplacian_values(np.sin(np.pi * g.x), g.h)
         dt = 0.05
-        out = memory_term([u0], WEDGE, dt, dt, "K-form")
-        from viscokern.grids import laplacian_apply
-
+        kvals = IntegratedKernel(WEDGE).cumulative(dt * np.arange(2))
+        out = _k_history_sum(lap[None, :], 1, dt, kvals)
         k_dt = IntegratedKernel(WEDGE).value(dt)
-        expected = 0.5 * dt * k_dt * laplacian_apply(u0).values
-        np.testing.assert_allclose(out.values, expected, atol=1e-14)
+        expected = 0.5 * dt * k_dt * lap
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_constant_history_k_form(self):
         # u(tau) == v: the exact memory is (int_0^t K) * lap v; trapezoid
         # on K reproduces it to O(dt^2)
         g = Grid(0.0, 1.0, 16)
-        v = Field(g, np.sin(np.pi * g.x))
+        lap = laplacian_values(np.sin(np.pi * g.x), g.h)
         t_n, n = 0.5, 50
         dt = t_n / n
-        history = [v.copy() for _ in range(n)]
-        out = memory_term(history, WEDGE, t_n, dt, "K-form")
         ik = IntegratedKernel(WEDGE)
+        out = _k_history_sum(np.tile(lap, (n, 1)), n, dt, ik.cumulative(dt * np.arange(n + 1)))
         exact_weight, _ = quad(lambda tau: ik.value(t_n - tau), 0.0, t_n,
                                epsabs=1e-13, epsrel=1e-13)
-        from viscokern.grids import laplacian_apply
-
-        expected = exact_weight * laplacian_apply(v).values
-        err = np.max(np.abs(out.values - expected))
-        assert err < 5.0 * dt**2 * np.max(np.abs(laplacian_apply(v).values))
+        expected = exact_weight * lap
+        err = np.max(np.abs(out - expected))
+        assert err < 5.0 * dt**2 * np.max(np.abs(lap))
 
     def test_gdot_form_constant_history(self):
         # u(tau) == v: int_0^t Gdot(t-tau) dtau = G(t) - G(0)
         g = Grid(0.0, 1.0, 16)
-        v = Field(g, np.sin(np.pi * g.x))
+        lap = laplacian_values(np.sin(np.pi * g.x), g.h)
         t_n, n = 1.0, 64
         dt = t_n / n
-        history = [v.copy() for _ in range(n + 1)]
-        out = memory_term(history, WEDGE, t_n, dt, "Gdot-form")
-        from viscokern.grids import laplacian_apply
-
-        expected = (float(WEDGE.g(t_n)) - float(WEDGE.g(0.0))) * laplacian_apply(v).values
-        err = np.max(np.abs(out.values - expected))
+        gd = WEDGE.gdot(dt * np.arange(n + 1), kink_policy="left")
+        out = _gdot_history_sum(np.tile(lap, (n + 1, 1)), WEDGE, n, dt, gd)
+        expected = (float(WEDGE.g(t_n)) - float(WEDGE.g(0.0))) * lap
+        err = np.max(np.abs(out - expected))
         assert err < 1e-10  # piecewise-constant Gdot: split trapezoid is exact
-
-    def test_inconsistent_history(self):
-        g = Grid(0.0, 1.0, 8)
-        history = [Field.zeros(g)] * 4
-        with pytest.raises(ConfigurationError, match="inconsistent history"):
-            memory_term(history, PRONY, 1.0, 0.1, "K-form")
-        with pytest.raises(ValueError, match="mode"):
-            memory_term(history, PRONY, 0.4, 0.1, "legendre")
 
 
 class TestKinkIsolation:
