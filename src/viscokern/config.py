@@ -348,7 +348,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
 
     out_dir = reader.raw("output.directory")
     output_stride = reader.integer("output.stride")
-    if output_stride < 1:
+    if reader.ok("output.stride") and output_stride < 1:
         errors.append((reader.line("output.stride"), "need output.stride >= 1"))
 
     if errors:

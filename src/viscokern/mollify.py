@@ -21,8 +21,8 @@ at their images sigma = 1 + (t - c)/eps, so every sub-integrand is smooth,
 and the rule is mapped affinely onto each segment.  All windows with the
 same number of kinks are integrated together in blocks of bounded size
 (see ``MollifiedKernel._eval_many``).  Derivatives in t are taken under
-the integral sign: G_eps' and G_eps'' weigh G by ``rho_d1`` and ``rho_d2``
-and divide by eps and eps**2.
+the integral sign: G_eps' and G_eps'' weigh G - G(t + eps) by ``rho_d1``
+and ``rho_d2`` and divide by eps and eps**2.
 """
 
 from __future__ import annotations
@@ -155,6 +155,17 @@ class MollifiedKernel(RelaxationKernel):
         kinks = np.sort(np.asarray(self.base.kink_times, dtype=float))
         first = np.searchsorted(kinks, t, side="right")
         count = np.searchsorted(kinks, t + 2.0 * eps, side="left") - first
+        # rho' and rho'' integrate to zero, so the derivatives weigh
+        # G - G(t + eps): the same integral without cancelling terms of
+        # size max|G| / eps**order
+        shift = self.base.g(eps + t) if order else None
+
+        def base_g(args, rows):  # a temporary, so no block outlives its use
+            vals = self.base.g(args)
+            if order:
+                vals = vals - shift[rows].reshape((-1,) + (1,) * (args.ndim - 1))
+            return vals
+
         out = np.empty_like(t)
         clean_idx = np.nonzero(count == 0)[0]
         if len(clean_idx):
@@ -162,7 +173,7 @@ class MollifiedKernel(RelaxationKernel):
             for start in range(0, len(clean_idx), 4096):  # bound the work matrix
                 block = clean_idx[start : start + 4096]
                 args = eps + t[block][:, None] - eps * nodes[None, :]
-                out[block] = self.base.g(args) @ wr
+                out[block] = base_g(args, block) @ wr
         for m in np.unique(count[count > 0]):
             rows_idx = np.nonzero(count == m)[0]
             step = max(_BLOCK_ELEMENTS // ((m + 1) * len(nodes)), 1)
@@ -177,7 +188,7 @@ class MollifiedKernel(RelaxationKernel):
                 half = 0.5 * (edges[:, 1:] - edges[:, :-1])
                 sigma = 0.5 * (edges[:, 1:] + edges[:, :-1]) + half * nodes
                 args = eps + tr[:, :, None] - eps * sigma
-                vals = (half * weights) * weight_fn(sigma) * self.base.g(args)
+                vals = (half * weights) * weight_fn(sigma) * base_g(args, rows)
                 out[rows] = vals.sum(axis=(1, 2))
         out /= eps**order
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -162,3 +162,8 @@ class TestValidation:
     def test_unparseable_kernel_number_reported_once(self):
         errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")
         assert errs == [(2, "kernel.g0: expected a number, got 'abc'")]
+
+    def test_unparseable_output_stride_reported_once(self):
+        errs = errors_of("problem.T = 1.0\noutput.stride = abc")
+        assert errs == [(2, "output.stride: expected an integer, got 'abc'")]
+        assert errors_of("output.stride = 0") == [(1, "need output.stride >= 1")]

@@ -46,11 +46,14 @@ def geps_oracle(base, eps: float, t: float) -> float:
     return val
 
 
-def split_reference(mk, t: float, weight_fn) -> float:
+def split_reference(mk, t: float, weight_fn, order: int) -> float:
     """Per-point reference for MollifiedKernel._eval_many: the sigma
     interval is split at the kink images strictly inside (-1, 1) and each
-    segment gets its own composite Gauss rule."""
+    segment gets its own composite Gauss rule.  For the derivatives
+    (order 1, 2) the integrand weighs G - G(t + eps), as _eval_many does;
+    the result is not divided by eps**order."""
     eps = mk.epsilon
+    shift = float(mk.base.g(eps + t)) if order else 0.0
     images = (1.0 + (t - c) / eps for c in mk.base.kink_times)
     pts = [-1.0] + sorted(s for s in images if -1.0 < s < 1.0) + [1.0]
     x, w = leggauss(QUAD_ORDER)
@@ -60,7 +63,7 @@ def split_reference(mk, t: float, weight_fn) -> float:
         mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         nodes, weights = (mid + half * x).ravel(), (half * w).ravel()
-        total += (weights * weight_fn(nodes)) @ mk.base.g(eps + t - eps * nodes)
+        total += (weights * weight_fn(nodes)) @ (mk.base.g(eps + t - eps * nodes) - shift)
     return total
 
 
@@ -158,12 +161,12 @@ class TestMollifiedKernel:
 
 
 class TestBatchedKinkWindows:
-    # gddot weighs G by the bump's second derivative over eps**2, so its
-    # roundoff grows like max|G| / eps relative to its peak: widths from
-    # 0.025 (the smallest in the default study) keep it below 1e-12
+    # the derivatives weigh G - G(t + eps), so their roundoff no longer
+    # grows like max|G| / eps: widths down to 0.005, a fifth of the
+    # smallest in the default study, stay far below 1e-12
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
-        eps=st.floats(0.025, 0.2),
+        eps=st.floats(0.005, 0.2),
         kink=st.floats(0.05, 1.5),
         gap=st.floats(0.0, 1.0),
         where=st.floats(-0.1, 1.1),
@@ -188,13 +191,12 @@ class TestBatchedKinkWindows:
         ts = np.concatenate([[t_probe, kink, second], grid])
         if kink >= 2.0 * eps:
             ts = np.append(ts, [kink - 2.0 * eps, second - 2.0 * eps])
-        for name, weight_fn, scale in (
-            ("g", rho, 1.0),
-            ("gdot", rho_d1, eps),
-            ("gddot", rho_d2, eps**2),
+        for order, (name, weight_fn) in enumerate(
+            (("g", rho), ("gdot", rho_d1), ("gddot", rho_d2))
         ):
             got = getattr(mk, name)(ts)
-            ref = np.array([split_reference(mk, float(t), weight_fn) for t in ts]) / scale
+            ref = np.array([split_reference(mk, float(t), weight_fn, order) for t in ts])
+            ref /= eps**order
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
     def test_one_base_call_per_block(self):
@@ -215,6 +217,48 @@ class TestBatchedKinkWindows:
         ts = np.linspace(0.0, 3.9, 500)
         mk.g(ts)
         assert base.elements <= len(ts) * 6 * 256
+
+
+class TestDerivativeCancellation:
+    def test_convex_table_against_mpmath(self):
+        # 401 samples of a convex function, eps = 0.013.  Integrating by
+        # parts against the piecewise-linear G gives exact forms:
+        # G_eps'(t) = sum over segments of slope * (rho mass over the
+        # segment's sigma range), G_eps''(t) = sum over kinks c of
+        # (slope jump at c) * rho(1 + (t - c)/eps) / eps; both are
+        # evaluated with 30 digits on the float table
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        times = np.linspace(0.0, 4.0, 401)
+        values = 1.0 + np.exp(-times)
+        eps = 0.013
+        mk = MollifiedKernel(TabulatedKernel(times, values), eps)
+        mass = mp.quad(lambda s: mp.exp(1 / (s * s - 1)), [-1, 1])
+
+        def bump(s):
+            return mp.exp(1 / (s * s - 1)) / mass if s * s < 1 else mp.mpf(0)
+
+        tm = [mp.mpf(float(v)) for v in times]
+        gm = [mp.mpf(float(v)) for v in values]
+        slope = [(gm[i + 1] - gm[i]) / (tm[i + 1] - tm[i]) for i in range(len(tm) - 1)]
+        e = mp.mpf(eps)
+        ts = np.linspace(0.0, 3.9, 27)
+        ref1, ref2 = [], []
+        for t in ts:
+            t = mp.mpf(float(t))
+            d1 = mp.mpf(0)
+            for i in range(len(tm) - 1):
+                lo = max(mp.mpf(-1), 1 + (t - tm[i + 1]) / e)
+                hi = min(mp.mpf(1), 1 + (t - tm[i]) / e)
+                if lo < hi:
+                    d1 += slope[i] * mp.quad(bump, [lo, hi])
+            ref1.append(float(d1))
+            ref2.append(float(sum(
+                (slope[i] - slope[i - 1]) * bump(1 + (t - tm[i]) / e)
+                for i in range(1, len(tm) - 1)
+            ) / e))
+        for got, ref in ((mk.gdot(ts), np.array(ref1)), (mk.gddot(ts), np.array(ref2))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestMollifiedDerivatives:

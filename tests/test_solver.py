@@ -1,23 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import viscokern
 from viscokern.grids import Grid, laplacian_values
 from viscokern.kernels import (
     DerivativeUndefinedError,
     IntegratedKernel,
     PronyKernel,
     RelaxationKernel,
+    TabulatedKernel,
     WedgeKernel,
 )
 from viscokern.mollify import MollifiedKernel
 from viscokern.solver import (
+    HISTORY_BLOCK,
     ConfigurationError,
     ProblemSpec,
     SolverDivergenceError,
     UnsupportedKernelError,
-    _gdot_history_sum,
-    _k_history_sum,
+    _sample_x,
     cfl_limit,
     l2_distance,
     l2_error_vs,
@@ -33,6 +42,94 @@ WEDGE = WedgeKernel(2.0, 1.0, 0.4)
 
 def make_spec(kernel, scheme, nx=32, nt=128, **kw):
     return ProblemSpec(Grid(0.0, 1.0, nx), 1.0, nt, kernel, scheme=scheme, **kw)
+
+
+# ---------------------------------------------------------------------------
+# direct memory sums, the oracle for the blocked engine in the solver
+# ---------------------------------------------------------------------------
+
+def _k_history_sum(lap_hist: np.ndarray, n: int, dt: float, kvals: np.ndarray) -> np.ndarray:
+    """Product-trapezoid sum_{m=0}^{n-1} w_m K(t_n - t_m) lap_u^m.
+
+    The m = n node is omitted: its trapezoid weight multiplies K(0) = 0.
+    """
+    w = dt * kvals[n:0:-1].copy()
+    w[0] *= 0.5
+    return w @ lap_hist[:n]
+
+
+def _gdot_history_sum(
+    lap_hist: np.ndarray,
+    kernel: RelaxationKernel,
+    n: int,
+    dt: float,
+    gd: np.ndarray,
+) -> np.ndarray:
+    """Trapezoid for int_0^{t_n} Gdot(t_n - tau) lap_u(tau) dtau over the
+    nodes m = 0..n, with panels straddling a kink of Gdot split there."""
+    w = dt * gd[n::-1].copy()
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    q = w @ lap_hist[: n + 1]
+    tn = n * dt
+    for c in kernel.kink_times:
+        tau_star = tn - c
+        if tau_star <= 0.0 or tau_star >= tn:
+            continue
+        g_minus, g_plus = kernel.gdot_limits(c)
+        p = tau_star / dt
+        pf = int(np.floor(p))
+        frac = p - pf
+        if min(frac, 1.0 - frac) < 1e-9:
+            # the kink sits on a step node j: the panel on each side must
+            # use the matching one-sided limit instead of the stored value
+            j = pf if frac < 0.5 else pf + 1
+            if 0 < j < n:
+                q = q + 0.5 * dt * (g_plus - gd[n - j]) * lap_hist[j]
+                q = q + 0.5 * dt * (g_minus - gd[n - j]) * lap_hist[j]
+            continue
+        # kink strictly inside panel [t_p, t_{p+1}]: replace that panel's
+        # trapezoid by two sub-panels split at tau_star, with the history
+        # interpolated linearly there
+        v_lo, v_hi = lap_hist[pf], lap_hist[pf + 1]
+        v_star = (1.0 - frac) * v_lo + frac * v_hi
+        base = 0.5 * dt * (gd[n - pf] * v_lo + gd[n - pf - 1] * v_hi)
+        d_lo = frac * dt
+        d_hi = (1.0 - frac) * dt
+        exact = 0.5 * d_lo * (gd[n - pf] * v_lo + g_plus * v_star) + 0.5 * d_hi * (
+            g_minus * v_star + gd[n - pf - 1] * v_hi
+        )
+        q = q + (exact - base)
+    return q
+
+
+def _direct_march(spec: ProblemSpec) -> np.ndarray:
+    """u at every step of the spec's scheme, marched with the direct sums
+    (zero forcing)."""
+    assert spec.f == "0"
+    grid, dt, n_steps = spec.grid, spec.dt, spec.n_steps
+    tgrid = dt * np.arange(n_steps + 1)
+    u0v = _sample_x(spec.u0_expr, grid.x)
+    u1v = _sample_x(spec.u1_expr, grid.x)
+    u = np.zeros((n_steps + 1, grid.n_interior))
+    lap_hist = np.zeros_like(u)
+    u[0] = u0v
+    lap_hist[0] = laplacian_values(u0v, grid.h)
+    if spec.scheme == "integral":
+        kvals = IntegratedKernel(spec.kernel).cumulative(tgrid)
+        for n in range(1, n_steps + 1):
+            u[n] = _k_history_sum(lap_hist, n, dt, kvals) + u1v * tgrid[n] + u0v
+            lap_hist[n] = laplacian_values(u[n], grid.h)
+        return u
+    g_zero = float(spec.kernel.g(0.0))
+    gd = np.atleast_1d(spec.kernel.gdot(tgrid, kink_policy="left"))
+    u[1] = u0v + dt * u1v + 0.5 * dt * dt * (g_zero * lap_hist[0])
+    lap_hist[1] = laplacian_values(u[1], grid.h)
+    for n in range(1, n_steps):
+        q = _gdot_history_sum(lap_hist, spec.kernel, n, dt, gd)
+        u[n + 1] = 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap_hist[n] + q)
+        lap_hist[n + 1] = laplacian_values(u[n + 1], grid.h)
+    return u
 
 
 class TestSpecValidation:
@@ -265,6 +362,71 @@ class TestMemoryTerm:
         expected = (float(WEDGE.g(t_n)) - float(WEDGE.g(0.0))) * lap
         err = np.max(np.abs(out - expected))
         assert err < 1e-10  # piecewise-constant Gdot: split trapezoid is exact
+
+
+def _blocked_case(scheme, family, n_steps, place, k, frac):
+    """A spec whose kernel kink lag c sits on a step node, at a multiple of
+    the block length, or strictly inside a panel.  dt = 1/64 everywhere and
+    h = 1/25 keeps both schemes inside the CFL bound."""
+    dt = 1.0 / 64.0
+    horizon = n_steps * dt
+    k = 1 + k % max(n_steps - 1, 1)
+    c = {"node": k * dt, "block": HISTORY_BLOCK * dt * (1 + k % 2),
+         "panel": (k + frac) * dt}[place]
+    kernel = {
+        "wedge": WedgeKernel(2.0, 1.0, c),
+        "tabulated": TabulatedKernel([0.0, c, c + 0.37, max(horizon, c + 0.37) + 1.0],
+                                     [2.0, 1.5, 1.2, 1.0]),
+        "prony": PronyKernel(1.0, ((0.6, 0.3), (0.4, 2.0))),
+    }[family]
+    return ProblemSpec(Grid(0.0, 1.0, 24), horizon, n_steps, kernel,
+                       u0="sin(pi*x)", u1="x*(1-x)", scheme=scheme)
+
+
+class TestBlockedMemorySum:
+    # the solvers' blocked far/near memory sum against a march through the
+    # direct sums above; N < B, N = B, N = B + 1 and N above the far
+    # product's chunk length (256 rows)
+
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    @pytest.mark.parametrize("n_steps", [7, HISTORY_BLOCK, HISTORY_BLOCK + 1, 97, 300])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["wedge", "tabulated", "prony"]),
+        place=st.sampled_from(["node", "block", "panel"]),
+        k=st.integers(0, 400),
+        frac=st.floats(0.05, 0.95),
+    )
+    @example(family="wedge", place="node", k=40, frac=0.5)
+    @example(family="tabulated", place="block", k=0, frac=0.5)
+    @example(family="wedge", place="panel", k=5, frac=0.3)
+    @example(family="prony", place="node", k=0, frac=0.5)
+    def test_matches_direct_sums(self, scheme, n_steps, family, place, k, frac):
+        spec = _blocked_case(scheme, family, n_steps, place, k, frac)
+        direct = _direct_march(spec)
+        blocked = solve(spec).u
+        assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # one BLAS product over the whole far history rounds differently at
+        # 1 and 2 threads; the fixed chunks make the bytes independent
+        script = (
+            "import hashlib; from viscokern.grids import Grid; "
+            "from viscokern.kernels import WedgeKernel; "
+            "from viscokern.solver import ProblemSpec, solve; "
+            "spec = ProblemSpec(Grid(0.0, 1.0, 256), 1.0, 1024, "
+            "WedgeKernel(2.0, 1.0, 0.4), u0='sin(pi*x)', u1='x*(1-x)'); "
+            "print(hashlib.sha256(solve(spec).u.tobytes()).hexdigest())"
+        )
+        src = str(Path(viscokern.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120, check=True)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestKinkIsolation:
