@@ -15,7 +15,7 @@ The history double integral is the quantity separating viscoelastic from
 elastic behaviour, so it is computed explicitly even though the a-priori
 bound discards it.  Spatial integrals use the trapezoid rule with
 one-sided u_x stencils at the boundary nodes; the time quadratures run
-over the saved snapshots.
+over the saved snapshots, with the lag sums in the solver's memory-sum engine.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import numpy as np
 
 from . import expressions
 from .grids import dirichlet_eigenpairs
-from .solver import ConfigurationError, SolutionField
+from .solver import ConfigurationError, SolutionField, _memory_sums
 
 #: default relative tolerance for the monotonicity verdict (quadrature noise)
 DEFAULT_ENERGY_TOL = 1e-3
+DIRECT_LAGS = 32  # lags (saved steps) too short for the expansion in _lag_sums
 
 
 def _uniform_spacing(times: np.ndarray) -> float:
@@ -50,12 +51,7 @@ def _full_rows(values: np.ndarray) -> np.ndarray:
 
 def _ux_rows(h: float, values: np.ndarray) -> np.ndarray:
     """u_x on the full grid: central inside, one-sided at the boundaries."""
-    full = _full_rows(values)
-    d = np.empty_like(full)
-    d[:, 1:-1] = (full[:, 2:] - full[:, :-2]) / (2.0 * h)
-    d[:, 0] = (full[:, 1] - full[:, 0]) / h
-    d[:, -1] = (full[:, -1] - full[:, -2]) / h
-    return d
+    return np.gradient(_full_rows(values), h, axis=1)
 
 
 def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
@@ -66,16 +62,27 @@ def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
     return rows @ w
 
 
-def _lag_integral(h: float, ds: float, uxs: np.ndarray, n: int, weight: np.ndarray) -> float:
-    """ds-trapezoid of weight(s) D(t_n, s) over the lags s_k = k*ds,
-    k = 0..n, where D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx and
-    *weight* holds the kernel at the saved times."""
-    diffs = uxs[n][None, :] - uxs[n::-1]
-    d_vals = _trap_x(h, diffs * diffs)
-    w = np.full(n + 1, ds)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return float(w @ (weight[: n + 1] * d_vals))
+def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Per saved step n, the ds-trapezoid over the lags s = 0, ds, .., t_n of
+    weight(s) D(t_n, s), D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx, with
+    *weight* the kernel at the saved times.  Lags of DIRECT_LAGS steps and
+    more come from one engine pass over the rows (|u_x|^2, 1, u_x), by
+    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b; shorter ones are summed as differences."""
+    uxs = uxs - uxs.mean(axis=0)  # D sees differences only: shrink what cancels
+    d = _trap_x(h, uxs * uxs)
+    # a width that is a multiple of 8 rounds alike at 1 and 2 OpenBLAS threads
+    rows = np.column_stack([d, np.ones_like(d), uxs])
+    rows = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 8)))
+    far_wl = np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weight)
+    sums = np.zeros_like(rows)
+    for n, s in _memory_sums(rows, far_wl, len(d)):
+        sums[n] = s
+    out = d * sums[:, 1] + sums[:, 0] - 2.0 * _trap_x(h, uxs * sums[:, 2 : 2 + uxs.shape[1]])
+    for k in range(1, min(DIRECT_LAGS, len(d))):
+        near = ds * weight[k] * _trap_x(h, (uxs[k:] - uxs[:-k]) ** 2)
+        near[0] *= 0.5  # lag k ends the trapezoid of step n = k
+        out[k:] += near
+    return out
 
 
 def _f_block(sol: SolutionField) -> np.ndarray:
@@ -139,9 +146,7 @@ def energy_series(sol: SolutionField) -> EnergyReport:
     elastic = 0.5 * g_at * _trap_x(h, uxs * uxs)
     kinetic = 0.5 * _trap_x(h, _full_rows(v) ** 2)
 
-    history = np.zeros(n_saved)
-    for n in range(1, n_saved):
-        history[n] = -0.5 * _lag_integral(h, ds, uxs, n, gdot_at)
+    history = -0.5 * _lag_sums(h, ds, uxs, gdot_at)
 
     horizon = sol.spec.horizon
     alpha = max(1.0 / float(kernel.g(horizon + 1.0)), 1.0)
@@ -235,18 +240,15 @@ def identity_residual(sol: SolutionField, report: EnergyReport) -> np.ndarray:
     v = sol.v if sol.v is not None else reconstruct_velocities(sol)
     uxs = _ux_rows(h, sol.u)
 
-    f_rows = None if expressions.is_zero(sol.spec.f_expr) else _f_block(sol)
     # stop one step short of the end: the final velocity is one-sided and
     # would leak an O(1) artefact into the centred rate at the last step
-    residuals = np.empty(len(sol.times) - 3)
-    for n in range(1, len(sol.times) - 2):
-        rate = (report.total[n + 1] - report.total[n - 1]) / (2.0 * ds)
-        rhs = 0.5 * gdot_at[n] * float(_trap_x(h, uxs[n][None, :] ** 2)[0])
-        if f_rows is not None:
-            rhs += float(_trap_x(h, (f_rows[n] * _full_rows(v[n : n + 1])[0])[None, :])[0])
-        rhs -= 0.5 * _lag_integral(h, ds, uxs, n, gddot_at)
-        residuals[n - 1] = rate - rhs
-    return residuals
+    inner = slice(1, len(sol.times) - 2)
+    rate = (report.total[2:-1] - report.total[:-3]) / (2.0 * ds)
+    rhs = 0.5 * gdot_at[inner] * _trap_x(h, uxs[inner] ** 2)
+    if not expressions.is_zero(sol.spec.f_expr):
+        rhs += _trap_x(h, _f_block(sol)[inner] * _full_rows(v[inner]))
+    rhs -= 0.5 * _lag_sums(h, ds, uxs, gddot_at)[inner]
+    return rate - rhs
 
 
 @dataclass

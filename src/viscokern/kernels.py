@@ -361,13 +361,9 @@ class IntegratedKernel:
     halving the panel width until two estimates agree (:meth:`value`).
     """
 
-    def __init__(self, source: RelaxationKernel, quad_tol: float | None = None):
+    def __init__(self, source: RelaxationKernel):
         self.source = source
-        if quad_tol is None:
-            quad_tol = (
-                QUAD_TOL_CLOSED_CHECK if source.has_closed_k else QUAD_TOL_EXPRESSION
-            )
-        self.quad_tol = quad_tol
+        self.quad_tol = QUAD_TOL_CLOSED_CHECK if source.has_closed_k else QUAD_TOL_EXPRESSION
 
     def value(self, xi) -> float:
         """K at a single abscissa xi >= 0.

@@ -48,6 +48,7 @@ QUAD_PANELS = 8
 #: 2**20 nodes raised the peak RSS of a 256x2048 mollify-study from 74 to
 #: 109 MB; 2**17 keeps it at the level of the kink-free path.
 _BLOCK_ELEMENTS = 2**17
+SUP_GRID_POINTS = 512  # grid points on [0, horizon] for the sup in sup_distance_K
 
 
 @lru_cache(maxsize=8)
@@ -214,20 +215,19 @@ def sup_distance_K(
     base: RelaxationKernel,
     epsilons,
     horizon: float,
-    n_grid: int = 512,
 ) -> list[tuple[float, float]]:
     """sup over [0, horizon] of |K_eps - K| for each smoothing width.
 
-    The sup is taken over a fixed dense grid.  For a continuous base
-    kernel the distances decrease toward 0 as the widths do; for a
-    Lipschitz base they are bounded by 2 * Lip(G) * eps * horizon.
+    The sup is taken over a fixed grid of SUP_GRID_POINTS points.  For a
+    continuous base kernel the distances decrease toward 0 as the widths
+    do; for a Lipschitz base they are bounded by 2 * Lip(G) * eps * horizon.
     """
     epsilons = [float(e) for e in epsilons]
     if any(e <= 0.0 for e in epsilons):
         raise ValueError("smoothing widths must be positive")
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("smoothing widths must be strictly decreasing")
-    grid = np.linspace(0.0, horizon, n_grid)
+    grid = np.linspace(0.0, horizon, SUP_GRID_POINTS)
     k_base = IntegratedKernel(base).cumulative(grid)
     out = []
     for eps in epsilons:

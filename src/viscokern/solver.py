@@ -25,13 +25,14 @@ boundaries, initial data u0, u1 and forcing f:
 Both schemes are linear in the data, store the full history (the memory
 term needs it anyway) and save snapshots at a configurable stride.
 
-Both sum their memory term with one blocked engine (``_memory_sums``, the
-first level of the Toeplitz splitting of Hairer, Lubich and Schlichte, SIAM
-J. Sci. Stat. Comput. 6, 1985): for a block of HISTORY_BLOCK steps the
-history written before the block ("far") is one matrix product, and only
-the newer rows ("near") are summed step by step.  The weights are those of
-the direct sum.  The far product runs over history chunks of fixed length
-in a fixed order, so the bytes do not depend on the BLAS thread count.
+Both sum their memory term, and the energy diagnostics their history lag
+sums, with one blocked engine (``_memory_sums``, the first level of the
+Toeplitz splitting of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat.
+Comput. 6, 1985): for a block of HISTORY_BLOCK steps the history written
+before the block ("far") is one matrix product, and only the newer rows
+("near") are summed step by step.  The weights are those of the direct
+sum.  The far product runs over history chunks of fixed length in a fixed
+order, so the bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def _check_finite(values: np.ndarray, step: int, t: float, scheme: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# memory-term quadrature (shared by the solvers)
+# memory-term quadrature (shared by the solvers and the energy diagnostics)
 # ---------------------------------------------------------------------------
 
 #: steps per block of the memory sum, and history rows per chunk of the
@@ -200,35 +201,35 @@ HISTORY_BLOCK = 32
 _FAR_CHUNK = 256
 
 
-def _memory_sums(lap_hist: np.ndarray, wl: np.ndarray, stop: int):
-    """Yield (n, sum_{m<n} w_m wl[n - m] lap_hist[m]) for n = 1 .. stop-1,
-    with w_0 = 1/2 and every other w_m = 1, in blocks of far and near rows
-    (see the module docstring).  The caller fills lap_hist[n - 1] before it
-    asks for step n."""
+def _memory_sums(rows: np.ndarray, wl: np.ndarray, stop: int):
+    """Yield (n, sum_{m<n} w_m wl[n - m] rows[m]) for n = 1 .. stop-1, with
+    w_0 = 1/2 and every other w_m = 1, in blocks of far and near rows (see
+    the module docstring).  The rows hold Laplacians or u_x; the caller
+    fills rows[n - 1] before it asks for step n."""
     for n0 in range(1, stop, HISTORY_BLOCK):
         n1 = min(n0 + HISTORY_BLOCK, stop)
         lags = np.arange(n0, n1)[:, None]
-        far = np.zeros((n1 - n0, lap_hist.shape[1]))
+        far = np.zeros((n1 - n0, rows.shape[1]))
         for lo in range(0, n0, _FAR_CHUNK):
             hi = min(lo + _FAR_CHUNK, n0)
             w = wl[lags - np.arange(lo, hi)]
             if lo == 0:
                 w[:, 0] *= 0.5
-            far += w @ lap_hist[lo:hi]
+            far += w @ rows[lo:hi]
         for n in range(n0, n1):
-            yield n, far[n - n0] + wl[n - n0 : 0 : -1] @ lap_hist[n0:n]
+            yield n, far[n - n0] + wl[n - n0 : 0 : -1] @ rows[n0:n]
 
 
-def _kink_split(q: np.ndarray, lap_hist: np.ndarray, kernel: RelaxationKernel,
-                n: int, dt: float, gd: np.ndarray) -> np.ndarray:
+def _kink_split(q: np.ndarray, lap_hist: np.ndarray, kinks, n: int, dt: float,
+                gd: np.ndarray) -> np.ndarray:
     """Correct the trapezoid q for int_0^{t_n} Gdot(t_n - tau) lap_u(tau)
-    dtau on the panels that straddle a kink of Gdot, splitting them there."""
+    dtau on the panels that straddle a kink of Gdot, splitting them there.
+    *kinks* holds (c, left limit, right limit of Gdot at c) per kink."""
     tn = n * dt
-    for c in kernel.kink_times:
+    for c, g_minus, g_plus in kinks:
         tau_star = tn - c
         if tau_star <= 0.0 or tau_star >= tn:
             continue
-        g_minus, g_plus = kernel.gdot_limits(c)
         p = tau_star / dt
         pf = int(np.floor(p))
         frac = p - pf
@@ -335,6 +336,7 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
             f"cannot provide it: {exc}"
         ) from exc
 
+    kinks = [(c, *spec.kernel.gdot_limits(c)) for c in spec.kernel.kink_times]
     u0v = _sample_x(spec.u0_expr, grid.x)
     u1v = _sample_x(spec.u1_expr, grid.x)
     fvals = _forcing_rows(spec, tgrid)
@@ -352,7 +354,7 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
     with np.errstate(over="ignore", invalid="ignore"):
         for n, memory in _memory_sums(lap_hist, dt * gd, n_steps):
             q = memory + 0.5 * dt * gd[0] * lap_hist[n]  # the lag-0 node
-            q = _kink_split(q, lap_hist, spec.kernel, n, dt, gd)
+            q = _kink_split(q, lap_hist, kinks, n, dt, gd)
             un1 = 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap_hist[n] + q + f_at(n))
             _check_finite(un1, n + 1, tgrid[n + 1], "differential")
             u[n + 1] = un1

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from viscokern import expressions
 from viscokern.energy import (
+    _f_block,
+    _full_rows,
+    _trap_x,
+    _uniform_spacing,
+    _ux_rows,
     dissipation_check,
     energy_series,
     identity_residual,
@@ -9,10 +17,69 @@ from viscokern.energy import (
     reconstruct_velocities,
 )
 from viscokern.grids import Grid
-from viscokern.kernels import DerivativeUndefinedError, PronyKernel, WedgeKernel
-from viscokern.solver import ConfigurationError, ProblemSpec, solve
+from viscokern.kernels import (
+    DerivativeUndefinedError,
+    PronyKernel,
+    TabulatedKernel,
+    WedgeKernel,
+)
+from viscokern.mollify import MollifiedKernel
+from viscokern.solver import HISTORY_BLOCK, ConfigurationError, ProblemSpec, solve
 
 PRONY = PronyKernel(1.0, ((1.0, 0.5),))
+
+
+# ---------------------------------------------------------------------------
+# row-by-row lag integrals, the oracle for the engine-based energy path
+# ---------------------------------------------------------------------------
+
+def _lag_integral(h: float, ds: float, uxs: np.ndarray, n: int, weight: np.ndarray) -> float:
+    """ds-trapezoid of weight(s) D(t_n, s) over the lags s_k = k*ds,
+    k = 0..n, where D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx and
+    *weight* holds the kernel at the saved times."""
+    diffs = uxs[n][None, :] - uxs[n::-1]
+    d_vals = _trap_x(h, diffs * diffs)
+    w = np.full(n + 1, ds)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return float(w @ (weight[: n + 1] * d_vals))
+
+
+def _history_rows(sol) -> np.ndarray:
+    """The history term of energy_series, one lag integral per snapshot."""
+    ds = _uniform_spacing(sol.times)
+    h = sol.grid.h
+    n_saved = len(sol.times)
+    uxs = _ux_rows(h, sol.u)
+    gdot_at = np.atleast_1d(sol.spec.kernel.gdot(sol.times, kink_policy="left"))
+    history = np.zeros(n_saved)
+    for n in range(1, n_saved):
+        history[n] = -0.5 * _lag_integral(h, ds, uxs, n, gdot_at)
+    return history
+
+
+def _residual_rows(sol, report) -> np.ndarray:
+    """identity_residual, one interior saved step at a time."""
+    kernel = sol.spec.kernel
+    ds = _uniform_spacing(sol.times)
+    h = sol.grid.h
+    gddot_at = np.atleast_1d(kernel.gddot(sol.times))  # may raise
+    gdot_at = np.atleast_1d(kernel.gdot(sol.times, kink_policy="left"))
+    v = sol.v if sol.v is not None else reconstruct_velocities(sol)
+    uxs = _ux_rows(h, sol.u)
+
+    f_rows = None if expressions.is_zero(sol.spec.f_expr) else _f_block(sol)
+    # stop one step short of the end: the final velocity is one-sided and
+    # would leak an O(1) artefact into the centred rate at the last step
+    residuals = np.empty(len(sol.times) - 3)
+    for n in range(1, len(sol.times) - 2):
+        rate = (report.total[n + 1] - report.total[n - 1]) / (2.0 * ds)
+        rhs = 0.5 * gdot_at[n] * float(_trap_x(h, uxs[n][None, :] ** 2)[0])
+        if f_rows is not None:
+            rhs += float(_trap_x(h, (f_rows[n] * _full_rows(v[n : n + 1])[0])[None, :])[0])
+        rhs -= 0.5 * _lag_integral(h, ds, uxs, n, gddot_at)
+        residuals[n - 1] = rate - rhs
+    return residuals
 
 
 def standing_mode_solution(nx=64, nt=512, kernel=PRONY, scheme="differential",
@@ -122,6 +189,81 @@ class TestWedgeHistoryWindow:
             d = (ux[n] - ux[n - k]) ** 2 @ wx
             truncated += -0.5 * w_k * gd * d
         assert report.history[n] == pytest.approx(truncated, abs=1e-12)
+
+
+def _oracle_case(family, place, scheme, stride, n_saved, forced, k, frac, dt):
+    """A solve with n_saved snapshots at save stride *stride*.  The kernel's
+    kink lag c sits on a saved node, on a step node (between saved nodes
+    when stride > 1) or strictly inside a step.  dt <= 1/64 and h = 1/17
+    keep both schemes inside the CFL bound."""
+    n_steps = (n_saved - 1) * stride
+    horizon = n_steps * dt
+    k = 1 + k % (n_saved - 1)
+    c = {"saved": k * stride, "step": k * stride + 1, "panel": k * stride + frac}[place] * dt
+    kernel = {
+        "prony": PronyKernel(1.0, ((0.6, 0.3), (0.4, 2.0))),
+        "wedge": WedgeKernel(2.0, 1.0, c),
+        "tabulated": TabulatedKernel([0.0, c, c + 0.37, max(horizon, c + 0.37) + 1.0],
+                                     [2.0, 1.5, 1.2, 1.0]),
+        "mollified": MollifiedKernel(WedgeKernel(2.0, 1.0, c), 0.05),
+    }[family]
+    f = "(1 + x)*sin(pi*x)*cos(3*t)" if forced else "0"
+    return solve(ProblemSpec(Grid(0.0, 1.0, 16), horizon, n_steps, kernel,
+                             u0="sin(pi*x)", u1="x*(1-x)", f=f, scheme=scheme,
+                             save_stride=stride))
+
+
+class TestEngineAgainstRowLoop:
+    # energy_series and identity_residual sum their lags through the
+    # solver's memory-sum engine; the row loops above are the oracle.
+    # Snapshot counts below, at and above HISTORY_BLOCK (and DIRECT_LAGS,
+    # the shortest lag the engine sums) and past the far product's chunk
+    # length (256 rows)
+
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    @pytest.mark.parametrize("n_saved", [3, HISTORY_BLOCK, HISTORY_BLOCK + 1, 300])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["prony", "wedge", "tabulated", "mollified"]),
+        place=st.sampled_from(["saved", "step", "panel"]),
+        stride=st.sampled_from([1, 2, 4]),
+        forced=st.booleans(),
+        k=st.integers(0, 400),
+        frac=st.floats(0.05, 0.95),
+        dt=st.sampled_from([1.0 / 64.0, 1.0 / 1024.0]),
+    )
+    @example(family="prony", place="saved", stride=1, forced=True, k=0, frac=0.5, dt=1 / 64)
+    @example(family="mollified", place="panel", stride=4, forced=False, k=7, frac=0.3,
+             dt=1 / 64)
+    @example(family="wedge", place="saved", stride=2, forced=True, k=3, frac=0.5, dt=1 / 64)
+    @example(family="wedge", place="step", stride=4, forced=False, k=11, frac=0.5, dt=1 / 64)
+    @example(family="tabulated", place="step", stride=2, forced=True, k=5, frac=0.6,
+             dt=1 / 64)
+    # a kink one saved step from the origin at a fine step: Gdot is nonzero
+    # only at lags where u_x(t) - u_x(t - s) is small against u_x
+    @example(family="wedge", place="saved", stride=1, forced=False, k=0, frac=0.5,
+             dt=1 / 1024)
+    @example(family="wedge", place="panel", stride=1, forced=True, k=0, frac=0.4,
+             dt=1 / 1024)
+    # a short horizon at a fine step: u_x(t) - u_x(t - s) is small at every lag
+    @example(family="prony", place="saved", stride=1, forced=True, k=0, frac=0.5,
+             dt=1 / 4096)
+    def test_matches_row_loop(self, scheme, n_saved, family, place, stride, forced, k, frac,
+                              dt):
+        sol = _oracle_case(family, place, scheme, stride, n_saved, forced, k, frac, dt)
+        report = energy_series(sol)
+        expected = _history_rows(sol)
+        assert report.history[0] == 0.0
+        assert np.max(np.abs(report.history - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.min(report.history) >= -1e-9
+        if family not in ("prony", "mollified"):
+            return  # no second derivative: identity_residual raises
+        residual = identity_residual(sol, report)
+        expected = _residual_rows(sol, report)
+        assert residual.shape == expected.shape == (n_saved - 3,)
+        if len(expected):
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(residual - expected)) <= 1e-12 * scale
 
 
 class TestDissipationBranches:

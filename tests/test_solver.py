@@ -409,14 +409,19 @@ class TestBlockedMemorySum:
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # one BLAS product over the whole far history rounds differently at
-        # 1 and 2 threads; the fixed chunks make the bytes independent
+        # 1 and 2 threads; the fixed chunks make the bytes independent, for
+        # the solution and (with its rows padded to a multiple of 8 columns)
+        # for the energy history summed by the same engine
         script = (
             "import hashlib; from viscokern.grids import Grid; "
             "from viscokern.kernels import WedgeKernel; "
             "from viscokern.solver import ProblemSpec, solve; "
+            "from viscokern.energy import energy_series; "
             "spec = ProblemSpec(Grid(0.0, 1.0, 256), 1.0, 1024, "
             "WedgeKernel(2.0, 1.0, 0.4), u0='sin(pi*x)', u1='x*(1-x)'); "
-            "print(hashlib.sha256(solve(spec).u.tobytes()).hexdigest())"
+            "sol = solve(spec); "
+            "print(hashlib.sha256(sol.u.tobytes() + "
+            "energy_series(sol).history.tobytes()).hexdigest())"
         )
         src = str(Path(viscokern.__file__).resolve().parents[1])
         digests = []
@@ -438,6 +443,21 @@ class TestKinkIsolation:
         monkeypatch.setattr(WedgeKernel, "gdot_limits", forbidden)
         sol = solve_integral(make_spec(WEDGE, "integral", u0="sin(pi*x)"))
         assert np.isfinite(sol.u).all()
+
+    def test_differential_takes_kink_limits_once_per_solve(self, monkeypatch):
+        # the one-sided limits depend only on the kernel, not on the step
+        tab = TabulatedKernel([0.0, 0.3, 0.7, 1.5, 4.0], [2.0, 1.55, 1.25, 1.02, 1.0])
+        calls = []
+        original = TabulatedKernel.gdot_limits
+
+        def counted(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(TabulatedKernel, "gdot_limits", counted)
+        sol = solve_differential(make_spec(tab, "differential", u0="sin(pi*x)"))
+        assert np.isfinite(sol.u).all()
+        assert 0 < len(calls) <= len(tab.kink_times)
 
 
 class TestMollifiedSolves:
