@@ -26,7 +26,7 @@ import numpy as np
 
 from . import expressions
 from .grids import dirichlet_eigenpairs
-from .solver import ConfigurationError, SolutionField, _memory_sums
+from .solver import ConfigurationError, SolutionField, _engine_rows, _memory_sums
 
 #: default relative tolerance for the monotonicity verdict (quadrature noise)
 DEFAULT_ENERGY_TOL = 1e-3
@@ -70,9 +70,10 @@ def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray) -> np.nd
     |a - b|^2 = |a|^2 + |b|^2 - 2 a.b; shorter ones are summed as differences."""
     uxs = uxs - uxs.mean(axis=0)  # D sees differences only: shrink what cancels
     d = _trap_x(h, uxs * uxs)
-    # a width that is a multiple of 8 rounds alike at 1 and 2 OpenBLAS threads
-    rows = np.column_stack([d, np.ones_like(d), uxs])
-    rows = np.pad(rows, ((0, 0), (0, -rows.shape[1] % 8)))
+    rows = _engine_rows(len(d), 2 + uxs.shape[1])
+    rows[:, 0] = d
+    rows[:, 1] = 1.0
+    rows[:, 2 : 2 + uxs.shape[1]] = uxs
     far_wl = np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weight)
     sums = np.zeros_like(rows)
     for n, s in _memory_sums(rows, far_wl, len(d)):

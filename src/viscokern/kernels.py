@@ -101,6 +101,9 @@ class RelaxationKernel:
         v = float(self.gdot(t, kink_policy="left"))
         return v, v
 
+    #: how ``_k_closed`` evaluates K, as solvers report it
+    closed_k_method: str = "closed form"
+
     def _k_closed(self, xi: np.ndarray):
         """Closed-form K(xi) as an ndarray, or None if unavailable."""
         return None
@@ -355,15 +358,20 @@ class IntegratedKernel:
     """K(xi) = int_0^xi G(tau) dtau, the quantity the weak form consumes.
 
     Wedge, Prony and tabulated kernels evaluate through exact closed
-    forms.  Other variants use panel-wise 16-point Gauss with panels split
-    at kink times and capped by the kernel's smoothness scale: on sorted
-    grids in one pass (:meth:`cumulative`), and at a single abscissa by
-    halving the panel width until two estimates agree (:meth:`value`).
+    forms, and a mollified kernel over one of them through one bump
+    average of the base's closed-form K per abscissa.  Other variants
+    (expression kernels, smoothed or not) use panel-wise 16-point Gauss
+    with panels split at kink times and capped by the kernel's smoothness
+    scale: on sorted grids in one pass (:meth:`cumulative`), and at a
+    single abscissa by halving the panel width until two estimates agree
+    (:meth:`value`).  ``method`` names the path taken.
     """
 
     def __init__(self, source: RelaxationKernel):
         self.source = source
-        self.quad_tol = QUAD_TOL_CLOSED_CHECK if source.has_closed_k else QUAD_TOL_EXPRESSION
+        closed = source.has_closed_k
+        self.quad_tol = QUAD_TOL_CLOSED_CHECK if closed else QUAD_TOL_EXPRESSION
+        self.method = source.closed_k_method if closed else "composite 16-point Gauss panels"
 
     def value(self, xi) -> float:
         """K at a single abscissa xi >= 0.
@@ -394,9 +402,9 @@ class IntegratedKernel:
 
     def cumulative(self, times) -> np.ndarray:
         """K at every point of an ascending grid (typically the solver's
-        uniform lag grid), via closed form or panel-wise 16-point Gauss
-        with panels split at kink times and no wider than half the
-        kernel's smoothness scale."""
+        uniform lag grid), via the kernel's closed form or panel-wise
+        16-point Gauss with panels split at kink times and no wider than
+        half the kernel's smoothness scale."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("need a 1-D, nonempty grid")

@@ -23,6 +23,18 @@ same number of kinks are integrated together in blocks of bounded size
 (see ``MollifiedKernel._eval_many``).  Derivatives in t are taken under
 the integral sign: G_eps' and G_eps'' weigh G - G(t + eps) by ``rho_d1``
 and ``rho_d2`` and divide by eps and eps**2.
+
+The integrated kernel K_eps(xi) = int_0^xi G_eps follows by exchanging
+the two integrals:
+
+    K_eps(xi) = int_{-1}^{1} rho(sigma) [K(eps + xi - eps*sigma)
+                                         - K(eps - eps*sigma)] dsigma.
+
+Over a wedge, Prony or tabulated base, whose K is closed-form, this is
+one bump average per abscissa by the same rule and kink splits (K has
+its kinks, in the second derivative, where G has them in the first), so
+no quadrature over G_eps is needed.  Over an expression kernel K_eps is
+integrated from G_eps by :class:`IntegratedKernel`'s Gauss panels.
 """
 
 from __future__ import annotations
@@ -116,6 +128,7 @@ class MollifiedKernel(RelaxationKernel):
     """
 
     kink_times: tuple[float, ...] = ()
+    closed_k_method = "bump average of the base kernel's closed-form K"
 
     def __init__(self, base: RelaxationKernel, epsilon: float):
         epsilon = require_positive("smoothing width epsilon", epsilon)
@@ -130,9 +143,10 @@ class MollifiedKernel(RelaxationKernel):
     # ------------------------------------------------------------------
     # quadrature plumbing
     # ------------------------------------------------------------------
-    def _eval_many(self, times, weight_fn, order: int):
-        """eps**-order * int weight_fn(sigma) G(eps + t - eps*sigma) dsigma
-        for every t in *times* (a scalar gives a float).
+    def _eval_many(self, times, weight_fn, order: int, fn=None):
+        """eps**-order * int weight_fn(sigma) F(eps + t - eps*sigma) dsigma
+        for every t in *times* (a scalar gives a float), with F = *fn*, by
+        default the base G; the base K has its kinks at the same times.
 
         Times are grouped by the number m of kinks inside their window.
         Kink-free windows (m = 0) share one weighted rule.  Otherwise the
@@ -156,13 +170,14 @@ class MollifiedKernel(RelaxationKernel):
         kinks = np.sort(np.asarray(self.base.kink_times, dtype=float))
         first = np.searchsorted(kinks, t, side="right")
         count = np.searchsorted(kinks, t + 2.0 * eps, side="left") - first
+        fn = self.base.g if fn is None else fn
         # rho' and rho'' integrate to zero, so the derivatives weigh
         # G - G(t + eps): the same integral without cancelling terms of
         # size max|G| / eps**order
-        shift = self.base.g(eps + t) if order else None
+        shift = fn(eps + t) if order else None
 
-        def base_g(args, rows):  # a temporary, so no block outlives its use
-            vals = self.base.g(args)
+        def base_f(args, rows):  # a temporary, so no block outlives its use
+            vals = fn(args)
             if order:
                 vals = vals - shift[rows].reshape((-1,) + (1,) * (args.ndim - 1))
             return vals
@@ -174,7 +189,7 @@ class MollifiedKernel(RelaxationKernel):
             for start in range(0, len(clean_idx), 4096):  # bound the work matrix
                 block = clean_idx[start : start + 4096]
                 args = eps + t[block][:, None] - eps * nodes[None, :]
-                out[block] = base_g(args, block) @ wr
+                out[block] = base_f(args, block) @ wr
         for m in np.unique(count[count > 0]):
             rows_idx = np.nonzero(count == m)[0]
             step = max(_BLOCK_ELEMENTS // ((m + 1) * len(nodes)), 1)
@@ -189,7 +204,7 @@ class MollifiedKernel(RelaxationKernel):
                 half = 0.5 * (edges[:, 1:] - edges[:, :-1])
                 sigma = 0.5 * (edges[:, 1:] + edges[:, :-1]) + half * nodes
                 args = eps + tr[:, :, None] - eps * sigma
-                vals = (half * weights) * weight_fn(sigma) * base_g(args, rows)
+                vals = (half * weights) * weight_fn(sigma) * base_f(args, rows)
                 out[rows] = vals.sum(axis=(1, 2))
         out /= eps**order
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -206,6 +221,15 @@ class MollifiedKernel(RelaxationKernel):
 
     def gddot(self, t):
         return self._eval_many(t, rho_d2, 2)
+
+    def _k_closed(self, xi: np.ndarray):
+        """K_eps(xi) = int rho(sigma) [K(eps + xi - eps*sigma)
+        - K(eps - eps*sigma)] dsigma (Fubini on the definition of G_eps),
+        when the base has a closed-form K; None otherwise."""
+        if not self.base.has_closed_k:
+            return None
+        k_base = self.base._k_closed
+        return self._eval_many(xi, rho, 0, k_base) - self._eval_many(0.0, rho, 0, k_base)
 
     def describe(self) -> str:
         return f"mollified({self.base.describe()}, eps={self.epsilon})"

@@ -32,7 +32,9 @@ Comput. 6, 1985): for a block of HISTORY_BLOCK steps the history written
 before the block ("far") is one matrix product, and only the newer rows
 ("near") are summed step by step.  The weights are those of the direct
 sum.  The far product runs over history chunks of fixed length in a fixed
-order, so the bytes do not depend on the BLAS thread count.
+order, on rows padded to a multiple of 8 columns, so the bytes do not
+depend on the BLAS thread count.  Non-finite values are looked for once
+per block.
 """
 
 from __future__ import annotations
@@ -182,11 +184,16 @@ def _double_time_integral(fvals: np.ndarray | None, dt: float, shape) -> np.ndar
     return second
 
 
-def _check_finite(values: np.ndarray, step: int, t: float, scheme: str) -> None:
-    if not np.all(np.isfinite(values)):
+def _check_finite(u: np.ndarray, first: int, last: int, tgrid: np.ndarray,
+                  scheme: str) -> None:
+    """Raise at the first of the steps first .. last whose row of u is not
+    finite; the solvers check once per block of the memory sum."""
+    finite = np.isfinite(u[first : last + 1]).all(axis=1)
+    if not finite.all():
+        step = first + int(np.argmin(finite))
         raise SolverDivergenceError(
             f"{scheme} scheme produced non-finite values at step {step} "
-            f"(t = {t:.6g}); max |u| at previous step may have overflowed"
+            f"(t = {tgrid[step]:.6g}); max |u| at previous step may have overflowed"
         )
 
 
@@ -199,6 +206,13 @@ def _check_finite(values: np.ndarray, step: int, t: float, scheme: str) -> None:
 #: differently at 1 and 2 threads
 HISTORY_BLOCK = 32
 _FAR_CHUNK = 256
+
+
+def _engine_rows(n_rows: int, width: int) -> np.ndarray:
+    """Zero rows for :func:`_memory_sums`, *width* columns plus zero columns
+    up to a multiple of 8: the far product rounds alike at 1 and 2 OpenBLAS
+    threads for such widths, but not for most others above ~190."""
+    return np.zeros((n_rows, width + (-width % 8)))
 
 
 def _memory_sums(rows: np.ndarray, wl: np.ndarray, stop: int):
@@ -271,7 +285,8 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
     nx, n_steps = grid.n_interior, spec.n_steps
     tgrid = dt * np.arange(n_steps + 1)
 
-    kvals = IntegratedKernel(spec.kernel).cumulative(tgrid)
+    k_table = IntegratedKernel(spec.kernel)
+    kvals = k_table.cumulative(tgrid)
     u0v = _sample_x(spec.u0_expr, grid.x)
     u1v = _sample_x(spec.u1_expr, grid.x)
     forcing = _double_time_integral(
@@ -279,19 +294,21 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
     )
 
     u = np.zeros((n_steps + 1, nx))
-    lap_hist = np.zeros((n_steps + 1, nx))
+    lap_hist = _engine_rows(n_steps + 1, nx)
+    lap = lap_hist[:, :nx]  # the Laplacians; the padding columns stay zero
     u[0] = u0v
-    lap_hist[0] = laplacian_values(u0v, grid.h)
+    lap[0] = laplacian_values(u0v, grid.h)
     # a blown-up run is reported through the explicit finite check, so the
     # transient overflow warnings on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         for n, memory in _memory_sums(lap_hist, dt * kvals, n_steps + 1):
-            un = memory + u1v * tgrid[n] + u0v
+            un = memory[:nx] + u1v * tgrid[n] + u0v
             if forcing is not None:
                 un = un + forcing[n]
-            _check_finite(un, n, tgrid[n], "integral")
             u[n] = un
-            lap_hist[n] = laplacian_values(un, grid.h)
+            lap[n] = laplacian_values(un, grid.h)
+            if n % HISTORY_BLOCK == 0 or n == n_steps:  # the block ends
+                _check_finite(u, n - (n - 1) % HISTORY_BLOCK, n, tgrid, "integral")
 
     s = spec.save_stride
     return SolutionField(
@@ -305,10 +322,7 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
             "h": grid.h,
             "kernel": spec.kernel.describe(),
             "memory_quadrature": "product trapezoid on K, blocked far/near sum",
-            "kernel_quadrature": (
-                "closed form" if spec.kernel.has_closed_k
-                else "composite 16-point Gauss panels"
-            ),
+            "kernel_quadrature": k_table.method,
             "elapsed_s": time.perf_counter() - started,
         },
     )
@@ -345,20 +359,22 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
         return 0.0 if fvals is None else fvals[n]
 
     u = np.zeros((n_steps + 1, nx))
-    lap_hist = np.zeros((n_steps + 1, nx))
+    lap_hist = _engine_rows(n_steps + 1, nx)
+    lap = lap_hist[:, :nx]  # the Laplacians; the padding columns stay zero
     u[0] = u0v
-    lap_hist[0] = laplacian_values(u0v, grid.h)
+    lap[0] = laplacian_values(u0v, grid.h)
     # Taylor startup, second-order consistent
-    u[1] = u0v + dt * u1v + 0.5 * dt * dt * (g_zero * lap_hist[0] + f_at(0))
-    lap_hist[1] = laplacian_values(u[1], grid.h)
+    u[1] = u0v + dt * u1v + 0.5 * dt * dt * (g_zero * lap[0] + f_at(0))
+    lap[1] = laplacian_values(u[1], grid.h)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, memory in _memory_sums(lap_hist, dt * gd, n_steps):
-            q = memory + 0.5 * dt * gd[0] * lap_hist[n]  # the lag-0 node
-            q = _kink_split(q, lap_hist, kinks, n, dt, gd)
-            un1 = 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap_hist[n] + q + f_at(n))
-            _check_finite(un1, n + 1, tgrid[n + 1], "differential")
-            u[n + 1] = un1
-            lap_hist[n + 1] = laplacian_values(un1, grid.h)
+            q = memory[:nx] + 0.5 * dt * gd[0] * lap[n]  # the lag-0 node
+            q = _kink_split(q, lap, kinks, n, dt, gd)
+            u[n + 1] = 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap[n] + q + f_at(n))
+            lap[n + 1] = laplacian_values(u[n + 1], grid.h)
+            if n % HISTORY_BLOCK == 0 or n == n_steps - 1:  # the block ends
+                _check_finite(u, n - (n - 1) % HISTORY_BLOCK + 1, n + 1, tgrid,
+                              "differential")
 
     # velocities: exact initial data, central differences inside, one-sided
     # at the final step

@@ -67,6 +67,33 @@ def split_reference(mk, t: float, weight_fn, order: int) -> float:
     return total
 
 
+def gauss_cumulative(kernel, times) -> np.ndarray:
+    """K = int_0^xi G on an ascending grid by 16-point Gauss panels over G,
+    split at the kink times and no wider than half the smoothness scale:
+    the path IntegratedKernel.cumulative took for every mollified kernel
+    before K_eps became a bump average of the base K, kept as the oracle."""
+    times = np.asarray(times, dtype=float)
+    edges = np.union1d(times, [0.0])
+    interior_kinks = [c for c in kernel.kink_times if 0.0 < c < edges[-1]]
+    if interior_kinks:
+        edges = np.union1d(edges, interior_kinks)
+    cap = kernel.smoothness_scale
+    if cap is not None and np.max(np.diff(edges)) > 0.5 * cap:
+        refined = [np.asarray([edges[0]])]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            pieces = max(int(np.ceil((hi - lo) / (0.5 * cap))), 1)
+            refined.append(np.linspace(lo, hi, pieces + 1)[1:])
+        edges = np.concatenate(refined)
+    nodes16, weights16 = leggauss(16)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    vals = kernel.g(mid + half * nodes16[None, :])
+    panel = (half[:, 0]) * (vals @ weights16)
+    cum = np.concatenate(([0.0], np.cumsum(panel)))
+    return cum[np.searchsorted(edges, times)]
+
+
 class CountingKernel(RelaxationKernel):
     """Delegates to *base* and records every call to g."""
 
@@ -314,12 +341,101 @@ class TestIntegratedMollified:
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_cumulative_matches_adaptive_value(self):
+        # both take the bump average of the base K; the oracle integrates G_eps
         mk = MollifiedKernel(WEDGE, 0.05)
         ik = IntegratedKernel(mk)
         times = np.array([0.0, 0.4, 0.97, 1.3])
-        cum = ik.cumulative(times)
-        for t, v in zip(times[1:], cum[1:]):
-            assert v == pytest.approx(ik.value(float(t)), abs=1e-9)
+        ref = gauss_cumulative(mk, times)
+        values = np.array([ik.value(float(t)) for t in times])
+        for got in (ik.cumulative(times), values):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _closed_k_base(family: str, n: int, frac: float):
+    """(base kernel, one kink time c) for the closed-K tests on [0, 2] with
+    n uniform steps; the wedge kink sits on a step node or at *frac* of a
+    step, the Prony kernel has none (c is then just a probe time)."""
+    if family == "wedge-node":
+        return WedgeKernel(2.0, 1.0, 2.0 * (n // 4) / n), 2.0 * (n // 4) / n
+    if family == "wedge-off":
+        ramp = 2.0 * (n // 4 + frac) / n
+        return WedgeKernel(2.0, 1.0, ramp), ramp
+    if family == "prony":
+        return PronyKernel(0.5, ((1.0, 0.2), (0.6, 1.5))), 0.7
+    times = np.linspace(0.0, 4.0, 401)  # a convex table, kinks every 0.01
+    return TabulatedKernel(times, 1.0 + np.exp(-times)), float(times[73])
+
+
+class TestClosedK:
+    # K_eps as one bump average of the base's closed-form K, against the
+    # Gauss panels over G_eps that computed it before
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["wedge-node", "wedge-off", "prony", "table"]),
+        eps=st.floats(0.005, 0.1),
+        n=st.integers(8, 400),
+        frac=st.floats(0.05, 0.95),
+        around=st.booleans(),
+    )
+    @example(family="wedge-node", eps=0.005, n=256, frac=0.5, around=True)
+    @example(family="wedge-off", eps=0.1, n=64, frac=0.3, around=True)
+    @example(family="prony", eps=0.05, n=200, frac=0.5, around=False)
+    @example(family="table", eps=0.005, n=400, frac=0.5, around=True)
+    def test_matches_gauss_oracle(self, family, eps, n, frac, around):
+        base, c = _closed_k_base(family, n, frac)
+        times = np.linspace(0.0, 2.0, n + 1)
+        if around:  # the window of c - 2 eps ends at c, that of c starts there
+            times = np.union1d(times, [t for t in (c - 2.0 * eps, c - eps, c) if t >= 0.0])
+        mk = MollifiedKernel(base, eps)
+        got = IntegratedKernel(mk).cumulative(times)
+        ref = gauss_cumulative(mk, times)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("family", ["wedge", "prony"])
+    def test_against_mpmath(self, family):
+        # K_eps(xi) = int rho(s) [K(eps + xi - eps s) - K(eps - eps s)] ds
+        # with 30 digits, split at the images of the kink
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        eps = 0.013
+        e = mp.mpf(eps)
+        if family == "wedge":
+            base, kinks = WEDGE, [mp.mpf(1)]
+
+            def k_exact(x):
+                return 2 * x - x * x / 2 if x < 1 else mp.mpf(3) / 2 + (x - 1)
+        else:
+            base, kinks = PronyKernel(0.5, ((1.0, 0.2), (0.6, 1.5))), []
+
+            def k_exact(x):
+                return x / 2 + mp.mpf("0.2") * (1 - mp.exp(-x / mp.mpf("0.2"))) + (
+                    mp.mpf("0.6") * mp.mpf("1.5") * (1 - mp.exp(-x / mp.mpf("1.5"))))
+        mass = mp.quad(lambda s: mp.exp(1 / (s * s - 1)), [-1, 1])
+
+        def k_eps(xi):
+            xi = mp.mpf(float(xi))
+            cuts = [1 + (xi - c) / e for c in kinks] + [1 - c / e for c in kinks]
+            pts = [mp.mpf(-1)] + sorted(s for s in cuts if -1 < s < 1) + [mp.mpf(1)]
+            return mp.quad(
+                lambda s: mp.exp(1 / (s * s - 1)) * (k_exact(e + xi - e * s) - k_exact(e - e * s)),
+                pts,
+            ) / mass
+
+        # the kink image at sigma = -1, 0.7 (inside a panel of the rule), 0, 1
+        xs = np.array([0.004, 0.3, 1.0 - 2.0 * eps, 1.0 - eps, 1.0 - 0.3 * eps, 1.0,
+                       1.0 + 0.5 * eps, 2.5])
+        ref = np.array([float(k_eps(x)) for x in xs])
+        got = IntegratedKernel(MollifiedKernel(base, eps)).cumulative(xs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_expression_base_keeps_gauss_path(self):
+        mk = MollifiedKernel(catalog()["expression"], 0.05)
+        assert mk._k_closed(np.zeros(1)) is None
+        ik = IntegratedKernel(mk)
+        assert ik.method == "composite 16-point Gauss panels"
+        times = np.linspace(0.0, 1.0, 9)
+        np.testing.assert_array_equal(ik.cumulative(times), gauss_cumulative(mk, times))
 
 
 class TestPropertyPreservation:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import viscokern
+import viscokern.solver as solver_module
 from viscokern.grids import Grid, laplacian_values
 from viscokern.kernels import (
     DerivativeUndefinedError,
@@ -409,19 +410,22 @@ class TestBlockedMemorySum:
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # one BLAS product over the whole far history rounds differently at
-        # 1 and 2 threads; the fixed chunks make the bytes independent, for
-        # the solution and (with its rows padded to a multiple of 8 columns)
-        # for the energy history summed by the same engine
+        # 1 and 2 threads; the fixed chunks make the bytes independent, and
+        # so does padding the rows to a multiple of 8 columns, which 250
+        # interior nodes (and the energy rows of 256) are not; both the
+        # solution and the energy history summed by the same engine
         script = (
-            "import hashlib; from viscokern.grids import Grid; "
-            "from viscokern.kernels import WedgeKernel; "
-            "from viscokern.solver import ProblemSpec, solve; "
-            "from viscokern.energy import energy_series; "
-            "spec = ProblemSpec(Grid(0.0, 1.0, 256), 1.0, 1024, "
-            "WedgeKernel(2.0, 1.0, 0.4), u0='sin(pi*x)', u1='x*(1-x)'); "
-            "sol = solve(spec); "
-            "print(hashlib.sha256(sol.u.tobytes() + "
-            "energy_series(sol).history.tobytes()).hexdigest())"
+            "import hashlib\n"
+            "from viscokern.grids import Grid\n"
+            "from viscokern.kernels import WedgeKernel\n"
+            "from viscokern.solver import ProblemSpec, solve\n"
+            "from viscokern.energy import energy_series\n"
+            "for nx in (256, 250):\n"
+            "    spec = ProblemSpec(Grid(0.0, 1.0, nx), 1.0, 1024, "
+            "WedgeKernel(2.0, 1.0, 0.4), u0='sin(pi*x)', u1='x*(1-x)')\n"
+            "    sol = solve(spec)\n"
+            "    print(hashlib.sha256(sol.u.tobytes() + "
+            "energy_series(sol).history.tobytes()).hexdigest())\n"
         )
         src = str(Path(viscokern.__file__).resolve().parents[1])
         digests = []
@@ -429,8 +433,8 @@ class TestBlockedMemorySum:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
             out = subprocess.run([sys.executable, "-c", script], env=env,
                                  capture_output=True, text=True, timeout=120, check=True)
-            digests.append(out.stdout.strip())
-        assert len(digests[0]) == 64
+            digests.append(out.stdout.split())
+        assert [len(d) for d in digests[0]] == [64, 64]
         assert digests[0] == digests[1]
 
 
@@ -467,6 +471,10 @@ class TestMollifiedSolves:
         sol = solve_differential(spec)
         assert np.isfinite(sol.u).all()
 
+    def test_integral_reports_bump_averaged_base_k(self):
+        sol = solve_integral(make_spec(MollifiedKernel(WEDGE, 0.05), "integral", nx=8, nt=16))
+        assert sol.meta["kernel_quadrature"] == "bump average of the base kernel's closed-form K"
+
     def test_cfl_uses_smoothed_value_at_zero(self):
         smoothed = MollifiedKernel(WedgeKernel(2.0, 1.0, 0.4), 0.05)
         g = Grid(0.0, 1.0, 24)
@@ -496,6 +504,31 @@ class TestFailureModes:
                           scheme="integral")
         with pytest.raises(SolverDivergenceError, match="non-finite"):
             solve_integral(big)
+
+    @pytest.mark.parametrize("spec", [
+        # the under-resolved integral run above
+        ProblemSpec(Grid(0.0, 1.0, 256), 8.0, 128, PRONY, u0="sin(pi*x)",
+                    scheme="integral"),
+        # forcing near the float limit overflows the differential march
+        make_spec(PRONY, "differential", u0="sin(pi*x)", f="1e308*exp(t)"),
+    ], ids=["integral", "differential"])
+    def test_blocked_check_reports_first_bad_step(self, monkeypatch, spec):
+        # the solvers look for non-finite rows once per block; the step and
+        # time they report must be those of a check of every row as the
+        # march writes it (each step computes its Laplacian exactly once)
+        finite_rows = []
+        original = solver_module.laplacian_values
+
+        def per_step(values, h):
+            finite_rows.append(bool(np.isfinite(values).all()))
+            return original(values, h)
+
+        monkeypatch.setattr(solver_module, "laplacian_values", per_step)
+        with pytest.raises(SolverDivergenceError) as info:
+            solve(spec)
+        step = finite_rows.index(False)
+        assert step % HISTORY_BLOCK  # inside a block, not at its end
+        assert f"at step {step} (t = {step * spec.dt:.6g})" in str(info.value)
 
 
 class TestSaveStride:
