@@ -220,12 +220,7 @@ class _Reader:
     def expression(self, key: str, allowed: set[str]) -> str:
         source = self.raw(key)
         try:
-            expr = expressions.parse(source)
-            extra = expressions.variables(expr) - allowed
-            if extra:
-                self.errors.append(
-                    (self.line(key), f"{key}: may only use {sorted(allowed)}, found {sorted(extra)}")
-                )
+            expressions.parse(source, allowed)
         except expressions.ParseError as exc:
             self.errors.append((self.line(key), f"{key}: {exc}"))
         return source

@@ -28,8 +28,9 @@ from . import expressions
 from .grids import dirichlet_eigenpairs
 from .solver import ConfigurationError, SolutionField, _engine_rows, _memory_sums
 
-#: default relative tolerance for the monotonicity verdict (quadrature noise)
-DEFAULT_ENERGY_TOL = 1e-3
+#: tolerance of the dissipation verdict, relative to E(0) for monotonicity
+#: and absolute for the bound (quadrature noise)
+ENERGY_TOL = 1e-3
 DIRECT_LAGS = 32  # lags (saved steps) too short for the expansion in _lag_sums
 
 
@@ -142,7 +143,7 @@ def energy_series(sol: SolutionField) -> EnergyReport:
     v = sol.v if sol.v is not None else reconstruct_velocities(sol)
     uxs = _ux_rows(h, sol.u)
     g_at = np.atleast_1d(kernel.g(sol.times))
-    gdot_at = np.atleast_1d(kernel.gdot(sol.times, kink_policy="left"))
+    gdot_at = np.atleast_1d(kernel.gdot(sol.times))
 
     elastic = 0.5 * g_at * _trap_x(h, uxs * uxs)
     kinetic = 0.5 * _trap_x(h, _full_rows(v) ** 2)
@@ -183,22 +184,17 @@ class DissipationVerdict:
     max_increase: float     # largest E(t_{k+1}) - E(t_k)
     max_total: float
     bound: float
-    tol: float
 
     @property
     def passed(self) -> bool:
         return self.bounded and self.monotone is not False
 
 
-def dissipation_check(
-    report: EnergyReport,
-    f_is_zero: bool,
-    tol: float = DEFAULT_ENERGY_TOL,
-) -> DissipationVerdict:
+def dissipation_check(report: EnergyReport, f_is_zero: bool) -> DissipationVerdict:
     """Monotone decrease (source-free case only) and the a-priori bound.
 
-    Monotonicity allows an increase of tol * E(0) per step to absorb
-    quadrature noise; the bound check allows an absolute slack of tol.
+    Monotonicity allows an increase of ENERGY_TOL * E(0) per step to absorb
+    quadrature noise; the bound check allows an absolute slack of ENERGY_TOL.
     With a nonzero source the monotonicity verdict is "not applicable"
     (None) and only the bound is evaluated.
     """
@@ -206,18 +202,17 @@ def dissipation_check(
     max_increase = float(increments.max()) if len(increments) else 0.0
     monotone: bool | None
     if f_is_zero:
-        monotone = bool(np.all(increments <= tol * max(report.initial, 0.0)))
+        monotone = bool(np.all(increments <= ENERGY_TOL * max(report.initial, 0.0)))
     else:
         monotone = None
     max_total = float(report.total.max())
-    bounded = bool(max_total <= report.bound + tol)
+    bounded = bool(max_total <= report.bound + ENERGY_TOL)
     return DissipationVerdict(
         monotone=monotone,
         bounded=bounded,
         max_increase=max_increase,
         max_total=max_total,
         bound=report.bound,
-        tol=tol,
     )
 
 
@@ -237,7 +232,7 @@ def identity_residual(sol: SolutionField, report: EnergyReport) -> np.ndarray:
     ds = _uniform_spacing(sol.times)
     h = sol.grid.h
     gddot_at = np.atleast_1d(kernel.gddot(sol.times))  # may raise
-    gdot_at = np.atleast_1d(kernel.gdot(sol.times, kink_policy="left"))
+    gdot_at = np.atleast_1d(kernel.gdot(sol.times))
     v = sol.v if sol.v is not None else reconstruct_velocities(sol)
     uxs = _ux_rows(h, sol.u)
 

@@ -114,8 +114,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, allowed):
         self.source = source
+        self.allowed = frozenset(allowed)
         self.tokens = _tokenize(source)
         self.i = 0
 
@@ -182,6 +183,9 @@ class _Parser:
             return Num(float(text), pos)
         if kind == "name":
             if text in ("x", "t"):
+                if text not in self.allowed:
+                    names = ", ".join(sorted(self.allowed))
+                    raise ParseError(f"may only use {names}, found {text!r}", pos)
                 return Var(text, pos)
             if text == "pi":
                 return Num(math.pi, pos)
@@ -199,13 +203,13 @@ class _Parser:
         raise ParseError(f"expected a number, name or '(', found {what}", pos)
 
 
-def parse(source: str) -> Expr:
-    """Parse *source* into an expression tree.
+def parse(source: str, allowed=("x", "t")) -> Expr:
+    """Parse *source* into an expression tree over the variables *allowed*.
 
     Raises :class:`ParseError` carrying the byte offset of the first
-    offending token.
+    offending token: a syntax error or a variable outside *allowed*.
     """
-    return _Parser(source).parse()
+    return _Parser(source, allowed).parse()
 
 
 def evaluate(expr: Expr, x: float | np.ndarray = 0.0,

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import expressions
 
-#: audit-grid defaults for admissibility checking
-DEFAULT_AUDIT_POINTS = 512
-DEFAULT_AUDIT_TOL = 1e-9
+#: audit grid of the admissibility check: points on [0, horizon] and the
+#: tolerance on first and second differences
+AUDIT_POINTS = 512
+AUDIT_TOL = 1e-9
 
-#: quadrature tolerances for the integrated kernel
-QUAD_TOL_CLOSED_CHECK = 1e-10  # cross-checks against closed forms
-QUAD_TOL_EXPRESSION = 1e-8     # panel quadrature of formula kernels
+#: relative tolerance of IntegratedKernel.value without a closed form
+QUAD_TOL_EXPRESSION = 1e-8
 #: panel halvings before IntegratedKernel.value gives up (2**12 panels)
 QUAD_MAX_HALVINGS = 12
 
@@ -40,8 +40,8 @@ class KernelRangeError(ValueError):
 
 
 class DerivativeUndefinedError(ValueError):
-    """dG/dt requested exactly at a kink with no one-sided policy, or a
-    higher derivative that the kernel variant cannot provide."""
+    """A derivative of G that the kernel variant cannot provide, such as
+    d2G/dt2 of a wedge or a table."""
 
 
 class QuadratureToleranceError(ArithmeticError):
@@ -81,12 +81,9 @@ class RelaxationKernel:
         """G(t); accepts a scalar or an ndarray of times >= 0."""
         raise NotImplementedError
 
-    def gdot(self, t, kink_policy: str | None = "left"):
-        """dG/dt at t >= 0 (right derivative at 0).
-
-        At a kink the declared policy decides: ``"left"`` returns the
-        left-hand limit, ``None`` raises :class:`DerivativeUndefinedError`.
-        """
+    def gdot(self, t):
+        """dG/dt at t >= 0: the right derivative at 0 and the left-hand
+        limit at a kink (see :meth:`gdot_limits` for both sides)."""
         raise NotImplementedError
 
     def gddot(self, t):
@@ -98,7 +95,7 @@ class RelaxationKernel:
     def gdot_limits(self, t: float) -> tuple[float, float]:
         """One-sided (left, right) limits of dG/dt at *t*; equal except at
         a kink.  Consumed by quadratures that split panels at kinks."""
-        v = float(self.gdot(t, kink_policy="left"))
+        v = float(self.gdot(t))
         return v, v
 
     #: how ``_k_closed`` evaluates K, as solvers report it
@@ -147,14 +144,9 @@ class WedgeKernel(RelaxationKernel):
         self._check_nonneg_time(arr)
         return _ret(np.where(arr < self.ramp, self.g0 + self.slope * arr, self.g_inf), scalar)
 
-    def gdot(self, t, kink_policy: str | None = "left"):
+    def gdot(self, t):
         arr, scalar = _as_array(t)
         self._check_nonneg_time(arr)
-        if kink_policy is None and np.any(arr == self.ramp):
-            raise DerivativeUndefinedError(
-                f"dG/dt is undefined at the kink t = {self.ramp}; "
-                "pass kink_policy='left' for the left-hand limit"
-            )
         return _ret(np.where(arr <= self.ramp, self.slope, 0.0), scalar)
 
     def gdot_limits(self, t: float) -> tuple[float, float]:
@@ -198,7 +190,7 @@ class PronyKernel(RelaxationKernel):
             out = out + g * np.exp(-arr / tau)
         return _ret(out, scalar)
 
-    def gdot(self, t, kink_policy: str | None = "left"):
+    def gdot(self, t):
         arr, scalar = _as_array(t)
         self._check_nonneg_time(arr)
         out = np.zeros_like(arr, dtype=float)
@@ -228,9 +220,9 @@ class PronyKernel(RelaxationKernel):
 class TabulatedKernel(RelaxationKernel):
     """Piecewise-linear kernel through measured (t, G) samples.
 
-    Queries outside ``[t_min, t_max]`` raise :class:`KernelRangeError`;
-    derivatives are one-/two-sided finite differences whose step is half
-    the adjacent segment length (exact for a piecewise-linear function).
+    Queries outside ``[t_min, t_max]`` raise :class:`KernelRangeError`.
+    dG/dt is the slope of the segment that holds t: of the left segment at
+    a sample and of the first one at t_min.
     """
 
     def __init__(self, times, values):
@@ -252,7 +244,11 @@ class TabulatedKernel(RelaxationKernel):
         # exact cumulative integral at the nodes (trapezoid is exact here)
         cum = np.zeros(len(times))
         cum[1:] = np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)
+        slopes = np.diff(values) / np.diff(times)
+        cum.setflags(write=False)
+        slopes.setflags(write=False)
         self._cum = cum
+        self._slopes = slopes
 
     def _check_range(self, arr: np.ndarray) -> None:
         lo, hi = self.times[0], self.times[-1]
@@ -269,42 +265,20 @@ class TabulatedKernel(RelaxationKernel):
         self._check_range(arr)
         return _ret(np.interp(arr, self.times, self.values), scalar)
 
-    def gdot(self, t, kink_policy: str | None = "left"):
+    def _slope(self, t, side: str):
+        """Slope of the segment that holds t; at a sample, of the segment
+        on *side* of it (the first or last one at the ends of the table)."""
         arr, scalar = _as_array(t)
         self._check_nonneg_time(arr)
         self._check_range(arr)
-        times = self.times
-        i = np.clip(np.searchsorted(times, arr), 1, len(times) - 1)
-        # backward difference on a node (interior kink or t_max), forward at
-        # t_min, each over half the adjacent segment; central elsewhere over
-        # half the distance to the nearer node
-        on_node = arr == times[i]
-        at_lo = arr == times[0]
-        at_kink = on_node & (i < len(times) - 1)
-        if kink_policy is None and np.any(at_kink):
-            raise DerivativeUndefinedError(
-                f"dG/dt is undefined at the sample node t = {arr[at_kink].flat[0]}; "
-                "pass kink_policy='left' for the left-hand limit"
-            )
-        left, right = arr - times[i - 1], times[i] - arr
-        one_sided = on_node | at_lo
-        step = 0.5 * np.where(one_sided, np.maximum(left, right), np.minimum(left, right))
-        hi = np.where(on_node, arr, arr + step)
-        lo = np.where(at_lo, arr, arr - step)
-        width = np.where(one_sided, step, 2.0 * step)
-        diff = np.interp(hi, times, self.values) - np.interp(lo, times, self.values)
-        return _ret(diff / width, scalar)
+        i = np.searchsorted(self.times, arr, side=side)
+        return _ret(self._slopes[np.clip(i, 1, len(self._slopes)) - 1], scalar)
+
+    def gdot(self, t):
+        return self._slope(t, "left")
 
     def gdot_limits(self, t: float) -> tuple[float, float]:
-        if t in self.kink_times:
-            i = int(np.searchsorted(self.times, t))
-            step_l = 0.5 * (self.times[i] - self.times[i - 1])
-            step_r = 0.5 * (self.times[i + 1] - self.times[i])
-            left = (self.g(t) - self.g(t - step_l)) / step_l
-            right = (self.g(t + step_r) - self.g(t)) / step_r
-            return float(left), float(right)
-        v = float(self.gdot(t, kink_policy="left"))
-        return v, v
+        return self._slope(t, "left"), self._slope(t, "right")
 
     def _k_closed(self, xi: np.ndarray):
         self._check_range(xi)
@@ -331,17 +305,14 @@ class ExpressionKernel(RelaxationKernel):
 
     def __init__(self, source: str):
         self.source = source
-        self.expr = expressions.parse(source)
-        extra = expressions.variables(self.expr) - {"t"}
-        if extra:
-            raise ValueError(f"kernel expression may only use t, found {sorted(extra)}")
+        self.expr = expressions.parse(source, {"t"})
 
     def g(self, t):
         arr, _ = _as_array(t)
         self._check_nonneg_time(arr)
         return expressions.evaluate(self.expr, t=arr)
 
-    def gdot(self, t, kink_policy: str | None = "left"):
+    def gdot(self, t):
         arr, scalar = _as_array(t)
         self._check_nonneg_time(arr)
         step = self.FD_STEP * (1.0 + np.abs(arr))
@@ -370,7 +341,6 @@ class IntegratedKernel:
     def __init__(self, source: RelaxationKernel):
         self.source = source
         closed = source.has_closed_k
-        self.quad_tol = QUAD_TOL_CLOSED_CHECK if closed else QUAD_TOL_EXPRESSION
         self.method = source.closed_k_method if closed else "composite 16-point Gauss panels"
 
     def value(self, xi) -> float:
@@ -378,8 +348,8 @@ class IntegratedKernel:
 
         Without a closed form, :meth:`cumulative` integrates [0, xi] on 1,
         2, 4, ... equal panels (before kink splits) until two successive
-        estimates agree to ``quad_tol`` relative (absolute below 1), and
-        raises :class:`QuadratureToleranceError` after
+        estimates agree to ``QUAD_TOL_EXPRESSION`` relative (absolute below
+        1), and raises :class:`QuadratureToleranceError` after
         ``2**QUAD_MAX_HALVINGS`` panels.
         """
         xi = float(xi)
@@ -393,10 +363,10 @@ class IntegratedKernel:
         est = float(self.cumulative([0.0, xi])[-1])
         for halving in range(1, QUAD_MAX_HALVINGS + 1):
             prev, est = est, float(self.cumulative(np.linspace(0.0, xi, 2**halving + 1))[-1])
-            if abs(est - prev) <= self.quad_tol * max(1.0, abs(est)):
+            if abs(est - prev) <= QUAD_TOL_EXPRESSION * max(1.0, abs(est)):
                 return est
         raise QuadratureToleranceError(
-            f"K({xi}) did not settle to tolerance {self.quad_tol:.2e} within "
+            f"K({xi}) did not settle to tolerance {QUAD_TOL_EXPRESSION:.2e} within "
             f"{2**QUAD_MAX_HALVINGS} panels (last change {abs(est - prev):.2e})"
         )
 
@@ -446,8 +416,6 @@ class AdmissibilityViolation:
 class AdmissibilityReport:
     kernel: str
     horizon: float
-    n_audit: int
-    tol: float
     violations: tuple[AdmissibilityViolation, ...] = field(default_factory=tuple)
 
     @property
@@ -455,25 +423,17 @@ class AdmissibilityReport:
         return not self.violations
 
 
-def check_admissibility(
-    kernel: RelaxationKernel,
-    horizon: float,
-    n_audit: int = DEFAULT_AUDIT_POINTS,
-    tol: float = DEFAULT_AUDIT_TOL,
-) -> AdmissibilityReport:
-    """Audit positivity, monotone decrease and convexity of G on a dense
-    uniform grid over [0, horizon].
+def check_admissibility(kernel: RelaxationKernel, horizon: float) -> AdmissibilityReport:
+    """Audit positivity, monotone decrease and convexity of G on a uniform
+    grid of AUDIT_POINTS points over [0, horizon], to AUDIT_TOL.
 
     This is a necessary-condition check: the material model demands the
     properties on all of (0, inf), which a finite audit cannot certify.
     Violations are reported (with the first offending time each), not
     raised.
     """
-    if horizon <= 0.0:
-        raise ValueError("audit horizon must be positive")
-    if n_audit < 3:
-        raise ValueError("need at least 3 audit points")
-    ts = np.linspace(0.0, horizon, n_audit)
+    horizon = require_positive("audit horizon", horizon)
+    ts = np.linspace(0.0, horizon, AUDIT_POINTS)
     vals = kernel.g(ts)
     h = ts[1] - ts[0]
     violations = []
@@ -485,7 +445,7 @@ def check_admissibility(
             AdmissibilityViolation("positivity", float(ts[i]), f"G = {vals[i]:.6g} <= 0")
         )
 
-    increases = np.nonzero(np.diff(vals) > tol)[0]
+    increases = np.nonzero(np.diff(vals) > AUDIT_TOL)[0]
     if len(increases):
         i = int(increases[0])
         violations.append(
@@ -497,22 +457,20 @@ def check_admissibility(
         )
 
     second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (2.0 * h * h)
-    concave = np.nonzero(second < -tol)[0]
+    concave = np.nonzero(second < -AUDIT_TOL)[0]
     if len(concave):
         i = int(concave[0])
         violations.append(
             AdmissibilityViolation(
                 "convexity",
                 float(ts[i + 1]),
-                f"second divided difference {second[i]:.6g} < -{tol:.1e}",
+                f"second divided difference {second[i]:.6g} < -{AUDIT_TOL:.1e}",
             )
         )
 
     return AdmissibilityReport(
         kernel=kernel.describe(),
-        horizon=float(horizon),
-        n_audit=int(n_audit),
-        tol=float(tol),
+        horizon=horizon,
         violations=tuple(violations),
     )
 

@@ -215,7 +215,7 @@ class MollifiedKernel(RelaxationKernel):
     def g(self, t):
         return self._eval_many(t, rho, 0)
 
-    def gdot(self, t, kink_policy: str | None = "left"):
+    def gdot(self, t):
         # smooth everywhere; differentiate under the integral sign
         return self._eval_many(t, rho_d1, 1)
 
@@ -251,7 +251,7 @@ def sup_distance_K(
         raise ValueError("smoothing widths must be positive")
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("smoothing widths must be strictly decreasing")
-    grid = np.linspace(0.0, horizon, SUP_GRID_POINTS)
+    grid = np.linspace(0.0, require_positive("sup horizon", horizon), SUP_GRID_POINTS)
     k_base = IntegratedKernel(base).cumulative(grid)
     out = []
     for eps in epsilons:

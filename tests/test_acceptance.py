@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from viscokern.energy import dissipation_check, energy_series, mode_decay_diagnostic
+from viscokern.energy import ENERGY_TOL, dissipation_check, energy_series, mode_decay_diagnostic
 from viscokern.expressions import EvalError, ParseError, evaluate, parse
 from viscokern.grids import Grid
 from viscokern.kernels import (
+    AUDIT_POINTS,
     IntegratedKernel,
     PronyKernel,
     TabulatedKernel,
@@ -96,6 +97,7 @@ def test_c02_mollifier_contract():
 def test_c03_property_preservation():
     started = time.perf_counter()
     horizon = 3.0
+    assert AUDIT_POINTS == 512  # the audit grid check_admissibility uses
     audit = np.linspace(0.0, horizon, 512)
     worst_floor = np.inf
     all_admissible = True
@@ -103,7 +105,7 @@ def test_c03_property_preservation():
         floor = float(base.g(1.0 + horizon))
         for eps in (0.1, 0.01):
             smoothed = MollifiedKernel(base, eps)
-            rep = check_admissibility(smoothed, horizon, n_audit=512)
+            rep = check_admissibility(smoothed, horizon)
             all_admissible &= rep.admissible
             margin = float(np.min(smoothed.g(audit))) - (floor - 1e-9)
             worst_floor = min(worst_floor, margin)
@@ -215,7 +217,8 @@ def test_c08_energy_estimates():
                        u0="sin(pi*x)", scheme="differential")
     sol = solve_differential(spec)
     rep = energy_series(sol)
-    verdict = dissipation_check(rep, f_is_zero=True, tol=1e-3)
+    assert ENERGY_TOL == 1e-3  # the tolerance dissipation_check applies
+    verdict = dissipation_check(rep, f_is_zero=True)
     ok_hist = bool(np.min(rep.history) >= -1e-9)
     ok = verdict.monotone is True and verdict.bounded and ok_hist
     report(

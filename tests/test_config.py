@@ -125,6 +125,8 @@ class TestValidation:
         line, msg = errs[0]
         assert line == 1
         assert "offset 4" in msg
+        errs = errors_of("# data\nproblem.u0 = sin(pi*t)")
+        assert errs == [(2, "problem.u0: may only use x, found 't' (at offset 7)")]
 
     def test_domain_order(self):
         errs = errors_of("problem.a = 2.0\nproblem.b = 1.0")

@@ -51,7 +51,7 @@ def _history_rows(sol) -> np.ndarray:
     h = sol.grid.h
     n_saved = len(sol.times)
     uxs = _ux_rows(h, sol.u)
-    gdot_at = np.atleast_1d(sol.spec.kernel.gdot(sol.times, kink_policy="left"))
+    gdot_at = np.atleast_1d(sol.spec.kernel.gdot(sol.times))
     history = np.zeros(n_saved)
     for n in range(1, n_saved):
         history[n] = -0.5 * _lag_integral(h, ds, uxs, n, gdot_at)
@@ -64,7 +64,7 @@ def _residual_rows(sol, report) -> np.ndarray:
     ds = _uniform_spacing(sol.times)
     h = sol.grid.h
     gddot_at = np.atleast_1d(kernel.gddot(sol.times))  # may raise
-    gdot_at = np.atleast_1d(kernel.gdot(sol.times, kink_policy="left"))
+    gdot_at = np.atleast_1d(kernel.gdot(sol.times))
     v = sol.v if sol.v is not None else reconstruct_velocities(sol)
     uxs = _ux_rows(h, sol.u)
 
@@ -145,6 +145,18 @@ class TestEnergySeries:
         sol.v = sol.v[:2]
         with pytest.raises(ConfigurationError, match="snapshots"):
             energy_series(sol)
+
+    def test_tabulated_history_converges_in_dt(self):
+        # step 70 of 100 sits at 0.01 * 70 = 0.7000000000000001, just past
+        # the sample 0.7, where a wrong dG/dt shows in the history
+        tab = TabulatedKernel([0.0, 0.3, 0.7, 1.0, 2.0], [2.0, 1.6, 1.3, 1.15, 1.0])
+        coarse, fine = (
+            energy_series(standing_mode_solution(nx=32, nt=nt, kernel=tab,
+                                                 scheme="integral")).history
+            for nt in (100, 1600)
+        )
+        fine = fine[::16]
+        assert np.max(np.abs(coarse - fine)) <= 0.01 * np.max(np.abs(fine))
 
     def test_velocity_reconstruction_for_integral_scheme(self):
         sol = standing_mode_solution(nx=64, nt=512, scheme="integral")

@@ -53,6 +53,13 @@ class TestErrors:
             parse("1 + * 2")
         assert exc.value.offset == 4
 
+    def test_disallowed_variable_offset(self):
+        # the first disallowed variable, in source order
+        with pytest.raises(ParseError, match="may only use x, found 't'") as exc:
+            parse("sin(pi*x) + t*t", {"x"})
+        assert exc.value.offset == 12
+        assert parse("x*t", {"x", "t"}) == parse("x*t")
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError, match="unknown identifier"):
             parse("2*y")

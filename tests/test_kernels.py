@@ -19,6 +19,7 @@ from viscokern.kernels import (
 
 WEDGE = WedgeKernel(2.0, 1.0, 1.0)
 PRONY = PronyKernel(1.0, ((1.0, 0.5),))
+SIX_SAMPLES = TabulatedKernel([0.0, 0.3, 0.31, 1.0, 2.5, 4.0], [2.0, 1.7, 1.69, 1.3, 1.1, 1.0])
 
 
 def quad_k(kernel, xi: float) -> float:
@@ -127,15 +128,8 @@ class TestEvalGdot:
     def test_wedge_slopes(self):
         assert WEDGE.gdot(0.5) == -1.0
         assert WEDGE.gdot(2.0) == 0.0
-        # left-limit policy at the kink
+        # the left-hand limit at the kink
         assert WEDGE.gdot(1.0) == -1.0
-        assert WEDGE.gdot(1.0, kink_policy="left") == -1.0
-
-    def test_kink_without_policy_raises(self):
-        with pytest.raises(DerivativeUndefinedError):
-            WEDGE.gdot(1.0, kink_policy=None)
-        # fine away from the kink
-        assert WEDGE.gdot(0.5, kink_policy=None) == -1.0
 
     def test_prony_derivative_at_zero(self):
         # d/dt e^{-t/0.5} at 0 is -2 (analytic)
@@ -160,40 +154,56 @@ class TestEvalGdot:
         tab = catalog()["tabulated"]
         # inside the first segment (slope (1.5-2)/0.5 = -1)
         assert tab.gdot(0.25) == pytest.approx(-1.0)
-        # at a node, the left-limit policy gives the left segment slope
+        # at a node, the left segment's slope
         assert tab.gdot(0.5) == pytest.approx(-1.0)
         left, right = tab.gdot_limits(0.5)
         assert left == pytest.approx(-1.0)
         assert right == pytest.approx((1.2 - 1.5) / 0.5)
-        with pytest.raises(DerivativeUndefinedError):
-            tab.gdot(0.5, kink_policy=None)
+
+    @pytest.mark.parametrize("tab", [
+        catalog()["tabulated"],
+        SIX_SAMPLES,
+    ], ids=["catalog", "six-samples"])
+    def test_tabulated_gdot_is_segment_slope(self, tab):
+        times, values = tab.times.tolist(), tab.values.tolist()
+        slopes = [(values[k + 1] - values[k]) / (times[k + 1] - times[k])
+                  for k in range(len(times) - 1)]
+        for k, slope in enumerate(slopes):
+            lo, hi = times[k], times[k + 1]
+            inside = [lo + f * (hi - lo) for f in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-9)]
+            assert tab.gdot(np.array(inside)).tolist() == [slope] * len(inside)
+            assert tab.gdot(hi) == slope  # the left segment at a node
+            if k + 1 < len(slopes):
+                assert tab.gdot_limits(hi) == (slope, slopes[k + 1])
+        assert tab.gdot(times[0]) == slopes[0]
+        assert tab.gdot_limits(times[0]) == (slopes[0], slopes[0])
+        assert tab.gdot_limits(times[-1]) == (slopes[-1], slopes[-1])
 
     def test_tabulated_gdot_matches_scalar_formula(self):
-        tab = TabulatedKernel([0.0, 0.3, 0.31, 1.0, 2.5, 4.0], [2.0, 1.7, 1.69, 1.3, 1.1, 1.0])
+        tab = SIX_SAMPLES
 
         def scalar_gdot(t):
-            # the per-point half-segment differences the array form replaced
-            lo, hi = tab.times[0], tab.times[-1]
-            if t in tab.kink_times or t == hi:
-                i = int(np.searchsorted(tab.times, t))
-                step = 0.5 * (tab.times[i] - tab.times[i - 1])
-                return (tab.g(t) - tab.g(t - step)) / step
-            if t == lo:
-                step = 0.5 * (tab.times[1] - tab.times[0])
-                return (tab.g(t + step) - tab.g(t)) / step
+            # oracle: central difference over half the distance to a node
             i = int(np.searchsorted(tab.times, t))
             step = 0.5 * min(t - tab.times[i - 1], tab.times[i] - t)
             return (tab.g(t + step) - tab.g(t - step)) / (2.0 * step)
 
-        ts = np.concatenate([tab.times, np.linspace(0.0, 4.0, 257), [1e-12, 0.305, 4.0 - 1e-12]])
+        ts = np.linspace(0.0, 4.0, 1025)
+        gap = np.min(np.abs(ts[:, None] - tab.times[None, :]), axis=1)
+        ts = ts[gap >= 1.0 / 64.0]
         expected = np.array([scalar_gdot(float(t)) for t in ts])
-        np.testing.assert_array_equal(tab.gdot(ts), expected)
-        np.testing.assert_array_equal(tab.gdot(ts.reshape(2, -1)), expected.reshape(2, -1))
-        assert tab.gdot(0.31) == scalar_gdot(0.31)
-        assert tab.gdot(4.0, kink_policy=None) == scalar_gdot(4.0)
-        assert tab.gdot(0.0, kink_policy=None) == scalar_gdot(0.0)
-        with pytest.raises(DerivativeUndefinedError, match="t = 0.31"):
-            tab.gdot(np.array([0.2, 0.31]), kink_policy=None)
+        assert len(ts) > 500
+        np.testing.assert_allclose(tab.gdot(ts), expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(tab.gdot(ts[:500].reshape(2, -1)),
+                                      tab.gdot(ts[:500]).reshape(2, -1))
+
+    def test_tabulated_slope_just_past_a_node(self):
+        # 0.01 * 70 is 0.7000000000000001, the solver's grid time of step 70
+        # at dt = 0.01: just inside the segment [0.7, 1], not at the node
+        tab = TabulatedKernel([0.0, 0.3, 0.7, 1.0, 2.0], [2.0, 1.6, 1.3, 1.15, 1.0])
+        assert tab.gdot(0.01 * 70) == (1.15 - 1.3) / (1.0 - 0.7)
+        assert tab.gdot(0.01 * 70) == pytest.approx(-0.5, rel=1e-12)
+        assert tab.gdot_limits(0.7) == ((1.3 - 1.6) / (0.7 - 0.3), (1.15 - 1.3) / (1.0 - 0.7))
 
     def test_expression_finite_difference(self):
         expr = catalog()["expression"]
@@ -235,8 +245,9 @@ class TestAdmissibility:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             check_admissibility(WEDGE, -1.0)
-        with pytest.raises(ValueError):
-            check_admissibility(WEDGE, 1.0, n_audit=2)
+        for horizon in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                check_admissibility(WEDGE, horizon)
 
 
 @settings(max_examples=60, deadline=None)

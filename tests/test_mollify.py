@@ -443,7 +443,7 @@ class TestPropertyPreservation:
     @pytest.mark.parametrize("name", ["wedge", "prony", "tabulated", "expression"])
     def test_admissibility_preserved(self, name, eps):
         base = catalog()[name]
-        report = check_admissibility(MollifiedKernel(base, eps), 3.0, n_audit=512)
+        report = check_admissibility(MollifiedKernel(base, eps), 3.0)
         assert report.admissible, report.violations
 
     @pytest.mark.parametrize("eps", [0.1, 0.01])
@@ -484,3 +484,6 @@ class TestSupDistance:
             sup_distance_K(WEDGE, [0.05, 0.1], horizon=1.0)  # not decreasing
         with pytest.raises(ValueError):
             sup_distance_K(WEDGE, [0.1, -0.05], horizon=1.0)
+        for horizon in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                sup_distance_K(WEDGE, [0.1], horizon)

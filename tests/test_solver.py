@@ -123,7 +123,7 @@ def _direct_march(spec: ProblemSpec) -> np.ndarray:
             lap_hist[n] = laplacian_values(u[n], grid.h)
         return u
     g_zero = float(spec.kernel.g(0.0))
-    gd = np.atleast_1d(spec.kernel.gdot(tgrid, kink_policy="left"))
+    gd = np.atleast_1d(spec.kernel.gdot(tgrid))
     u[1] = u0v + dt * u1v + 0.5 * dt * dt * (g_zero * lap_hist[0])
     lap_hist[1] = laplacian_values(u[1], grid.h)
     for n in range(1, n_steps):
@@ -154,6 +154,9 @@ class TestSpecValidation:
             make_spec(PRONY, "integral", u0="sin(pi*t)")
         with pytest.raises(ConfigurationError, match="u1"):
             make_spec(PRONY, "integral", u1="t")
+        # syntax errors carry the field name too
+        with pytest.raises(ConfigurationError, match=r"^f: .*offset 4"):
+            make_spec(PRONY, "integral", f="1 + * 2")
         # f may use both
         make_spec(PRONY, "integral", f="x*t")
 
@@ -358,7 +361,7 @@ class TestMemoryTerm:
         lap = laplacian_values(np.sin(np.pi * g.x), g.h)
         t_n, n = 1.0, 64
         dt = t_n / n
-        gd = WEDGE.gdot(dt * np.arange(n + 1), kink_policy="left")
+        gd = WEDGE.gdot(dt * np.arange(n + 1))
         out = _gdot_history_sum(np.tile(lap, (n + 1, 1)), WEDGE, n, dt, gd)
         expected = (float(WEDGE.g(t_n)) - float(WEDGE.g(0.0))) * lap
         err = np.max(np.abs(out - expected))
@@ -440,7 +443,7 @@ class TestBlockedMemorySum:
 
 class TestKinkIsolation:
     def test_integral_scheme_never_consults_gdot(self, monkeypatch):
-        def forbidden(self, t, kink_policy="left"):
+        def forbidden(self, t):
             raise AssertionError("integral scheme consulted dG/dt")
 
         monkeypatch.setattr(WedgeKernel, "gdot", forbidden)
@@ -491,7 +494,7 @@ class TestFailureModes:
                 out = np.ones_like(arr)
                 return float(out) if arr.ndim == 0 else out
 
-            def gdot(self, t, kink_policy="left"):
+            def gdot(self, t):
                 raise DerivativeUndefinedError("not differentiable")
 
         with pytest.raises(UnsupportedKernelError):
