@@ -32,7 +32,6 @@ from .kernels import (
     RelaxationKernel,
     TabulatedKernel,
     WedgeKernel,
-    catalog,
     check_admissibility,
 )
 from .mollify import MollifiedKernel, sup_distance_K
@@ -81,7 +80,6 @@ __all__ = [
     "TabulatedKernel",
     "UnsupportedKernelError",
     "WedgeKernel",
-    "catalog",
     "cfl_limit",
     "check_admissibility",
     "dirichlet_eigenpairs",

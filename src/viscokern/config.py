@@ -42,6 +42,7 @@ from .kernels import (
     RelaxationKernel,
     TabulatedKernel,
     WedgeKernel,
+    require_positive,
 )
 from .mollify import MollifiedKernel
 from .solver import ProblemSpec
@@ -199,6 +200,29 @@ class _Reader:
             self.errors.append((self.line(key), f"{key}: expected an integer, got {self.raw(key)!r}"))
             return 0
 
+    def positive(self, key: str, allow_zero: bool = False) -> float:
+        """A number that must be finite and positive (or zero, with
+        *allow_zero*), reported at the line of its key."""
+        value = self.floating(key)
+        if self.ok(key):
+            try:
+                require_positive(key, value, allow_zero)
+            except ValueError as exc:
+                self.failed.add(key)
+                self.errors.append((self.line(key), str(exc)))
+        return value
+
+    def pairs(self, key: str) -> tuple[tuple[float, float], ...]:
+        try:
+            pairs = (part.split(":") for part in self.raw(key).split(","))
+            return tuple((float(g), float(tau)) for g, tau in pairs)
+        except ValueError:
+            self.failed.add(key)
+            self.errors.append(
+                (self.line(key), f"{key}: expected comma-separated g:tau pairs, got {self.raw(key)!r}")
+            )
+            return ()
+
     def float_list(self, key: str) -> tuple[float, ...]:
         try:
             return tuple(float(part) for part in self.raw(key).split(","))
@@ -234,20 +258,20 @@ def _build_kernel(reader: _Reader, base_dir: Path, errors: list):
             errors.append(
                 (reader.line(key), f"{key} is not valid for kernel.type = {ktype}")
             )
+    # the key a kernel's own validation error is reported at
+    key = {"wedge": "kernel.type", "prony": "kernel.terms", "tabulated": "kernel.csv",
+           "expression": "kernel.expression"}[ktype]
     base: RelaxationKernel | None = None
     try:
         if ktype == "wedge":
-            base = WedgeKernel(
-                reader.floating("kernel.g0"),
-                reader.floating("kernel.ginf"),
-                reader.floating("kernel.a"),
-            )
+            params = [reader.positive(k) for k in ("kernel.g0", "kernel.ginf", "kernel.a")]
+            if reader.ok("kernel.g0", "kernel.ginf", "kernel.a"):
+                base = WedgeKernel(*params)
         elif ktype == "prony":
-            terms = []
-            for part in reader.raw("kernel.terms").split(","):
-                g_str, _, tau_str = part.partition(":")
-                terms.append((float(g_str), float(tau_str)))
-            base = PronyKernel(reader.floating("kernel.ginf"), tuple(terms))
+            g_inf = reader.positive("kernel.ginf", allow_zero=True)
+            terms = reader.pairs("kernel.terms")
+            if reader.ok("kernel.ginf", "kernel.terms"):
+                base = PronyKernel(g_inf, terms)
         elif ktype == "tabulated":
             path = reader.raw("kernel.csv")
             if not path:
@@ -258,13 +282,9 @@ def _build_kernel(reader: _Reader, base_dir: Path, errors: list):
                     raise ValueError(f"{path}: expected two columns (t, G)")
                 base = TabulatedKernel(data[:, 0], data[:, 1])
         else:
-            source = reader.raw("kernel.expression")
-            base = ExpressionKernel(source)
+            base = ExpressionKernel(reader.raw(key))
     except (ValueError, OSError) as exc:
-        # a number that failed to parse is reported already, not its NaN stand-in
-        if reader.ok("kernel.g0", "kernel.ginf", "kernel.a"):
-            errors.append((reader.line(f"kernel.{'csv' if ktype == 'tabulated' else 'type'}") or 0,
-                           f"kernel: {exc}"))
+        errors.append((reader.line(key), f"{key}: {exc}"))
         base = None
 
     epsilon: float | None = None

@@ -298,19 +298,6 @@ def to_source(expr: Expr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def variables(expr: Expr) -> set[str]:
-    """Names of the variables actually referenced by *expr*."""
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Unary):
-        return variables(expr.operand)
-    if isinstance(expr, Binary):
-        return variables(expr.left) | variables(expr.right)
-    if isinstance(expr, Call):
-        return variables(expr.arg)
-    return set()
-
-
 def is_zero(expr: Expr) -> bool:
     """True for the literal constant 0 (used to skip forcing work)."""
     return isinstance(expr, Num) and expr.value == 0.0

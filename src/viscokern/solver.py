@@ -21,6 +21,8 @@ boundaries, initial data u0, u1 and forcing f:
   dt <= 0.9 h / sqrt(G(0)).  The history quadrature splits the trapezoid
   panel that straddles a kink of dG/dt, using one-sided kernel limits and
   a linearly interpolated history value, which restores second order.
+  The panel sits at the same lags at every step, so the split lives in
+  the lag weights, set once per solve (``_gdot_weights``).
 
 Both schemes are linear in the data, store the full history (the memory
 term needs it anyway) and save snapshots at a configurable stride.
@@ -229,40 +231,42 @@ def _memory_sums(rows: np.ndarray, wl: np.ndarray, stop: int):
             yield n, far[n - n0] + wl[n - n0 : 0 : -1] @ rows[n0:n]
 
 
-def _kink_split(q: np.ndarray, lap_hist: np.ndarray, kinks, n: int, dt: float,
-                gd: np.ndarray) -> np.ndarray:
-    """Correct the trapezoid q for int_0^{t_n} Gdot(t_n - tau) lap_u(tau)
-    dtau on the panels that straddle a kink of Gdot, splitting them there.
-    *kinks* holds (c, left limit, right limit of Gdot at c) per kink."""
-    tn = n * dt
-    for c, g_minus, g_plus in kinks:
-        tau_star = tn - c
-        if tau_star <= 0.0 or tau_star >= tn:
+def _gdot_weights(kernel: RelaxationKernel, gd: np.ndarray, dt: float):
+    """Lag weights of the differential scheme's trapezoid for
+    int_0^{t_n} Gdot(t_n - tau) lap_u(tau) dtau, split at each kink of Gdot.
+
+    Returns (wl, row0): wl[j] weighs the Laplacian j steps back, wl[0] that
+    of the newest node (:func:`_memory_sums` never reads it), and row0[n]
+    is what the weight of row 0 at step n lacks after the engine's halving.
+    A kink c strictly inside a panel splits it there, with one-sided limits
+    of Gdot and the history interpolated linearly; the panel sits at lags
+    ceil(c/dt) and one less at every step from ceil(c/dt) on, with weights
+    that do not depend on the step.  A kink on the node of lag j >= 1 gives
+    that node the mean of the two limits from step j + 1 on."""
+    wl = dt * gd
+    wl[0] *= 0.5
+    row0 = np.zeros_like(wl)
+    for c in kernel.kink_times:
+        lag = int(np.ceil(c / dt))
+        frac = lag - c / dt  # the kink sits frac * dt into its panel
+        if lag >= len(wl):  # beyond the horizon
             continue
-        p = tau_star / dt
-        pf = int(np.floor(p))
-        frac = p - pf
+        g_minus, g_plus = kernel.gdot_limits(c)
         if min(frac, 1.0 - frac) < 1e-9:
-            # the kink sits on a step node j: the panel on each side must
-            # use the matching one-sided limit instead of the stored value
-            j = pf if frac < 0.5 else pf + 1
-            if 0 < j < n:
-                q = q + 0.5 * dt * (g_plus - gd[n - j]) * lap_hist[j]
-                q = q + 0.5 * dt * (g_minus - gd[n - j]) * lap_hist[j]
+            lag = int(round(c / dt))
+            if lag > 0:
+                node = 0.5 * dt * (g_minus + g_plus - 2.0 * gd[lag])
+                wl[lag] += node
+                row0[lag] -= 0.5 * node  # at step lag the node is row 0: no split
             continue
-        # kink strictly inside panel [t_p, t_{p+1}]: replace that panel's
-        # trapezoid by two sub-panels split at tau_star, with the history
-        # interpolated linearly there
-        v_lo, v_hi = lap_hist[pf], lap_hist[pf + 1]
-        v_star = (1.0 - frac) * v_lo + frac * v_hi
-        base = 0.5 * dt * (gd[n - pf] * v_lo + gd[n - pf - 1] * v_hi)
-        d_lo = frac * dt
-        d_hi = (1.0 - frac) * dt
-        exact = 0.5 * d_lo * (gd[n - pf] * v_lo + g_plus * v_star) + 0.5 * d_hi * (
-            g_minus * v_star + gd[n - pf - 1] * v_hi
-        )
-        q = q + (exact - base)
-    return q
+        split = frac * g_plus + (1.0 - frac) * g_minus
+        lo = 0.5 * dt * (1.0 - frac) * (split - gd[lag])
+        hi = 0.5 * dt * frac * (split - gd[lag - 1])
+        wl[lag] += lo
+        wl[lag - 1] += hi
+        row0[lag] += 0.5 * lo    # the split panel meets row 0 at full weight
+        row0[lag - 1] -= 0.5 * hi  # and is not there yet one step earlier
+    return wl, row0
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +346,7 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
             f"cannot provide it: {exc}"
         ) from exc
 
-    kinks = [(c, *spec.kernel.gdot_limits(c)) for c in spec.kernel.kink_times]
+    wl, row0 = _gdot_weights(spec.kernel, gd, dt)
     u0v = _sample_x(spec.u0_expr, grid.x)
     u1v = _sample_x(spec.u1_expr, grid.x)
     fvals = _forcing_rows(spec, tgrid)
@@ -359,9 +363,8 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
     u[1] = u0v + dt * u1v + 0.5 * dt * dt * (g_zero * lap[0] + f_at(0))
     lap[1] = laplacian_values(u[1], grid.h)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, memory in _memory_sums(lap_hist, dt * gd, n_steps):
-            q = memory[:nx] + 0.5 * dt * gd[0] * lap[n]  # the lag-0 node
-            q = _kink_split(q, lap, kinks, n, dt, gd)
+        for n, memory in _memory_sums(lap_hist, wl, n_steps):
+            q = memory[:nx] + row0[n] * lap[0] + wl[0] * lap[n]
             u[n + 1] = 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap[n] + q + f_at(n))
             lap[n + 1] = laplacian_values(u[n + 1], grid.h)
             if n % HISTORY_BLOCK == 0 or n == n_steps - 1:  # the block ends

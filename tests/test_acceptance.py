@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+from kernel_catalog import catalog
 from viscokern.energy import ENERGY_TOL, dissipation_check, energy_series, mode_decay_diagnostic
 from viscokern.expressions import EvalError, ParseError, evaluate, parse
 from viscokern.grids import Grid
@@ -19,7 +20,6 @@ from viscokern.kernels import (
     PronyKernel,
     TabulatedKernel,
     WedgeKernel,
-    catalog,
     check_admissibility,
 )
 from viscokern.mollify import MollifiedKernel, rho, sup_distance_K

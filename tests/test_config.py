@@ -157,9 +157,26 @@ class TestValidation:
             (2, "kernel.epsilon must be finite and positive")
         ]
         errs = errors_of("kernel.type = wedge\nkernel.a = inf")
-        assert errs == [(1, "kernel: wedge ramp must be finite and positive, got inf")]
+        assert errs == [(2, "kernel.a must be finite and positive, got inf")]
         errs = errors_of("problem.T = 1.0\nscenario.epsilon_list = 0.1, nan\nscenario.a_list = inf")
         assert [line for line, _ in errs] == [2, 3]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("kernel.type = prony\nkernel.terms = 1:abc",
+         "kernel.terms: expected comma-separated g:tau pairs, got '1:abc'"),
+        ("kernel.type = prony\nkernel.terms = 1:0.5,2",
+         "kernel.terms: expected comma-separated g:tau pairs, got '1:0.5,2'"),
+        ("kernel.type = prony\nkernel.terms = -1:0.5",
+         "kernel.terms: Prony weight must be finite and positive, got -1.0"),
+        ("kernel.type = prony\nkernel.ginf = -1",
+         "kernel.ginf must be finite and nonnegative, got -1.0"),
+        ("problem.T = 1\nkernel.g0 = -2", "kernel.g0 must be finite and positive, got -2.0"),
+        ("kernel.type = expression\nkernel.expression = 1 + exp(-x)",
+         "kernel.expression: may only use t, found 'x' (at offset 9)"),
+    ], ids=["terms-not-a-number", "terms-not-a-pair", "terms-negative-weight", "negative-ginf",
+            "negative-g0", "expression-variable"])
+    def test_kernel_value_reported_at_its_key(self, text, expected):
+        assert errors_of(text) == [(2, expected)]
 
     def test_unparseable_kernel_number_reported_once(self):
         errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")

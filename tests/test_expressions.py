@@ -10,7 +10,6 @@ from viscokern.expressions import (
     is_zero,
     parse,
     to_source,
-    variables,
 )
 
 
@@ -205,12 +204,6 @@ def _math_walk(expr, x, t):
     if expr.op == "/":
         return lhs / rhs
     return lhs**rhs
-
-
-def test_variables():
-    assert variables(parse("sin(pi*x)")) == {"x"}
-    assert variables(parse("x*t + 1")) == {"x", "t"}
-    assert variables(parse("3*pi")) == set()
 
 
 def test_is_zero():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from kernel_catalog import catalog
 from viscokern.kernels import (
     DerivativeUndefinedError,
     ExpressionKernel,
@@ -13,7 +14,6 @@ from viscokern.kernels import (
     QuadratureToleranceError,
     TabulatedKernel,
     WedgeKernel,
-    catalog,
     check_admissibility,
 )
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
+from kernel_catalog import catalog
 from viscokern.kernels import (
     IntegratedKernel,
     PronyKernel,
@@ -13,7 +14,6 @@ from viscokern.kernels import (
     RelaxationKernel,
     TabulatedKernel,
     WedgeKernel,
-    catalog,
     check_admissibility,
 )
 from viscokern.mollify import (

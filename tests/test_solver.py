@@ -370,13 +370,15 @@ class TestMemoryTerm:
 
 def _blocked_case(scheme, family, n_steps, place, k, frac):
     """A spec whose kernel kink lag c sits on a step node, at a multiple of
-    the block length, or strictly inside a panel.  dt = 1/64 everywhere and
-    h = 1/25 keeps both schemes inside the CFL bound."""
+    the block length, strictly inside a panel, inside the first step, or
+    past the horizon.  dt = 1/64 everywhere and h = 1/25 keeps both schemes
+    inside the CFL bound."""
     dt = 1.0 / 64.0
     horizon = n_steps * dt
     k = 1 + k % max(n_steps - 1, 1)
     c = {"node": k * dt, "block": HISTORY_BLOCK * dt * (1 + k % 2),
-         "panel": (k + frac) * dt}[place]
+         "panel": (k + frac) * dt, "substep": frac * dt,
+         "beyond": horizon + (k % 3 + frac) * dt}[place]
     kernel = {
         "wedge": WedgeKernel(2.0, 1.0, c),
         "tabulated": TabulatedKernel([0.0, c, c + 0.37, max(horizon, c + 0.37) + 1.0],
@@ -397,7 +399,7 @@ class TestBlockedMemorySum:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
         family=st.sampled_from(["wedge", "tabulated", "prony"]),
-        place=st.sampled_from(["node", "block", "panel"]),
+        place=st.sampled_from(["node", "block", "panel", "substep", "beyond"]),
         k=st.integers(0, 400),
         frac=st.floats(0.05, 0.95),
     )
@@ -405,6 +407,8 @@ class TestBlockedMemorySum:
     @example(family="tabulated", place="block", k=0, frac=0.5)
     @example(family="wedge", place="panel", k=5, frac=0.3)
     @example(family="prony", place="node", k=0, frac=0.5)
+    @example(family="wedge", place="substep", k=0, frac=0.4)
+    @example(family="tabulated", place="beyond", k=0, frac=0.05)
     def test_matches_direct_sums(self, scheme, n_steps, family, place, k, frac):
         spec = _blocked_case(scheme, family, n_steps, place, k, frac)
         direct = _direct_march(spec)
