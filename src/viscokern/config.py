@@ -19,9 +19,9 @@ Recognised keys, with their defaults:
     discretization.n_interior = 127
     discretization.n_steps = 512
     discretization.stride = 1
-    scenario.epsilon_list = 0.1,0.05,0.025
-    scenario.a_list = 0.1,0.05,0.025
-    scenario.levels = 3
+    scenario.epsilon_list = 0.1,0.05,0.025   # strictly decreasing, 2*eps <= 1
+    scenario.a_list = 0.1,0.05,0.025         # strictly decreasing
+    scenario.levels = 3                      # at least 3
     scenario.study = manufactured   # convergence: manufactured | self
     output.directory = out
     output.stride = 1
@@ -46,45 +46,6 @@ from .kernels import (
 )
 from .mollify import MollifiedKernel
 from .solver import ProblemSpec
-
-KERNEL_TYPES = ("wedge", "prony", "tabulated", "expression")
-STUDIES = ("manufactured", "self")
-
-#: keys every kernel variant accepts, and the variant-specific ones
-_KERNEL_COMMON = {"kernel.type", "kernel.epsilon"}
-_KERNEL_KEYS = {
-    "wedge": {"kernel.g0", "kernel.ginf", "kernel.a"},
-    "prony": {"kernel.ginf", "kernel.terms"},
-    "tabulated": {"kernel.csv"},
-    "expression": {"kernel.expression"},
-}
-
-_DEFAULTS: dict[str, str] = {
-    "problem.a": "0.0",
-    "problem.b": "1.0",
-    "problem.T": "1.0",
-    "problem.u0": "sin(pi*x)",
-    "problem.u1": "0",
-    "problem.f": "0",
-    "problem.scheme": "integral",
-    "kernel.type": "wedge",
-    "kernel.g0": "2.0",
-    "kernel.ginf": "1.0",
-    "kernel.a": "1.0",
-    "kernel.terms": "1:0.5",
-    "kernel.csv": "",
-    "kernel.expression": "1 + exp(-2*t)",
-    "kernel.epsilon": "",
-    "discretization.n_interior": "127",
-    "discretization.n_steps": "512",
-    "discretization.stride": "1",
-    "scenario.epsilon_list": "0.1,0.05,0.025",
-    "scenario.a_list": "0.1,0.05,0.025",
-    "scenario.levels": "3",
-    "scenario.study": "manufactured",
-    "output.directory": "out",
-    "output.stride": "1",
-}
 
 
 class ConfigError(ValueError):
@@ -146,6 +107,137 @@ class RunConfig:
         )
 
 
+# ---------------------------------------------------------------------------
+# readers: (key, raw text) -> value, or ValueError with the finished message
+# ---------------------------------------------------------------------------
+
+def _number(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{key}: expected a number, got {raw!r}") from None
+
+
+def _finite(key: str, raw: str) -> float:
+    value = _number(key, raw)
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {raw}")
+    return value
+
+
+def _positive(key: str, raw: str) -> float:
+    return require_positive(key, _number(key, raw))
+
+
+def _nonnegative(key: str, raw: str) -> float:
+    return require_positive(key, _number(key, raw), allow_zero=True)
+
+
+def _optional_positive(key: str, raw: str) -> float | None:
+    return _positive(key, raw) if raw else None
+
+
+def _at_least(minimum: int):
+    def read(key: str, raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{key}: expected an integer, got {raw!r}") from None
+        if value < minimum:
+            raise ValueError(f"need {key} >= {minimum}")
+        return value
+    return read
+
+
+def _decreasing(key: str, raw: str) -> tuple[float, ...]:
+    """A comma list of finite positive numbers in strictly decreasing order."""
+    try:
+        values = tuple(float(part) for part in raw.split(","))
+    except ValueError:
+        raise ValueError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+    for value in values:
+        require_positive(key, value)
+    if any(a <= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{key} must be strictly decreasing")
+    return values
+
+
+def _widths(key: str, raw: str) -> tuple[float, ...]:
+    """Smoothing widths; the floor G_eps(t) >= G(1 + T) holds for 2*eps <= 1."""
+    values = _decreasing(key, raw)
+    if 2.0 * values[0] > 1.0:
+        raise ValueError(f"{key}: smoothing widths must satisfy 2*epsilon <= 1")
+    return values
+
+
+def _pairs(key: str, raw: str) -> tuple[tuple[float, float], ...]:
+    try:
+        return tuple((float(g), float(tau)) for g, tau in (p.split(":") for p in raw.split(",")))
+    except ValueError:
+        raise ValueError(f"{key}: expected comma-separated g:tau pairs, got {raw!r}") from None
+
+
+def _choice(*valid: str):
+    def read(key: str, raw: str) -> str:
+        if raw not in valid:
+            raise ValueError(f"{key}: unknown value {raw!r}; valid: {', '.join(valid)}")
+        return raw
+    return read
+
+
+def _expression(*variables: str):
+    def read(key: str, raw: str) -> str:
+        try:
+            expressions.parse(raw, variables)
+        except expressions.ParseError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        return raw
+    return read
+
+
+def _text(key: str, raw: str) -> str:
+    return raw
+
+
+#: the keys each kernel.type reads; the last one is where an error of the
+#: kernel's own construction is reported
+_KERNEL_KEYS = {
+    "wedge": ("kernel.g0", "kernel.ginf", "kernel.a"),
+    "prony": ("kernel.ginf", "kernel.terms"),
+    "tabulated": ("kernel.csv",),
+    "expression": ("kernel.expression",),
+}
+_VARIANT_KEYS = set().union(*_KERNEL_KEYS.values())
+
+#: every key: (default text, reader)
+_KEYS = {
+    "problem.a": ("0.0", _finite),
+    "problem.b": ("1.0", _finite),
+    "problem.T": ("1.0", _finite),
+    "problem.u0": ("sin(pi*x)", _expression("x")),
+    "problem.u1": ("0", _expression("x")),
+    "problem.f": ("0", _expression("x", "t")),
+    "problem.scheme": ("integral", _choice("integral", "differential")),
+    "kernel.type": ("wedge", _choice(*_KERNEL_KEYS)),
+    "kernel.g0": ("2.0", _positive),
+    "kernel.ginf": ("1.0", _positive),
+    "kernel.a": ("1.0", _positive),
+    "kernel.terms": ("1:0.5", _pairs),
+    "kernel.csv": ("", _text),
+    "kernel.expression": ("1 + exp(-2*t)", _expression("t")),
+    "kernel.epsilon": ("", _optional_positive),
+    "discretization.n_interior": ("127", _at_least(1)),
+    "discretization.n_steps": ("512", _at_least(2)),
+    "discretization.stride": ("1", _at_least(1)),
+    "scenario.epsilon_list": ("0.1,0.05,0.025", _widths),
+    "scenario.a_list": ("0.1,0.05,0.025", _decreasing),
+    "scenario.levels": ("3", _at_least(3)),
+    "scenario.study": ("manufactured", _choice("manufactured", "self")),
+    "output.directory": ("out", _text),
+    "output.stride": ("1", _at_least(1)),
+}
+
+
 def _parse_lines(text: str, errors: list) -> dict[str, tuple[str, int]]:
     entries: dict[str, tuple[str, int]] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -156,7 +248,7 @@ def _parse_lines(text: str, errors: list) -> dict[str, tuple[str, int]]:
             errors.append((ln, f"expected 'section.key = value', got {line!r}"))
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             errors.append((ln, f"unknown key {key!r}"))
             continue
         if key in entries:
@@ -166,145 +258,20 @@ def _parse_lines(text: str, errors: list) -> dict[str, tuple[str, int]]:
     return entries
 
 
-class _Reader:
-    """Typed access to the merged (defaults + file) key table."""
-
-    def __init__(self, entries: dict[str, tuple[str, int]], errors: list):
-        self.entries = entries
-        self.errors = errors
-        self.failed: set[str] = set()  # keys whose value did not parse
-
-    def line(self, key: str) -> int:
-        return self.entries.get(key, ("", 0))[1]
-
-    def raw(self, key: str) -> str:
-        return self.entries.get(key, (_DEFAULTS[key], 0))[0]
-
-    def ok(self, *keys: str) -> bool:
-        """True when none of *keys* already failed (avoids cascade errors)."""
-        return not any(k in self.failed for k in keys)
-
-    def floating(self, key: str) -> float:
-        try:
-            return float(self.raw(key))
-        except ValueError:
-            self.failed.add(key)
-            self.errors.append((self.line(key), f"{key}: expected a number, got {self.raw(key)!r}"))
-            return float("nan")
-
-    def integer(self, key: str) -> int:
-        try:
-            return int(self.raw(key))
-        except ValueError:
-            self.failed.add(key)
-            self.errors.append((self.line(key), f"{key}: expected an integer, got {self.raw(key)!r}"))
-            return 0
-
-    def positive(self, key: str, allow_zero: bool = False) -> float:
-        """A number that must be finite and positive (or zero, with
-        *allow_zero*), reported at the line of its key."""
-        value = self.floating(key)
-        if self.ok(key):
-            try:
-                require_positive(key, value, allow_zero)
-            except ValueError as exc:
-                self.failed.add(key)
-                self.errors.append((self.line(key), str(exc)))
-        return value
-
-    def pairs(self, key: str) -> tuple[tuple[float, float], ...]:
-        try:
-            pairs = (part.split(":") for part in self.raw(key).split(","))
-            return tuple((float(g), float(tau)) for g, tau in pairs)
-        except ValueError:
-            self.failed.add(key)
-            self.errors.append(
-                (self.line(key), f"{key}: expected comma-separated g:tau pairs, got {self.raw(key)!r}")
-            )
-            return ()
-
-    def float_list(self, key: str) -> tuple[float, ...]:
-        try:
-            return tuple(float(part) for part in self.raw(key).split(","))
-        except ValueError:
-            self.errors.append(
-                (self.line(key), f"{key}: expected comma-separated numbers, got {self.raw(key)!r}")
-            )
-            return ()
-
-    def choice(self, key: str, valid: tuple[str, ...]) -> str:
-        value = self.raw(key)
-        if value not in valid:
-            self.errors.append(
-                (self.line(key), f"{key}: unknown value {value!r}; valid: {', '.join(valid)}")
-            )
-            return valid[0]
-        return value
-
-    def expression(self, key: str, allowed: set[str]) -> str:
-        source = self.raw(key)
-        try:
-            expressions.parse(source, allowed)
-        except expressions.ParseError as exc:
-            self.errors.append((self.line(key), f"{key}: {exc}"))
-        return source
-
-
-def _build_kernel(reader: _Reader, base_dir: Path, errors: list):
-    ktype = reader.choice("kernel.type", KERNEL_TYPES)
-    allowed = _KERNEL_COMMON | _KERNEL_KEYS[ktype]
-    for key in reader.entries:
-        if key.startswith("kernel.") and key not in allowed:
-            errors.append(
-                (reader.line(key), f"{key} is not valid for kernel.type = {ktype}")
-            )
-    # the key a kernel's own validation error is reported at
-    key = {"wedge": "kernel.type", "prony": "kernel.terms", "tabulated": "kernel.csv",
-           "expression": "kernel.expression"}[ktype]
-    base: RelaxationKernel | None = None
-    try:
-        if ktype == "wedge":
-            params = [reader.positive(k) for k in ("kernel.g0", "kernel.ginf", "kernel.a")]
-            if reader.ok("kernel.g0", "kernel.ginf", "kernel.a"):
-                base = WedgeKernel(*params)
-        elif ktype == "prony":
-            g_inf = reader.positive("kernel.ginf", allow_zero=True)
-            terms = reader.pairs("kernel.terms")
-            if reader.ok("kernel.ginf", "kernel.terms"):
-                base = PronyKernel(g_inf, terms)
-        elif ktype == "tabulated":
-            path = reader.raw("kernel.csv")
-            if not path:
-                errors.append((reader.line("kernel.type"), "tabulated kernel needs kernel.csv"))
-            else:
-                data = np.loadtxt(base_dir / path, delimiter=",", comments="#", ndmin=2)
-                if data.shape[1] != 2:
-                    raise ValueError(f"{path}: expected two columns (t, G)")
-                base = TabulatedKernel(data[:, 0], data[:, 1])
-        else:
-            base = ExpressionKernel(reader.raw(key))
-    except (ValueError, OSError) as exc:
-        errors.append((reader.line(key), f"{key}: {exc}"))
-        base = None
-
-    epsilon: float | None = None
-    eps_raw = reader.raw("kernel.epsilon")
-    if eps_raw:
-        try:
-            epsilon = float(eps_raw)
-            if not 0.0 < epsilon < np.inf:  # also fails for NaN
-                errors.append(
-                    (reader.line("kernel.epsilon"), "kernel.epsilon must be finite and positive")
-                )
-                epsilon = None
-        except ValueError:
-            errors.append(
-                (reader.line("kernel.epsilon"), f"kernel.epsilon: expected a number, got {eps_raw!r}")
-            )
-    kernel = base
-    if base is not None and epsilon is not None:
-        kernel = MollifiedKernel(base, epsilon)
-    return ktype, base, kernel, epsilon
+def _build_kernel(ktype: str, values: dict, base_dir: Path) -> RelaxationKernel:
+    if ktype == "wedge":
+        return WedgeKernel(values["kernel.g0"], values["kernel.ginf"], values["kernel.a"])
+    if ktype == "prony":
+        return PronyKernel(values["kernel.ginf"], values["kernel.terms"])
+    if ktype == "expression":
+        return ExpressionKernel(values["kernel.expression"])
+    path = values["kernel.csv"]
+    if not path:
+        raise ValueError("a tabulated kernel needs a CSV path")
+    data = np.loadtxt(base_dir / path, delimiter=",", comments="#", ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: expected two columns (t, G)")
+    return TabulatedKernel(data[:, 0], data[:, 1])
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
@@ -316,81 +283,69 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     """
     errors: list[tuple[int, str]] = []
     entries = _parse_lines(text, errors)
-    reader = _Reader(entries, errors)
-    base_dir = Path(base_dir)
+    raw = {key: entries.get(key, (default, 0))[0] for key, (default, _) in _KEYS.items()}
 
-    domain_a = reader.floating("problem.a")
-    domain_b = reader.floating("problem.b")
-    horizon = reader.floating("problem.T")
-    for key, value in (("problem.a", domain_a), ("problem.b", domain_b), ("problem.T", horizon)):
-        if reader.ok(key) and not np.isfinite(value):
-            errors.append((reader.line(key), f"{key} must be finite, got {reader.raw(key)}"))
-    if np.isfinite(domain_a) and np.isfinite(domain_b) and not 0.0 < domain_b - domain_a < np.inf:
-        errors.append((reader.line("problem.b"), "problem domain needs b > a and finite b - a"))
-    if np.isfinite(horizon) and horizon <= 0.0:
-        errors.append((reader.line("problem.T"), "problem.T must be positive"))
+    def line(key: str) -> int:
+        return entries.get(key, ("", 0))[1]
 
-    u0 = reader.expression("problem.u0", {"x"})
-    u1 = reader.expression("problem.u1", {"x"})
-    f = reader.expression("problem.f", {"x", "t"})
-    scheme = reader.choice("problem.scheme", ("integral", "differential"))
+    # each key is read once; a key that fails is left out of ``values``, so
+    # the checks below that need it are skipped instead of cascading
+    ktype = raw["kernel.type"]
+    own = _KERNEL_KEYS.get(ktype, ())
+    values = {}
+    for key, (_, reader) in _KEYS.items():
+        if key in _VARIANT_KEYS and key not in own:
+            if key in entries and own:
+                errors.append((line(key), f"{key} is not valid for kernel.type = {ktype}"))
+            continue
+        if key == "kernel.ginf" and ktype == "prony":
+            reader = _nonnegative  # a Prony series may relax to zero
+        try:
+            values[key] = reader(key, raw[key])
+        except ValueError as exc:
+            errors.append((line(key), str(exc)))
 
-    ktype, base_kernel, kernel, epsilon = _build_kernel(reader, base_dir, errors)
+    base = kernel = None
+    if own and all(key in values for key in own):
+        try:
+            base = kernel = _build_kernel(ktype, values, Path(base_dir))
+        except (ValueError, OSError) as exc:
+            # an unset kernel.csv has no line of its own
+            errors.append((line(own[-1]) or line("kernel.type"), f"{own[-1]}: {exc}"))
+    epsilon = values.get("kernel.epsilon")
+    if base is not None and epsilon is not None:
+        kernel = MollifiedKernel(base, epsilon)
 
-    n_interior = reader.integer("discretization.n_interior")
-    n_steps = reader.integer("discretization.n_steps")
-    save_stride = reader.integer("discretization.stride")
-    if reader.ok("discretization.n_interior") and n_interior < 1:
-        errors.append((reader.line("discretization.n_interior"), "need n_interior >= 1"))
-    if reader.ok("discretization.n_steps") and n_steps < 2:
-        errors.append((reader.line("discretization.n_steps"), "need n_steps >= 2"))
-    if reader.ok("discretization.stride") and save_stride < 1:
-        errors.append((reader.line("discretization.stride"), "need stride >= 1"))
-    elif reader.ok("discretization.stride", "discretization.n_steps") and \
-            n_steps >= 2 and n_steps % save_stride:
-        errors.append((reader.line("discretization.stride"), "stride must divide n_steps"))
-
-    epsilon_list = reader.float_list("scenario.epsilon_list")
-    a_list = reader.float_list("scenario.a_list")
-    levels = reader.integer("scenario.levels")
-    study = reader.choice("scenario.study", STUDIES)
-    if not all(0.0 < e < np.inf for e in epsilon_list):
-        errors.append(
-            (reader.line("scenario.epsilon_list"), "smoothing widths must be finite and positive")
-        )
-    if not all(0.0 < a < np.inf for a in a_list):
-        errors.append((reader.line("scenario.a_list"), "ramp times must be finite and positive"))
-
-    out_dir = reader.raw("output.directory")
-    output_stride = reader.integer("output.stride")
-    if reader.ok("output.stride") and output_stride < 1:
-        errors.append((reader.line("output.stride"), "need output.stride >= 1"))
+    a, b, horizon = (values.get(key) for key in ("problem.a", "problem.b", "problem.T"))
+    if a is not None and b is not None and not 0.0 < b - a < np.inf:
+        errors.append((line("problem.b"), "problem domain needs b > a and finite b - a"))
+    if horizon is not None and horizon <= 0.0:
+        errors.append((line("problem.T"), "problem.T must be positive"))
+    n_steps, stride = values.get("discretization.n_steps"), values.get("discretization.stride")
+    if n_steps is not None and stride is not None and n_steps % stride:
+        errors.append((line("discretization.stride"), "stride must divide n_steps"))
 
     if errors:
         raise ConfigError(errors)
-    assert kernel is not None and base_kernel is not None
-
-    resolved = {key: reader.raw(key) for key in _DEFAULTS}
-    resolved["kernel.type"] = ktype
     return RunConfig(
-        domain_a=domain_a,
-        domain_b=domain_b,
+        domain_a=a,
+        domain_b=b,
         horizon=horizon,
-        u0=u0,
-        u1=u1,
-        f=f,
-        scheme=scheme,
+        u0=values["problem.u0"],
+        u1=values["problem.u1"],
+        f=values["problem.f"],
+        scheme=values["problem.scheme"],
         kernel=kernel,
-        base_kernel=base_kernel,
+        base_kernel=base,
         kernel_epsilon=epsilon,
-        n_interior=n_interior,
+        n_interior=values["discretization.n_interior"],
         n_steps=n_steps,
-        save_stride=save_stride,
-        epsilon_list=epsilon_list,
-        a_list=a_list,
-        levels=levels,
-        study=study,
-        out_dir=out_dir,
-        output_stride=output_stride,
-        resolved=resolved,
+        save_stride=stride,
+        epsilon_list=values["scenario.epsilon_list"],
+        a_list=values["scenario.a_list"],
+        levels=values["scenario.levels"],
+        study=values["scenario.study"],
+        out_dir=values["output.directory"],
+        output_stride=values["output.stride"],
+        resolved=raw,
     )

@@ -14,8 +14,10 @@ moduli G(t) are all ingested as expression strings over the variables
 with FUNC one of sin, cos, exp, sqrt, abs.  Precedence, strongest first:
 ``^``, unary ``-``, ``* /``, ``+ -``.  Consequently ``2^3^2`` is 512 and
 ``-2^2`` is -4.  Every node remembers its byte offset in the source so
-parse and evaluation errors can point at the offending token.  A tree is
-evaluated on whole numpy arrays of points at once (:func:`evaluate`).
+parse and evaluation errors can point at the offending token.  Nesting
+(parentheses, calls, unary minus, powers) is limited to ``MAX_NESTING``
+levels.  A tree is evaluated on whole numpy arrays of points at once
+(:func:`evaluate`).
 """
 
 from __future__ import annotations
@@ -82,6 +84,10 @@ Expr = Union[Num, Var, Unary, Binary, Call]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 
+#: deepest nesting the parser accepts; a level costs the recursive descent
+#: up to five Python frames, well under the default recursion limit of 1000
+MAX_NESTING = 100
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -119,6 +125,7 @@ class _Parser:
         self.allowed = frozenset(allowed)
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -162,11 +169,19 @@ class _Parser:
                 return left
 
     def unary(self) -> Expr:
+        # every nested level (parenthesis, call, unary minus, power) comes
+        # through here
         kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("-", self.unary(), pos)
-        return self.power()
+            node = Unary("-", self.unary(), pos)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -207,7 +222,8 @@ def parse(source: str, allowed=("x", "t")) -> Expr:
     """Parse *source* into an expression tree over the variables *allowed*.
 
     Raises :class:`ParseError` carrying the byte offset of the first
-    offending token: a syntax error or a variable outside *allowed*.
+    offending token: a syntax error, a variable outside *allowed*, or a
+    nesting deeper than ``MAX_NESTING``.
     """
     return _Parser(source, allowed).parse()
 
@@ -247,25 +263,16 @@ def _eval(expr: Expr, x: np.ndarray, t: np.ndarray):
     if isinstance(expr, Unary):
         return -_eval(expr.operand, x, t)
     if isinstance(expr, Binary):
-        lhs = _eval(expr.left, x, t)
-        rhs = _eval(expr.right, x, t)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        if expr.op == "/":
-            _fault(rhs == 0.0, "division by zero", expr)
-            return lhs / rhs
-        # the faults of Python's float power, checked element-wise
-        finite = np.isfinite(lhs) & np.isfinite(rhs)
-        _fault((lhs == 0.0) & (rhs < 0.0) & finite, "zero raised to a negative power", expr)
-        _fault((lhs < 0.0) & (rhs != np.floor(rhs)) & finite,
-               "fractional power of a negative base", expr)
-        result = np.power(lhs, rhs)
-        _fault(np.isinf(result) & finite, "overflow", expr)
-        return result
+        # a chain such as x + x + ... + x is a left spine as long as the
+        # chain; fold it in a loop so that its length costs no recursion
+        spine = []
+        while isinstance(expr, Binary):
+            spine.append(expr)
+            expr = expr.left
+        value = _eval(expr, x, t)
+        for node in reversed(spine):
+            value = _binary(node, value, _eval(node.right, x, t))
+        return value
     if isinstance(expr, Call):
         arg = _eval(expr.arg, x, t)
         if expr.func in ("sin", "cos"):
@@ -282,20 +289,24 @@ def _eval(expr: Expr, x: np.ndarray, t: np.ndarray):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def to_source(expr: Expr) -> str:
-    """Render a canonical, fully parenthesised form that re-parses to an
-    equivalent tree."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Unary):
-        return f"(-{to_source(expr.operand)})"
-    if isinstance(expr, Binary):
-        return f"({to_source(expr.left)}{expr.op}{to_source(expr.right)})"
-    if isinstance(expr, Call):
-        return f"{expr.func}({to_source(expr.arg)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+def _binary(node: Binary, lhs, rhs):
+    if node.op == "+":
+        return lhs + rhs
+    if node.op == "-":
+        return lhs - rhs
+    if node.op == "*":
+        return lhs * rhs
+    if node.op == "/":
+        _fault(rhs == 0.0, "division by zero", node)
+        return lhs / rhs
+    # the faults of Python's float power, checked element-wise
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    _fault((lhs == 0.0) & (rhs < 0.0) & finite, "zero raised to a negative power", node)
+    _fault((lhs < 0.0) & (rhs != np.floor(rhs)) & finite,
+           "fractional power of a negative base", node)
+    result = np.power(lhs, rhs)
+    _fault(np.isinf(result) & finite, "overflow", node)
+    return result
 
 
 def is_zero(expr: Expr) -> bool:

@@ -29,11 +29,6 @@ from . import expressions
 AUDIT_POINTS = 512
 AUDIT_TOL = 1e-9
 
-#: relative tolerance of IntegratedKernel.value without a closed form
-QUAD_TOL_EXPRESSION = 1e-8
-#: panel halvings before IntegratedKernel.value gives up (2**12 panels)
-QUAD_MAX_HALVINGS = 12
-
 
 class KernelRangeError(ValueError):
     """Query outside the interval on which the kernel is defined."""
@@ -333,9 +328,8 @@ class IntegratedKernel:
     average of the base's closed-form K per abscissa.  Other variants
     (expression kernels, smoothed or not) use panel-wise 16-point Gauss
     with panels split at kink times and capped by the kernel's smoothness
-    scale: on sorted grids in one pass (:meth:`cumulative`), and at a
-    single abscissa by halving the panel width until two estimates agree
-    (:meth:`value`).  ``method`` names the path taken.
+    scale, on sorted grids in one pass (:meth:`cumulative`); :meth:`value`
+    is that pass at a single abscissa.  ``method`` names the path taken.
     """
 
     def __init__(self, source: RelaxationKernel):
@@ -344,31 +338,10 @@ class IntegratedKernel:
         self.method = source.closed_k_method if closed else "composite 16-point Gauss panels"
 
     def value(self, xi) -> float:
-        """K at a single abscissa xi >= 0.
-
-        Without a closed form, :meth:`cumulative` integrates [0, xi] on 1,
-        2, 4, ... equal panels (before kink splits) until two successive
-        estimates agree to ``QUAD_TOL_EXPRESSION`` relative (absolute below
-        1), and raises :class:`QuadratureToleranceError` after
-        ``2**QUAD_MAX_HALVINGS`` panels.
-        """
-        xi = float(xi)
+        """K at a single abscissa xi >= 0."""
         if xi < 0.0:
             raise KernelRangeError("K(xi) is defined for xi >= 0")
-        closed = self.source._k_closed(np.asarray([xi]))
-        if closed is not None:
-            return float(closed[0])
-        if xi == 0.0:
-            return 0.0
-        est = float(self.cumulative([0.0, xi])[-1])
-        for halving in range(1, QUAD_MAX_HALVINGS + 1):
-            prev, est = est, float(self.cumulative(np.linspace(0.0, xi, 2**halving + 1))[-1])
-            if abs(est - prev) <= QUAD_TOL_EXPRESSION * max(1.0, abs(est)):
-                return est
-        raise QuadratureToleranceError(
-            f"K({xi}) did not settle to tolerance {QUAD_TOL_EXPRESSION:.2e} within "
-            f"{2**QUAD_MAX_HALVINGS} panels (last change {abs(est - prev):.2e})"
-        )
+        return float(self.cumulative([xi])[0])
 
     def cumulative(self, times) -> np.ndarray:
         """K at every point of an ascending grid (typically the solver's

@@ -249,6 +249,21 @@ class TestExitCodes:
         cfgfile.write_text("problem.T = -1\n")
         assert run_cli(["solve", "--config", cfgfile, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("problem.T = 1.0\nproblem.u0 = " + "(" * 200 + "x" + ")" * 200,
+         "line 2: problem.u0: expression nested deeper than"),
+        ("problem.T = 1.0\nproblem.u0 = " + "-" * 980 + "x",
+         "line 2: problem.u0: expression nested deeper than"),
+        ("problem.T = 1.0\nscenario.levels = 2", "line 2: need scenario.levels >= 3"),
+    ], ids=["deep-parentheses", "deep-unary-minus", "scenario-levels"])
+    def test_rejected_config_line_exit_2(self, tmp_path, capsys, text, message):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert run_cli(["solve", "--config", cfgfile, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert run_cli(["solve", "--config", tmp_path / "nope.cfg"]) == 2
 

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from viscokern import config
 from viscokern.config import ConfigError, parse_config
 from viscokern.kernels import PronyKernel, TabulatedKernel, WedgeKernel
 from viscokern.mollify import MollifiedKernel
@@ -54,6 +57,7 @@ class TestKernelBlock:
         )
         assert isinstance(cfg.kernel, PronyKernel)
         assert cfg.kernel.terms == ((1.0, 0.5), (0.25, 2.0))
+        assert parse_config("kernel.type = prony\nkernel.ginf = 0").kernel.g_inf == 0.0
 
     def test_tabulated_from_csv(self, tmp_path):
         (tmp_path / "g.csv").write_text("0.0,2.0\n1.0,1.2\n2.0,1.0\n")
@@ -154,7 +158,7 @@ class TestValidation:
 
     def test_non_finite_kernel_parameters_rejected(self):
         assert errors_of("problem.T = 1.0\nkernel.epsilon = nan") == [
-            (2, "kernel.epsilon must be finite and positive")
+            (2, "kernel.epsilon must be finite and positive, got nan")
         ]
         errs = errors_of("kernel.type = wedge\nkernel.a = inf")
         assert errs == [(2, "kernel.a must be finite and positive, got inf")]
@@ -170,13 +174,26 @@ class TestValidation:
          "kernel.terms: Prony weight must be finite and positive, got -1.0"),
         ("kernel.type = prony\nkernel.ginf = -1",
          "kernel.ginf must be finite and nonnegative, got -1.0"),
+        ("kernel.type = wedge\nkernel.ginf = 0",
+         "kernel.ginf must be finite and positive, got 0.0"),
         ("problem.T = 1\nkernel.g0 = -2", "kernel.g0 must be finite and positive, got -2.0"),
         ("kernel.type = expression\nkernel.expression = 1 + exp(-x)",
          "kernel.expression: may only use t, found 'x' (at offset 9)"),
     ], ids=["terms-not-a-number", "terms-not-a-pair", "terms-negative-weight", "negative-ginf",
-            "negative-g0", "expression-variable"])
+            "wedge-zero-ginf", "negative-g0", "expression-variable"])
     def test_kernel_value_reported_at_its_key(self, text, expected):
         assert errors_of(text) == [(2, expected)]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("scenario.a_list = 0.1,0.2", "scenario.a_list must be strictly decreasing"),
+        ("scenario.epsilon_list = 0.1,0.1",
+         "scenario.epsilon_list must be strictly decreasing"),
+        ("scenario.epsilon_list = 0.6,0.1",
+         "scenario.epsilon_list: smoothing widths must satisfy 2*epsilon <= 1"),
+        ("scenario.levels = 2", "need scenario.levels >= 3"),
+    ], ids=["a-list-increasing", "epsilon-repeated", "epsilon-too-wide", "levels-2"])
+    def test_scenario_rule_reported_at_its_key(self, text, expected):
+        assert errors_of("problem.T = 1.0\n" + text) == [(2, expected)]
 
     def test_unparseable_kernel_number_reported_once(self):
         errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")
@@ -186,3 +203,11 @@ class TestValidation:
         errs = errors_of("problem.T = 1.0\noutput.stride = abc")
         assert errs == [(2, "output.stride: expected an integer, got 'abc'")]
         assert errors_of("output.stride = 0") == [(1, "need output.stride >= 1")]
+
+
+def test_docstring_lists_every_key_with_its_default():
+    listing = config.__doc__.split("Recognised keys, with their defaults:", 1)[1]
+    documented = dict(re.findall(r"([a-z]+\.\w+) = (.*?)(?=\s{2,}|\s*#|$)",
+                                 listing, re.MULTILINE))
+    documented["kernel.csv"] = documented["kernel.csv"].replace("<path>", "")
+    assert documented == {key: default for key, (default, _) in config._KEYS.items()}

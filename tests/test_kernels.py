@@ -11,7 +11,6 @@ from viscokern.kernels import (
     IntegratedKernel,
     KernelRangeError,
     PronyKernel,
-    QuadratureToleranceError,
     TabulatedKernel,
     WedgeKernel,
     check_admissibility,
@@ -88,12 +87,6 @@ class TestEvalK:
         for xi in (0.5, 2.0):
             expected = IntegratedKernel(PRONY).value(xi)
             assert abs(ik.value(xi) - expected) < 1e-8
-
-    def test_value_refinement_gives_up(self):
-        # 16-point Gauss cannot resolve this oscillation on 4096 panels
-        ik = IntegratedKernel(ExpressionKernel("2 + sin(1000000*t)"))
-        with pytest.raises(QuadratureToleranceError, match="4096 panels"):
-            ik.value(1.0)
 
     def test_value_without_closed_form_splits_at_kinks(self):
         # the wedge integrand is linear on each side of the kink, so the
