@@ -133,16 +133,14 @@ def run_wave_limit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     """Errors against the limit wave solution must shrink with the ramp."""
     if not isinstance(cfg.base_kernel, WedgeKernel) or cfg.kernel_epsilon is not None:
         raise ConfigurationError("wave-limit needs a raw wedge kernel")
-    u1_zero = expressions.is_zero(expressions.parse(cfg.u1))
-    f_zero = expressions.is_zero(expressions.parse(cfg.f))
-    if not (u1_zero and f_zero):
+    wedge = cfg.base_kernel
+    specs = [cfg.problem_spec(kernel=WedgeKernel(wedge.g0, wedge.g_inf, ramp),
+                              scheme="integral") for ramp in cfg.a_list]
+    if not (expressions.is_zero(specs[0].u1_expr) and expressions.is_zero(specs[0].f_expr)):
         raise ConfigurationError("the wave reference needs u1 = 0 and f = 0")
 
-    wedge = cfg.base_kernel
     errors = []
-    for ramp in cfg.a_list:
-        spec = cfg.problem_spec(kernel=WedgeKernel(wedge.g0, wedge.g_inf, ramp),
-                                scheme="integral")
+    for spec in specs:
         sol = solve_integral(spec)
         reference = _wave_reference(spec, wedge.g_inf)(sol.times)
         err = _l2_space_time(spec.grid, sol.times, sol.u - reference)
@@ -269,7 +267,7 @@ def run_energy_audit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     """Energy series with monotonicity (f = 0) and a-priori bound verdicts."""
     sol = solve(cfg.problem_spec())
     report = energy_mod.energy_series(sol)
-    f_zero = expressions.is_zero(expressions.parse(cfg.f))
+    f_zero = expressions.is_zero(sol.spec.f_expr)
     verdict = energy_mod.dissipation_check(report, f_is_zero=f_zero)
 
     meta = [

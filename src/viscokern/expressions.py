@@ -195,7 +195,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text), pos)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text} is beyond the double range", pos)
+            return Num(value, pos)
         if kind == "name":
             if text in ("x", "t"):
                 if text not in self.allowed:
@@ -222,8 +225,8 @@ def parse(source: str, allowed=("x", "t")) -> Expr:
     """Parse *source* into an expression tree over the variables *allowed*.
 
     Raises :class:`ParseError` carrying the byte offset of the first
-    offending token: a syntax error, a variable outside *allowed*, or a
-    nesting deeper than ``MAX_NESTING``.
+    offending token: a syntax error, a number beyond the double range, a
+    variable outside *allowed*, or a nesting deeper than ``MAX_NESTING``.
     """
     return _Parser(source, allowed).parse()
 

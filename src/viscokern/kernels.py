@@ -93,19 +93,9 @@ class RelaxationKernel:
         v = float(self.gdot(t))
         return v, v
 
-    #: how ``_k_closed`` evaluates K, as solvers report it
-    closed_k_method: str = "closed form"
-
-    def _k_closed(self, xi: np.ndarray):
-        """Closed-form K(xi) as an ndarray, or None if unavailable."""
-        return None
-
-    @property
-    def has_closed_k(self) -> bool:
-        try:
-            return self._k_closed(np.zeros(1)) is not None
-        except KernelRangeError:
-            return True  # closed form exists, the probe point just isn't covered
+    #: how ``_k_closed(xi)``, the closed-form K, evaluates, as solvers report
+    #: it; None for a kernel without one, whose K is integrated numerically
+    closed_k_method: str | None = None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -124,6 +114,8 @@ class WedgeKernel(RelaxationKernel):
     g0: float
     g_inf: float
     ramp: float
+
+    closed_k_method = "closed form"
 
     def __post_init__(self):
         for name in ("g0", "g_inf", "ramp"):
@@ -169,6 +161,7 @@ class PronyKernel(RelaxationKernel):
 
     g_inf: float
     terms: tuple[tuple[float, float], ...] = ()
+    closed_k_method = "closed form"
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((float(g), float(tau)) for g, tau in self.terms))
@@ -219,6 +212,8 @@ class TabulatedKernel(RelaxationKernel):
     dG/dt is the slope of the segment that holds t: of the left segment at
     a sample and of the first one at t_min.
     """
+
+    closed_k_method = "closed form"
 
     def __init__(self, times, values):
         times = np.asarray(times, dtype=float)
@@ -301,6 +296,10 @@ class ExpressionKernel(RelaxationKernel):
     def __init__(self, source: str):
         self.source = source
         self.expr = expressions.parse(source, {"t"})
+        try:
+            require_positive("G(0)", self.g(0.0))
+        except expressions.EvalError as exc:
+            raise ValueError(f"G(0) is not defined: {exc}") from exc
 
     def g(self, t):
         arr, _ = _as_array(t)
@@ -334,8 +333,7 @@ class IntegratedKernel:
 
     def __init__(self, source: RelaxationKernel):
         self.source = source
-        closed = source.has_closed_k
-        self.method = source.closed_k_method if closed else "composite 16-point Gauss panels"
+        self.method = source.closed_k_method or "composite 16-point Gauss panels"
 
     def value(self, xi) -> float:
         """K at a single abscissa xi >= 0."""
@@ -353,9 +351,8 @@ class IntegratedKernel:
             raise ValueError("need a 1-D, nonempty grid")
         if np.any(np.diff(times) < 0.0) or times[0] < 0.0:
             raise ValueError("grid must be ascending and nonnegative")
-        closed = self.source._k_closed(times)
-        if closed is not None:
-            return closed
+        if self.source.closed_k_method is not None:
+            return self.source._k_closed(times)
 
         edges = np.union1d(times, [0.0])
         interior_kinks = [c for c in self.source.kink_times if 0.0 < c < edges[-1]]

@@ -128,7 +128,6 @@ class MollifiedKernel(RelaxationKernel):
     """
 
     kink_times: tuple[float, ...] = ()
-    closed_k_method = "bump average of the base kernel's closed-form K"
 
     def __init__(self, base: RelaxationKernel, epsilon: float):
         epsilon = require_positive("smoothing width epsilon", epsilon)
@@ -139,6 +138,8 @@ class MollifiedKernel(RelaxationKernel):
         self.base = base
         self.epsilon = epsilon
         self.smoothness_scale = self.epsilon
+        if base.closed_k_method is not None:
+            self.closed_k_method = "bump average of the base kernel's closed-form K"
 
     # ------------------------------------------------------------------
     # quadrature plumbing
@@ -225,9 +226,7 @@ class MollifiedKernel(RelaxationKernel):
     def _k_closed(self, xi: np.ndarray):
         """K_eps(xi) = int rho(sigma) [K(eps + xi - eps*sigma)
         - K(eps - eps*sigma)] dsigma (Fubini on the definition of G_eps),
-        when the base has a closed-form K; None otherwise."""
-        if not self.base.has_closed_k:
-            return None
+        for a base with a closed-form K."""
         k_base = self.base._k_closed
         return self._eval_many(xi, rho, 0, k_base) - self._eval_many(0.0, rho, 0, k_base)
 

@@ -24,11 +24,13 @@ boundaries, initial data u0, u1 and forcing f:
   The panel sits at the same lags at every step, so the split lives in
   the lag weights, set once per solve (``_gdot_weights``).
 
-Both schemes are linear in the data, store the full history (the memory
-term needs it anyway) and save snapshots at a configurable stride.
+Both schemes are linear in the data and run one march (``_March``), which
+stores the full history (the memory term needs it anyway) and saves
+snapshots at a configurable stride; a scheme gives it only its lag
+weights, its start rows and its row update.
 
-Both sum their memory term, and the energy diagnostics their history lag
-sums, with one blocked engine (``_memory_sums``, the first level of the
+The march sums the memory term, and the energy diagnostics their history
+lag sums, with one blocked engine (``_memory_sums``, the first level of the
 Toeplitz splitting of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat.
 Comput. 6, 1985): for a block of HISTORY_BLOCK steps the history written
 before the block ("far") is one matrix product, and only the newer rows
@@ -118,12 +120,7 @@ class ProblemSpec:
         self.u1_expr = _parse_data(self.u1, {"x"}, "u1")
         self.f_expr = _parse_data(self.f, {"x", "t"}, "f")
         if self.scheme == "differential":
-            limit = cfl_limit(self.kernel, self.grid)
-            if self.dt > limit:
-                raise ConfigurationError(
-                    f"CFL violation: dt = {self.dt:.6g} exceeds "
-                    f"{CFL_SAFETY} * h / sqrt(G(0)) = {limit:.6g}"
-                )
+            _check_cfl(self)
 
     @property
     def dt(self) -> float:
@@ -133,6 +130,17 @@ class ProblemSpec:
 def cfl_limit(kernel: RelaxationKernel, grid: Grid) -> float:
     """Largest stable dt for the explicit differential scheme."""
     return CFL_SAFETY * grid.h / float(np.sqrt(kernel.g(0.0)))
+
+
+def _check_cfl(spec: ProblemSpec) -> float:
+    """The CFL limit of *spec*, or ConfigurationError if its dt exceeds it."""
+    limit = cfl_limit(spec.kernel, spec.grid)
+    if spec.dt > limit:
+        raise ConfigurationError(
+            f"CFL violation: dt = {spec.dt:.6g} exceeds {CFL_SAFETY} * h / sqrt(G(0)) "
+            f"= {limit:.6g}"
+        )
+    return limit
 
 
 @dataclass
@@ -170,13 +178,13 @@ def _forcing_rows(spec: ProblemSpec, tgrid: np.ndarray) -> np.ndarray | None:
     return expressions.evaluate(spec.f_expr, x=spec.grid.x[None, :], t=tgrid[:, None])
 
 
-def _double_time_integral(fvals: np.ndarray | None, dt: float, shape) -> np.ndarray | None:
+def _double_time_integral(fvals: np.ndarray | None, dt: float) -> np.ndarray | None:
     """int_0^{t_n} dtau int_0^tau f, per node, by iterated trapezoid."""
     if fvals is None:
         return None
-    first = np.zeros(shape)
+    first = np.zeros_like(fvals)
     first[1:] = np.cumsum(0.5 * dt * (fvals[1:] + fvals[:-1]), axis=0)
-    second = np.zeros(shape)
+    second = np.zeros_like(fvals)
     second[1:] = np.cumsum(0.5 * dt * (first[1:] + first[:-1]), axis=0)
     return second
 
@@ -184,7 +192,7 @@ def _double_time_integral(fvals: np.ndarray | None, dt: float, shape) -> np.ndar
 def _check_finite(u: np.ndarray, first: int, last: int, tgrid: np.ndarray,
                   scheme: str) -> None:
     """Raise at the first of the steps first .. last whose row of u is not
-    finite; the solvers check once per block of the memory sum."""
+    finite; the march checks once per block of the memory sum."""
     finite = np.isfinite(u[first : last + 1]).all(axis=1)
     if not finite.all():
         step = first + int(np.argmin(finite))
@@ -270,8 +278,55 @@ def _gdot_weights(kernel: RelaxationKernel, gd: np.ndarray, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# the two schemes
+# the march and the two schemes
 # ---------------------------------------------------------------------------
+
+class _March:
+    """What both schemes share: the time grid and u0, u1 sampled on the
+    nodes, set on construction for the scheme's tables and updates, then the
+    rows of u and of their Laplacians, the step loop and the result (:meth:`run`)."""
+
+    def __init__(self, spec: ProblemSpec, scheme: str):
+        self.spec, self.scheme = spec, scheme
+        self.tgrid = spec.dt * np.arange(spec.n_steps + 1)
+        self.u0v = _sample_x(spec.u0_expr, spec.grid.x)
+        self.u1v = _sample_x(spec.u1_expr, spec.grid.x)
+
+    def run(self, wl: np.ndarray, update, taylor=None, velocities=False, **meta) -> SolutionField:
+        """Row 0 of u is u0, row 1 ``taylor(lap0)`` if given (lap0 is the
+        Laplacian of u0), and each later row ``update(n, memory, u, lap)``,
+        with memory the engine's sum at step n (the row, less one after a
+        Taylor row).  Keeps every save_stride-th row of u, and of u_t with
+        *velocities*.  The rows are made here, after the scheme's tables:
+        made first, they grew the peak RSS of a mollify study by 20 %."""
+        spec, h, nx = self.spec, self.spec.grid.h, self.spec.grid.n_interior
+        u = np.zeros((len(self.tgrid), nx))
+        lap_hist = _engine_rows(len(self.tgrid), nx)
+        lap = lap_hist[:, :nx]  # the Laplacians; the padding columns stay zero
+        u[0], lap[0] = self.u0v, laplacian_values(self.u0v, h)
+        shift = 0 if taylor is None else 1
+        if shift:
+            u[1] = taylor(lap[0])
+            lap[1] = laplacian_values(u[1], h)
+        # a blown-up run is reported through the explicit finite check, so the
+        # transient overflow warnings on the way there are just noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, memory in _memory_sums(lap_hist, wl, len(u) - shift):
+                u[n + shift] = row = update(n, memory[:nx], u, lap)
+                lap[n + shift] = laplacian_values(row, h)
+                if n % HISTORY_BLOCK == 0 or n + shift == len(u) - 1:  # the block ends
+                    first = n - (n - 1) % HISTORY_BLOCK + shift
+                    _check_finite(u, first, n + shift, self.tgrid, self.scheme)
+        v = None
+        if velocities:  # central differences, one-sided at the end, exact at t = 0
+            v = np.gradient(u, spec.dt, axis=0)
+            v[0] = self.u1v
+        s = spec.save_stride
+        meta = {"scheme": self.scheme, "dt": spec.dt, "h": h,
+                "kernel": spec.kernel.describe(), **meta}
+        return SolutionField(spec, self.tgrid[::s].copy(), u[::s].copy(),
+                             None if v is None else v[::s].copy(), meta)
+
 
 def solve_integral(spec: ProblemSpec) -> SolutionField:
     """March the integrated-kernel form; explicit, no CFL restriction.
@@ -279,120 +334,50 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
     Aborts with :class:`SolverDivergenceError` if non-finite values
     appear (the scheme is computable for any dt, not unconditionally
     accurate)."""
-    grid, dt = spec.grid, spec.dt
-    nx, n_steps = grid.n_interior, spec.n_steps
-    tgrid = dt * np.arange(n_steps + 1)
-
+    march = _March(spec, "integral")
     k_table = IntegratedKernel(spec.kernel)
-    kvals = k_table.cumulative(tgrid)
-    u0v = _sample_x(spec.u0_expr, grid.x)
-    u1v = _sample_x(spec.u1_expr, grid.x)
-    forcing = _double_time_integral(
-        _forcing_rows(spec, tgrid), dt, (n_steps + 1, nx)
-    )
+    kvals = k_table.cumulative(march.tgrid)
+    forcing = _double_time_integral(_forcing_rows(spec, march.tgrid), spec.dt)
 
-    u = np.zeros((n_steps + 1, nx))
-    lap_hist = _engine_rows(n_steps + 1, nx)
-    lap = lap_hist[:, :nx]  # the Laplacians; the padding columns stay zero
-    u[0] = u0v
-    lap[0] = laplacian_values(u0v, grid.h)
-    # a blown-up run is reported through the explicit finite check, so the
-    # transient overflow warnings on the way there are just noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, memory in _memory_sums(lap_hist, dt * kvals, n_steps + 1):
-            un = memory[:nx] + u1v * tgrid[n] + u0v
-            if forcing is not None:
-                un = un + forcing[n]
-            u[n] = un
-            lap[n] = laplacian_values(un, grid.h)
-            if n % HISTORY_BLOCK == 0 or n == n_steps:  # the block ends
-                _check_finite(u, n - (n - 1) % HISTORY_BLOCK, n, tgrid, "integral")
+    def update(n: int, memory: np.ndarray, u, lap) -> np.ndarray:
+        un = memory + march.u1v * march.tgrid[n] + march.u0v
+        if forcing is not None:
+            un = un + forcing[n]
+        return un
 
-    s = spec.save_stride
-    return SolutionField(
-        spec=spec,
-        times=tgrid[::s].copy(),
-        u=u[::s].copy(),
-        v=None,
-        meta={
-            "scheme": "integral",
-            "dt": dt,
-            "h": grid.h,
-            "kernel": spec.kernel.describe(),
-            "memory_quadrature": "product trapezoid on K, blocked far/near sum",
-            "kernel_quadrature": k_table.method,
-        },
-    )
+    return march.run(spec.dt * kvals, update,
+                     memory_quadrature="product trapezoid on K, blocked far/near sum",
+                     kernel_quadrature=k_table.method)
 
 
 def solve_differential(spec: ProblemSpec) -> SolutionField:
     """March the second-order-in-time explicit scheme; needs dG/dt and the
     CFL bound dt <= 0.9 h / sqrt(G(0))."""
-    grid, dt = spec.grid, spec.dt
-    nx, n_steps = grid.n_interior, spec.n_steps
-    limit = cfl_limit(spec.kernel, grid)
-    if dt > limit:
-        raise ConfigurationError(
-            f"CFL violation: dt = {dt:.6g} exceeds {CFL_SAFETY} * h / sqrt(G(0)) "
-            f"= {limit:.6g}"
-        )
-    tgrid = dt * np.arange(n_steps + 1)
+    limit = _check_cfl(spec)
+    dt, march = spec.dt, _March(spec, "differential")
     g_zero = float(spec.kernel.g(0.0))
     try:
-        gd = np.atleast_1d(spec.kernel.gdot(tgrid))
+        gd = np.atleast_1d(spec.kernel.gdot(march.tgrid))
     except DerivativeUndefinedError as exc:
         raise UnsupportedKernelError(
             f"differential scheme needs dG/dt a.e.; {spec.kernel.describe()} "
             f"cannot provide it: {exc}"
         ) from exc
-
     wl, row0 = _gdot_weights(spec.kernel, gd, dt)
-    u0v = _sample_x(spec.u0_expr, grid.x)
-    u1v = _sample_x(spec.u1_expr, grid.x)
-    fvals = _forcing_rows(spec, tgrid)
+    fvals = _forcing_rows(spec, march.tgrid)
 
     def f_at(n: int) -> float | np.ndarray:
         return 0.0 if fvals is None else fvals[n]
 
-    u = np.zeros((n_steps + 1, nx))
-    lap_hist = _engine_rows(n_steps + 1, nx)
-    lap = lap_hist[:, :nx]  # the Laplacians; the padding columns stay zero
-    u[0] = u0v
-    lap[0] = laplacian_values(u0v, grid.h)
-    # Taylor startup, second-order consistent
-    u[1] = u0v + dt * u1v + 0.5 * dt * dt * (g_zero * lap[0] + f_at(0))
-    lap[1] = laplacian_values(u[1], grid.h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, memory in _memory_sums(lap_hist, wl, n_steps):
-            q = memory[:nx] + row0[n] * lap[0] + wl[0] * lap[n]
-            u[n + 1] = 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap[n] + q + f_at(n))
-            lap[n + 1] = laplacian_values(u[n + 1], grid.h)
-            if n % HISTORY_BLOCK == 0 or n == n_steps - 1:  # the block ends
-                _check_finite(u, n - (n - 1) % HISTORY_BLOCK + 1, n + 1, tgrid,
-                              "differential")
+    def update(n: int, memory: np.ndarray, u, lap) -> np.ndarray:
+        q = memory + row0[n] * lap[0] + wl[0] * lap[n]
+        return 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap[n] + q + f_at(n))
 
-    # velocities: exact initial data, central differences inside, one-sided
-    # at the final step
-    v = np.empty_like(u)
-    v[0] = u1v
-    v[1:-1] = (u[2:] - u[:-2]) / (2.0 * dt)
-    v[-1] = (u[-1] - u[-2]) / dt
+    def taylor(lap0: np.ndarray) -> np.ndarray:  # startup, second-order consistent
+        return march.u0v + dt * march.u1v + 0.5 * dt * dt * (g_zero * lap0 + f_at(0))
 
-    s = spec.save_stride
-    return SolutionField(
-        spec=spec,
-        times=tgrid[::s].copy(),
-        u=u[::s].copy(),
-        v=v[::s].copy(),
-        meta={
-            "scheme": "differential",
-            "dt": dt,
-            "h": grid.h,
-            "kernel": spec.kernel.describe(),
-            "memory_quadrature": "trapezoid on Gdot, kink-split panels, blocked far/near sum",
-            "cfl_limit": limit,
-        },
-    )
+    return march.run(wl, update, taylor, velocities=True, memory_quadrature=(
+        "trapezoid on Gdot, kink-split panels, blocked far/near sum"), cfl_limit=limit)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,22 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("problem.T = 1.0\nproblem.u0 = 1e400",
+         "line 2: problem.u0: number 1e400 is beyond the double range (at offset 0)"),
+        ("kernel.type = expression\nkernel.expression = 1/t",
+         "line 2: kernel.expression: G(0) is not defined: division by zero (at offset 1)"),
+        ("kernel.type = expression\nkernel.expression = -1",
+         "line 2: kernel.expression: G(0) must be finite and positive, got -1.0"),
+    ], ids=["overflowing-literal", "kernel-pole", "kernel-negative"])
+    def test_refused_data_exit_2_before_solving(self, tmp_path, capsys, text, message):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert run_cli(["solve", "--config", cfgfile, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert not (tmp_path / "o" / "snapshots.csv").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert run_cli(["solve", "--config", tmp_path / "nope.cfg"]) == 2
 

@@ -195,6 +195,19 @@ class TestValidation:
     def test_scenario_rule_reported_at_its_key(self, text, expected):
         assert errors_of("problem.T = 1.0\n" + text) == [(2, expected)]
 
+    def test_overflowing_literal_reported_at_its_line(self):
+        errs = errors_of("problem.T = 1.0\nproblem.u0 = 1e400*sin(pi*x)")
+        assert errs == [(2, "problem.u0: number 1e400 is beyond the double range (at offset 0)")]
+
+    @pytest.mark.parametrize("source, expected", [
+        ("1/t", "G(0) is not defined: division by zero (at offset 1)"),
+        ("-1", "G(0) must be finite and positive, got -1.0"),
+        ("0*t", "G(0) must be finite and positive, got 0.0"),
+    ], ids=["pole", "negative", "zero"])
+    def test_expression_kernel_g0_reported_at_its_key(self, source, expected):
+        errs = errors_of(f"kernel.type = expression\nkernel.expression = {source}")
+        assert errs == [(2, f"kernel.expression: {expected}")]
+
     def test_unparseable_kernel_number_reported_once(self):
         errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")
         assert errs == [(2, "kernel.g0: expected a number, got 'abc'")]

@@ -52,6 +52,14 @@ class TestErrors:
             parse("1 + * 2")
         assert exc.value.offset == 4
 
+    @pytest.mark.parametrize("source, offset", [("1e400", 0), ("2*1e999", 2)])
+    def test_overflowing_literal_offset(self, source, offset):
+        # a literal that rounds to inf is refused where it stands, not at
+        # the first evaluation
+        with pytest.raises(ParseError, match="beyond the double range") as exc:
+            parse(source)
+        assert exc.value.offset == offset
+
     def test_disallowed_variable_offset(self):
         # the first disallowed variable, in source order
         with pytest.raises(ParseError, match="may only use x, found 't'") as exc:

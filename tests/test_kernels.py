@@ -92,8 +92,7 @@ class TestEvalK:
         # the wedge integrand is linear on each side of the kink, so the
         # kink-split panels reproduce the closed form to roundoff
         class OpenWedge(WedgeKernel):
-            def _k_closed(self, xi):
-                return None
+            closed_k_method = None
 
         ik = IntegratedKernel(OpenWedge(2.0, 1.0, 1.0))
         closed = IntegratedKernel(WEDGE)
@@ -313,6 +312,15 @@ class TestConstruction:
     def test_expression_only_t(self):
         with pytest.raises(ValueError, match="only use t"):
             ExpressionKernel("1 + x")
+
+    @pytest.mark.parametrize("source, message", [
+        ("1/t", r"G\(0\) is not defined: division by zero \(at offset 1\)"),
+        ("-1", r"G\(0\) must be finite and positive, got -1.0"),
+        ("0*t", r"G\(0\) must be finite and positive, got 0.0"),
+    ], ids=["pole", "negative", "zero"])
+    def test_expression_g0_finite_and_positive(self, source, message):
+        with pytest.raises(ValueError, match=message):
+            ExpressionKernel(source)
 
     def test_kernels_are_shareable(self):
         # immutability contract: the arrays backing a tabulated kernel

@@ -431,7 +431,7 @@ class TestClosedK:
 
     def test_expression_base_keeps_gauss_path(self):
         mk = MollifiedKernel(catalog()["expression"], 0.05)
-        assert mk._k_closed(np.zeros(1)) is None
+        assert mk.closed_k_method is None
         ik = IntegratedKernel(mk)
         assert ik.method == "composite 16-point Gauss panels"
         times = np.linspace(0.0, 1.0, 9)

@@ -512,6 +512,23 @@ class TestFailureModes:
         with pytest.raises(SolverDivergenceError, match="non-finite"):
             solve_integral(big)
 
+    def test_differential_refuses_cfl_violation_of_integral_spec(self):
+        # the spec checks the CFL bound only for its own scheme, so the
+        # differential solver must check it again
+        spec = make_spec(PRONY, "integral", nx=32, nt=16)
+        with pytest.raises(ConfigurationError, match="CFL"):
+            solve_differential(spec)
+
+    @pytest.mark.parametrize("run, spec, ran", [
+        (solve_integral, make_spec(PRONY, "differential", u1="1e308*sin(pi*x)"), "integral"),
+        (solve_differential, make_spec(PRONY, "integral", u0="sin(pi*x)", f="1e308*exp(t)"),
+         "differential"),
+    ], ids=["integral", "differential"])
+    def test_divergence_names_the_scheme_that_ran(self, run, spec, ran):
+        assert spec.scheme != ran
+        with pytest.raises(SolverDivergenceError, match=f"^{ran} scheme produced non-finite"):
+            run(spec)
+
     @pytest.mark.parametrize("spec", [
         # the under-resolved integral run above
         ProblemSpec(Grid(0.0, 1.0, 256), 8.0, 128, PRONY, u0="sin(pi*x)",
