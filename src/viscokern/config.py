@@ -45,7 +45,7 @@ from .kernels import (
     require_positive,
 )
 from .mollify import MollifiedKernel
-from .solver import ProblemSpec
+from .solver import ConfigurationError, ProblemSpec, check_size
 
 
 class ConfigError(ValueError):
@@ -324,6 +324,13 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     n_steps, stride = values.get("discretization.n_steps"), values.get("discretization.stride")
     if n_steps is not None and stride is not None and n_steps % stride:
         errors.append((line("discretization.stride"), "stride must divide n_steps"))
+    n_interior, f = values.get("discretization.n_interior"), values.get("problem.f")
+    if n_steps is not None and n_interior is not None and f is not None:
+        try:
+            check_size(n_interior, n_steps, not expressions.is_zero(expressions.parse(f)))
+        except ConfigurationError as exc:
+            errors.append((line("discretization.n_steps") or line("discretization.n_interior"),
+                           f"discretization: {exc}"))
 
     if errors:
         raise ConfigError(errors)

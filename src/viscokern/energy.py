@@ -15,7 +15,7 @@ The history double integral is the quantity separating viscoelastic from
 elastic behaviour, so it is computed explicitly even though the a-priori
 bound discards it.  Spatial integrals use the trapezoid rule with
 one-sided u_x stencils at the boundary nodes; the time quadratures run
-over the saved snapshots, with the lag sums in the solver's memory-sum engine.
+over the saved snapshots, with the lag sums in the solver's far sums.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import expressions
 from .grids import dirichlet_eigenpairs
-from .solver import ConfigurationError, SolutionField, _engine_rows, _memory_sums
+from .solver import ConfigurationError, SolutionField, _engine_rows, _far_sums
 
 #: tolerance of the dissipation verdict, relative to E(0) for monotonicity
 #: and absolute for the bound (quadrature noise)
@@ -77,8 +77,8 @@ def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray) -> np.nd
     rows[:, 2 : 2 + uxs.shape[1]] = uxs
     far_wl = np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weight)
     sums = np.zeros_like(rows)
-    for n, s in _memory_sums(rows, far_wl, len(d)):
-        sums[n] = s
+    for s, far in _far_sums(rows, far_wl, 1, len(d)):
+        sums[s : s + len(far)] = far
     out = d * sums[:, 1] + sums[:, 0] - 2.0 * _trap_x(h, uxs * sums[:, 2 : 2 + uxs.shape[1]])
     for k in range(1, min(DIRECT_LAGS, len(d))):
         near = ds * weight[k] * _trap_x(h, (uxs[k:] - uxs[:-k]) ** 2)

@@ -2,10 +2,10 @@
 
 Only interior nodal values are stored, as plain arrays; the boundary
 values are identically zero and never appear as unknowns.  The module
-provides the standard second-order three-point Laplacian and the sine
-eigenpairs of the Dirichlet problem, normalized in the discrete L2 norm
-(uniform weight h, i.e. the trapezoid rule with the zero boundary terms
-dropped).
+provides the sine eigenpairs of the Dirichlet problem, normalized in the
+discrete L2 norm (uniform weight h, i.e. the trapezoid rule with the zero
+boundary terms dropped).  The solvers work in the same sine basis, where
+the three-point Laplacian is diagonal (see :mod:`.solver`).
 """
 
 from __future__ import annotations
@@ -43,18 +43,6 @@ class Grid:
         pts = self.a + self.h * np.arange(1, self.n_interior + 1)
         pts.setflags(write=False)
         return pts
-
-
-def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
-    """Three-point second difference with zero ghost values at both ends."""
-    out = np.empty_like(values)
-    if len(values) == 1:
-        out[0] = -2.0 * values[0] / (h * h)
-        return out
-    out[1:-1] = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / (h * h)
-    out[0] = (-2.0 * values[0] + values[1]) / (h * h)
-    out[-1] = (values[-2] - 2.0 * values[-1]) / (h * h)
-    return out
 
 
 def dirichlet_eigenpairs(grid: Grid, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -72,6 +72,10 @@ class RelaxationKernel:
     #: panel width by this (mollified kernels vary on the scale epsilon)
     smoothness_scale: float | None = None
 
+    #: a time c after which G is known to be constant, or None; the solvers
+    #: then fold the history older than c into a closed form
+    constant_after: float | None = None
+
     def g(self, t):
         """G(t); accepts a scalar or an ndarray of times >= 0."""
         raise NotImplementedError
@@ -121,6 +125,7 @@ class WedgeKernel(RelaxationKernel):
         for name in ("g0", "g_inf", "ramp"):
             require_positive(f"wedge {name}", getattr(self, name))
         object.__setattr__(self, "kink_times", (float(self.ramp),))
+        object.__setattr__(self, "constant_after", float(self.ramp))
 
     @property
     def slope(self) -> float:

@@ -124,7 +124,8 @@ class MollifiedKernel(RelaxationKernel):
 
     The result is itself a :class:`RelaxationKernel`: admissibility
     auditing, integrated-kernel evaluation and both solvers consume it
-    unchanged.  It has no kinks of its own.
+    unchanged.  It has no kinks of its own, and it is constant after the
+    base kernel's ``constant_after``.
     """
 
     kink_times: tuple[float, ...] = ()
@@ -138,6 +139,8 @@ class MollifiedKernel(RelaxationKernel):
         self.base = base
         self.epsilon = epsilon
         self.smoothness_scale = self.epsilon
+        # every argument of G lies at or beyond t: constant where G is
+        self.constant_after = base.constant_after
         if base.closed_k_method is not None:
             self.closed_k_method = "bump average of the base kernel's closed-form K"
 

@@ -26,29 +26,58 @@ boundaries, initial data u0, u1 and forcing f:
 
 Both schemes are linear in the data and run one march (``_March``), which
 stores the full history (the memory term needs it anyway) and saves
-snapshots at a configurable stride; a scheme gives it only its lag
-weights, its start rows and its row update.
+snapshots at a configurable stride; a scheme gives it its lag weights, its
+start rows and the data of each row.
 
-The march sums the memory term, and the energy diagnostics their history
-lag sums, with one blocked engine (``_memory_sums``, the first level of the
-Toeplitz splitting of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat.
-Comput. 6, 1985): for a block of HISTORY_BLOCK steps the history written
-before the block ("far") is one matrix product, and only the newer rows
-("near") are summed step by step.  The weights are those of the direct
-sum.  The far product runs over history chunks of fixed length in a fixed
-order, on rows padded to a multiple of 8 columns, so the bytes do not
-depend on the BLAS thread count.  Non-finite values are looked for once
-per block.
+The march runs in the orthonormal sine basis (the DST-I), whose vectors
+are exact eigenvectors of the three-point Laplacian with eigenvalues
+-lam_k, lam_k = (4/h^2) sin^2(k pi / (2(nx + 1))).  There each mode is a
+scalar Volterra recurrence, and the rows are advanced HISTORY_BLOCK steps
+at a time (the first level of the Toeplitz splitting of Hairer, Lubich
+and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
+
+* the history written before the block ("far") is one matrix product over
+  the modal rows (``_far_sums``, which the energy diagnostics share for
+  their history lag sums);
+* the rows inside the block solve, per mode, a unit lower-triangular
+  Toeplitz system, whose inverse is again Toeplitz; its first column comes
+  from a HISTORY_BLOCK-term recurrence once per solve
+  (``_block_inverses``), so a block is one batched product;
+* the block is turned back into nodal values and checked for non-finite
+  values before the next one.
+
+The differential block is the discrete wave operator plus the memory.  It
+solves for the deviation e_i of its rows from the line through the two
+rows before it, x_i = x_0 + i (x_0 - x_-1) + e_i: the second difference
+of the line is zero, so the inverse acts on the O(dt^2) terms only, and
+the rounding stays at the level of a step-by-step march.
+
+A kernel that is constant after a known time c (``constant_after``) gives
+the far sum a tail.  Past the lag p = ceil(c/dt) + 1 the weights on K are
+affine, A + B j with B = dt^2 G(c), so the older rows fold into two
+running moments; the weights on Gdot are exact zeros there, so those rows
+are skipped.
+
+Data are checked before the first block: u0, u1 or their sine coefficients
+that are not finite are reported at step 0, the forcing's share of a row
+at its own step.  A solve whose arrays would not fit in physical memory is
+refused from its shapes before anything is made (``check_size``).
+
+Every product over the history, the sine table or the forcing runs over
+chunks of fixed length in a fixed order on rows padded to a multiple of 8
+columns, and the batched block solves are small per mode, so the bytes do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expressions
-from .grids import Grid, laplacian_values
+from .grids import Grid
 from .kernels import (
     DerivativeUndefinedError,
     IntegratedKernel,
@@ -119,12 +148,32 @@ class ProblemSpec:
         self.u0_expr = _parse_data(self.u0, {"x"}, "u0")
         self.u1_expr = _parse_data(self.u1, {"x"}, "u1")
         self.f_expr = _parse_data(self.f, {"x", "t"}, "f")
+        check_size(self.grid.n_interior, self.n_steps, not expressions.is_zero(self.f_expr))
         if self.scheme == "differential":
             _check_cfl(self)
 
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
+
+
+def check_size(n_interior: int, n_steps: int, forced: bool) -> None:
+    """ConfigurationError if the arrays of a solve on this grid would not fit
+    in physical memory, judged from their shapes before anything is made:
+    the rows of u in the sine basis and on the nodes, the forcing's rows,
+    the sine table and the block inverses (see :meth:`_March.run`)."""
+    width = _padded(n_interior)
+    need = 8 * ((2 + forced) * (n_steps + 1) * width + width * width
+                + n_interior * HISTORY_BLOCK**2)
+    try:
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no such figure here
+        return
+    if need > ram:
+        raise ConfigurationError(
+            f"a solve with {n_interior} interior nodes and {n_steps} steps needs "
+            f"{need / 2**30:.3g} GiB, more than the {ram / 2**30:.3g} GiB of memory"
+        )
 
 
 def cfl_limit(kernel: RelaxationKernel, grid: Grid) -> float:
@@ -168,7 +217,7 @@ def solve(spec: ProblemSpec) -> SolutionField:
 
 
 # ---------------------------------------------------------------------------
-# forcing helpers
+# data, forcing and the finite check
 # ---------------------------------------------------------------------------
 
 def _forcing_rows(spec: ProblemSpec, tgrid: np.ndarray) -> np.ndarray | None:
@@ -178,74 +227,137 @@ def _forcing_rows(spec: ProblemSpec, tgrid: np.ndarray) -> np.ndarray | None:
     return expressions.evaluate(spec.f_expr, x=spec.grid.x[None, :], t=tgrid[:, None])
 
 
-def _double_time_integral(fvals: np.ndarray | None, dt: float) -> np.ndarray | None:
-    """int_0^{t_n} dtau int_0^tau f, per node, by iterated trapezoid."""
-    if fvals is None:
-        return None
-    first = np.zeros_like(fvals)
-    first[1:] = np.cumsum(0.5 * dt * (fvals[1:] + fvals[:-1]), axis=0)
-    second = np.zeros_like(fvals)
-    second[1:] = np.cumsum(0.5 * dt * (first[1:] + first[:-1]), axis=0)
-    return second
+def _double_time_integral(rows: np.ndarray, dt: float) -> np.ndarray:
+    """int_0^{t_n} dtau int_0^tau f per column, by iterated trapezoid, in
+    place of the rows of f."""
+    for _ in range(2):
+        panels = 0.5 * dt * rows[1:] + 0.5 * dt * rows[:-1]  # no overflow in the sum
+        rows[0] = 0.0
+        np.cumsum(panels, axis=0, out=rows[1:])
+    return rows
 
 
 def _check_finite(u: np.ndarray, first: int, last: int, tgrid: np.ndarray,
-                  scheme: str) -> None:
+                  scheme: str, cause: str = "max |u| at previous step may have overflowed",
+                  ) -> None:
     """Raise at the first of the steps first .. last whose row of u is not
-    finite; the march checks once per block of the memory sum."""
+    finite; the march checks its data before the first block, then each
+    block as it is written."""
     finite = np.isfinite(u[first : last + 1]).all(axis=1)
     if not finite.all():
         step = first + int(np.argmin(finite))
         raise SolverDivergenceError(
             f"{scheme} scheme produced non-finite values at step {step} "
-            f"(t = {tgrid[step]:.6g}); max |u| at previous step may have overflowed"
+            f"(t = {tgrid[step]:.6g}); {cause}"
         )
 
 
 # ---------------------------------------------------------------------------
-# memory-term quadrature (shared by the solvers and the energy diagnostics)
+# the sine basis and the far sums (shared by the march and the energy
+# diagnostics)
 # ---------------------------------------------------------------------------
 
-#: steps per block of the memory sum, and history rows per chunk of the
-#: block's far product: one BLAS product over more than ~300 rows rounds
+#: steps per block of the march, and columns per chunk of the contracted axis
+#: of a product: one BLAS product over more than ~300 of them rounds
 #: differently at 1 and 2 threads
 HISTORY_BLOCK = 32
 _FAR_CHUNK = 256
 
 
+def _padded(width: int) -> int:
+    """*width* rounded up to a multiple of 8: the chunked products round
+    alike at 1 and 2 OpenBLAS threads on such widths, but not on most
+    others above ~190."""
+    return width + (-width % 8)
+
+
 def _engine_rows(n_rows: int, width: int) -> np.ndarray:
-    """Zero rows for :func:`_memory_sums`, *width* columns plus zero columns
-    up to a multiple of 8: the far product rounds alike at 1 and 2 OpenBLAS
-    threads for such widths, but not for most others above ~190."""
-    return np.zeros((n_rows, width + (-width % 8)))
+    """Zero rows for :func:`_far_sums`, *width* columns plus zero padding."""
+    return np.zeros((n_rows, _padded(width)))
 
 
-def _memory_sums(rows: np.ndarray, wl: np.ndarray, stop: int):
-    """Yield (n, sum_{m<n} w_m wl[n - m] rows[m]) for n = 1 .. stop-1, with
-    w_0 = 1/2 and every other w_m = 1, in blocks of far and near rows (see
-    the module docstring).  The rows hold Laplacians or u_x; the caller
-    fills rows[n - 1] before it asks for step n."""
-    for n0 in range(1, stop, HISTORY_BLOCK):
-        n1 = min(n0 + HISTORY_BLOCK, stop)
-        lags = np.arange(n0, n1)[:, None]
-        far = np.zeros((n1 - n0, rows.shape[1]))
-        for lo in range(0, n0, _FAR_CHUNK):
-            hi = min(lo + _FAR_CHUNK, n0)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, summed over fixed chunks of the contracted axis."""
+    out = a[:, :_FAR_CHUNK] @ b[:_FAR_CHUNK]
+    for lo in range(_FAR_CHUNK, a.shape[1], _FAR_CHUNK):
+        out += a[:, lo : lo + _FAR_CHUNK] @ b[lo : lo + _FAR_CHUNK]
+    return out
+
+
+def _sine_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(sines, lam): the orthonormal DST-I as a symmetric table padded with
+    zeros to the engine width, and the eigenvalues of minus the three-point
+    Laplacian, lam_k = (4/h^2) sin^2(k pi / (2(nx + 1))), zero past nx.  A
+    row of nodal values times the table gives its sine coefficients, and
+    the same product turns them back."""
+    nx = grid.n_interior
+    sines = _engine_rows(_padded(nx), nx)
+    table = sines[:nx, :nx]
+    k = np.arange(1, nx + 1, dtype=float)
+    np.outer(k, k, out=table)
+    np.remainder(table, 2 * (nx + 1), out=table)  # jk mod 2(nx + 1): exact arguments
+    table *= np.pi / (nx + 1)
+    np.sin(table, out=table)
+    table *= np.sqrt(2.0 / (nx + 1))
+    lam = np.zeros(len(sines))
+    lam[:nx] = (4.0 / grid.h**2) * np.sin(0.5 * np.pi / (nx + 1) * k) ** 2
+    return sines, lam
+
+
+def _to_modes(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
+    """Sine coefficients of the rows of *values*, in blocks of rows."""
+    out = np.zeros((len(values), len(sines)))
+    out[:, : values.shape[1]] = values
+    for lo in range(0, len(out), HISTORY_BLOCK):
+        out[lo : lo + HISTORY_BLOCK] = _product(out[lo : lo + HISTORY_BLOCK], sines)
+    return out
+
+
+def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, tail=None):
+    """Yield (s, far) for the blocks of rows s .. s + b - 1, s = first,
+    first + HISTORY_BLOCK, .. below stop: far[i] = sum_{m<s} w_m wl[s+i-m]
+    rows[m], with w_0 = 1/2 and every other w_m = 1.  The caller fills the
+    rows below s before it asks for the block at s.
+
+    The rows of the last ``p`` lags before s are one matrix product over
+    chunks of fixed length in a fixed order.  Older rows enter through
+    ``tail = (p, a, b)``, which says wl[j] = a + b j for every j > p: as
+    the running moments sum_m w_m rows[m] and sum_m w_m (s - m) rows[m],
+    or not at all when a = b = 0.  Without a tail every row is in the
+    product."""
+    p, a, b = (stop, 0.0, 0.0) if tail is None else tail
+    moments = np.zeros((2, rows.shape[1]))
+    cut = s_prev = 0  # rows below cut are in the moments
+    for s in range(first, stop, HISTORY_BLOCK):
+        n = min(HISTORY_BLOCK, stop - s)
+        far = np.zeros((n, rows.shape[1]))
+        new_cut = max(s - p, 0)
+        if a or b:
+            moments[1] += (s - s_prev) * moments[0]
+            if new_cut > cut:
+                m = np.arange(cut, new_cut)
+                coef = np.stack([np.ones(len(m)), (s - m).astype(float)])
+                if cut == 0:
+                    coef[:, 0] *= 0.5
+                moments += coef @ rows[cut:new_cut]
+            far += (a + b * np.arange(n))[:, None] * moments[0] + b * moments[1]
+        cut, s_prev = new_cut, s
+        lags = np.arange(s, s + n)[:, None]
+        for lo in range(cut, s, _FAR_CHUNK):
+            hi = min(lo + _FAR_CHUNK, s)
             w = wl[lags - np.arange(lo, hi)]
             if lo == 0:
                 w[:, 0] *= 0.5
             far += w @ rows[lo:hi]
-        for n in range(n0, n1):
-            yield n, far[n - n0] + wl[n - n0 : 0 : -1] @ rows[n0:n]
+        yield s, far
 
 
 def _gdot_weights(kernel: RelaxationKernel, gd: np.ndarray, dt: float):
     """Lag weights of the differential scheme's trapezoid for
     int_0^{t_n} Gdot(t_n - tau) lap_u(tau) dtau, split at each kink of Gdot.
 
-    Returns (wl, row0): wl[j] weighs the Laplacian j steps back, wl[0] that
-    of the newest node (:func:`_memory_sums` never reads it), and row0[n]
-    is what the weight of row 0 at step n lacks after the engine's halving.
+    Returns (wl, row0): wl[j] weighs the Laplacian j steps back, and row0[n]
+    is what the weight of row 0 at step n lacks after the far sum's halving.
     A kink c strictly inside a panel splits it there, with one-sided limits
     of Gdot and the history interpolated linearly; the panel sits at lags
     ceil(c/dt) and one less at every step from ceil(c/dt) on, with weights
@@ -277,14 +389,39 @@ def _gdot_weights(kernel: RelaxationKernel, gd: np.ndarray, dt: float):
     return wl, row0
 
 
+def _tail_lag(kernel: RelaxationKernel, dt: float) -> int | None:
+    """p = ceil(c/dt) + 1 for a kernel constant after c, else None."""
+    c = kernel.constant_after
+    return None if c is None else int(np.ceil(c / dt)) + 1
+
+
+def _block_inverses(mu: np.ndarray, near: np.ndarray, wave: bool) -> np.ndarray:
+    """Per mode k, the inverse of the unit lower-triangular Toeplitz matrix
+    of a block, whose first column is 1, mu_k near[1], mu_k near[2], ..
+    (plus -2, 1 for the second difference of the *wave* form).  The inverse
+    is Toeplitz again; its first column z comes from the recurrence
+    z_i = -sum_{r=1..i} d_r z_{i-r}, and the table is filled from it."""
+    size = len(near)
+    d = mu[:, None] * near[None, 1:]
+    if wave:
+        d[:, :2] += np.array([-2.0, 1.0])[: size - 1]
+    z = np.zeros((len(mu), size))
+    z[:, 0] = 1.0
+    for i in range(1, size):
+        z[:, i] = -np.einsum("kr,kr->k", d[:, :i], z[:, i - 1 :: -1])
+    table = np.zeros((len(mu), size, size))
+    for i in range(size):
+        table[:, i, : i + 1] = z[:, i::-1]
+    return table
+
+
 # ---------------------------------------------------------------------------
 # the march and the two schemes
 # ---------------------------------------------------------------------------
 
 class _March:
-    """What both schemes share: the time grid and u0, u1 sampled on the
-    nodes, set on construction for the scheme's tables and updates, then the
-    rows of u and of their Laplacians, the step loop and the result (:meth:`run`)."""
+    """What both schemes share: the time grid, u0 and u1 sampled on the
+    nodes and in the sine basis, the block loop and the result (:meth:`run`)."""
 
     def __init__(self, spec: ProblemSpec, scheme: str):
         self.spec, self.scheme = spec, scheme
@@ -292,40 +429,92 @@ class _March:
         self.u0v = _sample_x(spec.u0_expr, spec.grid.x)
         self.u1v = _sample_x(spec.u1_expr, spec.grid.x)
 
-    def run(self, wl: np.ndarray, update, taylor=None, velocities=False, **meta) -> SolutionField:
-        """Row 0 of u is u0, row 1 ``taylor(lap0)`` if given (lap0 is the
-        Laplacian of u0), and each later row ``update(n, memory, u, lap)``,
-        with memory the engine's sum at step n (the row, less one after a
-        Taylor row).  Keeps every save_stride-th row of u, and of u_t with
-        *velocities*.  The rows are made here, after the scheme's tables:
-        made first, they grew the peak RSS of a mollify study by 20 %."""
-        spec, h, nx = self.spec, self.spec.grid.h, self.spec.grid.n_interior
-        u = np.zeros((len(self.tgrid), nx))
-        lap_hist = _engine_rows(len(self.tgrid), nx)
-        lap = lap_hist[:, :nx]  # the Laplacians; the padding columns stay zero
-        u[0], lap[0] = self.u0v, laplacian_values(self.u0v, h)
-        shift = 0 if taylor is None else 1
-        if shift:
-            u[1] = taylor(lap[0])
-            lap[1] = laplacian_values(u[1], h)
-        # a blown-up run is reported through the explicit finite check, so the
-        # transient overflow warnings on the way there are just noise
+    def data(self, integrate: bool) -> np.ndarray | None:
+        """Make the sine table, then u0, u1 and the forcing's share of each
+        row in the sine basis: the double time integral of f with
+        *integrate*, else dt^2 f, None for f = 0, taken before the
+        transform, which may overflow where they do not.  All are checked
+        here, before the first block; the schemes call this after their
+        kernel tables, which need large temporaries."""
+        spec, tgrid = self.spec, self.tgrid
+        self.sines, self.lam = _sine_basis(spec.grid)
+        rows = _forcing_rows(spec, tgrid)
         with np.errstate(over="ignore", invalid="ignore"):
-            for n, memory in _memory_sums(lap_hist, wl, len(u) - shift):
-                u[n + shift] = row = update(n, memory[:nx], u, lap)
-                lap[n + shift] = laplacian_values(row, h)
-                if n % HISTORY_BLOCK == 0 or n + shift == len(u) - 1:  # the block ends
-                    first = n - (n - 1) % HISTORY_BLOCK + shift
-                    _check_finite(u, first, n + shift, self.tgrid, self.scheme)
+            both = _to_modes(np.stack([self.u0v, self.u1v]), self.sines)
+            if rows is not None:
+                if integrate:
+                    _double_time_integral(rows, spec.dt)
+                else:
+                    rows *= spec.dt**2
+                rows = _to_modes(rows, self.sines)
+        # data that are not finite, or whose sine coefficients overflow, are
+        # reported at t = 0; the forcing's share of a row at its step
+        _check_finite(both.reshape(1, -1), 0, 0, tgrid, self.scheme,
+                      "u0 or u1 or their sine coefficients are not finite")
+        self.u0m, self.u1m = both
+        if rows is not None:
+            last = spec.n_steps if integrate else spec.n_steps - 1  # the rows used
+            _check_finite(rows, 0, last, tgrid, self.scheme,
+                          "the forcing term or its sine coefficients are not finite")
+        return rows
+
+    def run(self, lags: np.ndarray, mu: np.ndarray, data, start: np.ndarray,
+            tail=None, wave=False, row0=None, **meta) -> SolutionField:
+        """March the rows after the *start* rows (sine coefficients) block by
+        block.  Row t solves, mode by mode,
+        ``x_t + mu sum_{m<t} w_m lags[t - m] x_m = data(t)``, with the far
+        sum's w_m and ``row0[t] x_0`` added to the sum; with *wave* the
+        second difference ``x_t - 2 x_{t-1} + x_{t-2}`` replaces x_t, the
+        block solves for the deviation from the line through its two last
+        rows, and the result carries velocities.  ``tail`` is the far sum's.
+        The rows are made here, after every table: made first, they grew
+        the peak RSS of a mollify study by 20 %."""
+        spec, nx = self.spec, self.spec.grid.n_interior
+        first, stop = len(start), len(self.tgrid)
+        near = lags[: min(HISTORY_BLOCK, stop - first)]
+        steps = np.arange(len(near))
+        if wave:  # the memory of the line x_{s-1} + (i + 1) dx over rows s .. s + i - 1
+            line0 = np.concatenate(([0.0], np.cumsum(near[1:])))
+            line1 = np.cumsum(line0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverses = _block_inverses(mu[:nx], near, wave)
+            modal = np.zeros((stop, len(self.sines)))
+            u_rows = np.zeros_like(modal)
+            u = u_rows[:, :nx]
+            modal[:first] = start
+            u[0] = self.u0v
+            if first > 1:
+                u_rows[1:first] = _product(modal[1:first], self.sines)
+                _check_finite(u, 1, first - 1, self.tgrid, self.scheme)
+            for s, far in _far_sums(modal, lags, first, stop, tail):
+                n = len(far)
+                if row0 is not None:
+                    far += row0[s : s + n, None] * modal[0]
+                if wave:
+                    x0, dx = modal[s - 1], modal[s - 1] - modal[s - 2]
+                    far += line0[:n, None] * x0 + line1[:n, None] * dx
+                rhs = data(s, n) - mu * far
+                block = np.matmul(inverses[:, :n, :n], rhs[:, :nx].T[:, :, None])
+                modal[s : s + n, :nx] = block[:, :, 0].T
+                if wave:
+                    modal[s : s + n] += x0 + (steps[:n, None] + 1.0) * dx
+                u_rows[s : s + n] = _product(modal[s : s + n], self.sines)
+                _check_finite(u, s, s + n - 1, self.tgrid, self.scheme)
+        del modal, inverses  # before the copies below: a lower peak
         v = None
-        if velocities:  # central differences, one-sided at the end, exact at t = 0
+        if wave:  # central differences, one-sided at the end, exact at t = 0
             v = np.gradient(u, spec.dt, axis=0)
             v[0] = self.u1v
         s = spec.save_stride
-        meta = {"scheme": self.scheme, "dt": spec.dt, "h": h,
+        meta = {"scheme": self.scheme, "dt": spec.dt, "h": spec.grid.h,
                 "kernel": spec.kernel.describe(), **meta}
         return SolutionField(spec, self.tgrid[::s].copy(), u[::s].copy(),
                              None if v is None else v[::s].copy(), meta)
+
+
+def _tail_note(tail, what: str) -> str:
+    note = "no tail" if tail is None else f"{what} from lag {tail[0]}"
+    return f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {note}"
 
 
 def solve_integral(spec: ProblemSpec) -> SolutionField:
@@ -334,19 +523,24 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
     Aborts with :class:`SolverDivergenceError` if non-finite values
     appear (the scheme is computable for any dt, not unconditionally
     accurate)."""
-    march = _March(spec, "integral")
+    dt, march = spec.dt, _March(spec, "integral")
     k_table = IntegratedKernel(spec.kernel)
-    kvals = k_table.cumulative(march.tgrid)
-    forcing = _double_time_integral(_forcing_rows(spec, march.tgrid), spec.dt)
+    wl = dt * k_table.cumulative(march.tgrid)
+    tail, p = None, _tail_lag(spec.kernel, dt)
+    if p is not None and p < len(wl):  # wl[j] = dt K(t_j) is affine past c
+        slope = dt * dt * float(spec.kernel.g(spec.kernel.constant_after))
+        tail = (p, wl[p] - slope * p, slope)
+    forcing = march.data(integrate=True)
+    u0m, u1m, tgrid = march.u0m, march.u1m, march.tgrid
 
-    def update(n: int, memory: np.ndarray, u, lap) -> np.ndarray:
-        un = memory + march.u1v * march.tgrid[n] + march.u0v
+    def data(s: int, n: int) -> np.ndarray:  # u0 + u1 t + the forcing integral
+        rows = u0m + tgrid[s : s + n, None] * u1m
         if forcing is not None:
-            un = un + forcing[n]
-        return un
+            rows += forcing[s : s + n]
+        return rows
 
-    return march.run(spec.dt * kvals, update,
-                     memory_quadrature="product trapezoid on K, blocked far/near sum",
+    return march.run(wl, march.lam, data, u0m[None], tail,
+                     memory_quadrature=_tail_note(tail, "product trapezoid on K, affine tail"),
                      kernel_quadrature=k_table.method)
 
 
@@ -364,20 +558,27 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
             f"cannot provide it: {exc}"
         ) from exc
     wl, row0 = _gdot_weights(spec.kernel, gd, dt)
-    fvals = _forcing_rows(spec, march.tgrid)
+    # row n + 1 takes the memory of step n: lags one longer, G(0) at lag 1
+    lags = np.concatenate(([0.0], wl[:-1]))
+    lags[1] += g_zero
+    tail, p = None, _tail_lag(spec.kernel, dt)
+    if p is not None and p + 1 < len(lags) and not lags[p + 1 :].any():
+        tail = (p, 0.0, 0.0)  # Gdot = 0 past c: the older rows weigh nothing
+    forcing = march.data(integrate=False)
+    mu = dt * dt * march.lam
+    with np.errstate(over="ignore", invalid="ignore"):  # run checks the row
+        u1 = march.u0m + dt * march.u1m - 0.5 * g_zero * mu * march.u0m  # Taylor startup
+        if forcing is not None:
+            u1 += 0.5 * forcing[0]
 
-    def f_at(n: int) -> float | np.ndarray:
-        return 0.0 if fvals is None else fvals[n]
+    def data(s: int, n: int):
+        return 0.0 if forcing is None else forcing[s - 1 : s - 1 + n]
 
-    def update(n: int, memory: np.ndarray, u, lap) -> np.ndarray:
-        q = memory + row0[n] * lap[0] + wl[0] * lap[n]
-        return 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap[n] + q + f_at(n))
-
-    def taylor(lap0: np.ndarray) -> np.ndarray:  # startup, second-order consistent
-        return march.u0v + dt * march.u1v + 0.5 * dt * dt * (g_zero * lap0 + f_at(0))
-
-    return march.run(wl, update, taylor, velocities=True, memory_quadrature=(
-        "trapezoid on Gdot, kink-split panels, blocked far/near sum"), cfl_limit=limit)
+    return march.run(lags, mu, data, np.stack([march.u0m, u1]), tail, wave=True,
+                     row0=np.concatenate(([0.0], row0[:-1])),
+                     memory_quadrature=_tail_note(
+                         tail, "trapezoid on Gdot with kink-split panels, zero weights"),
+                     cfl_limit=limit)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,34 @@ class TestExitCodes:
         assert message in err
         assert not (tmp_path / "o" / "snapshots.csv").exists()
 
+    @pytest.mark.parametrize("data, message", [
+        ("problem.u0 = 1e308*sin(pi*x)", "non-finite values at step 0 (t = 0); u0 or u1"),
+        ("problem.f = 1e308*exp(t)", "non-finite values at step 10 (t = 0.625); the forcing"),
+    ], ids=["u0", "f"])
+    def test_bad_data_exit_2_without_numpy_warnings(self, tmp_path, data, message):
+        # a fresh interpreter, so that numpy warnings reach stderr as they
+        # would for a user instead of being raised by the test settings
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{data}\ndiscretization.n_interior = 8\n"
+                           "discretization.n_steps = 16\n")
+        src = str(Path(viscokern.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys; from viscokern.cli import main; sys.exit(main())"
+        out = subprocess.run([sys.executable, "-c", code, "solve", "--config", str(cfgfile),
+                              "--out", str(tmp_path / "o")], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 2
+        assert message in out.stderr
+        assert "Warning" not in out.stderr
+
+    def test_oversize_grid_exit_2_at_its_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "big.cfg"
+        cfgfile.write_text("problem.T = 1.0\ndiscretization.n_steps = 1000000000\n")
+        assert run_cli(["solve", "--config", cfgfile, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: discretization: a solve with 127 interior nodes and 1000000000 " in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert run_cli(["solve", "--config", tmp_path / "nope.cfg"]) == 2
 

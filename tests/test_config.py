@@ -208,6 +208,16 @@ class TestValidation:
         errs = errors_of(f"kernel.type = expression\nkernel.expression = {source}")
         assert errs == [(2, f"kernel.expression: {expected}")]
 
+    @pytest.mark.parametrize("text, line", [
+        ("problem.T = 1.0\ndiscretization.n_steps = 1000000000", 2),
+        ("discretization.n_interior = 100000000\nproblem.T = 1.0", 1),
+    ], ids=["steps", "nodes"])
+    def test_oversize_grid_reported_at_its_line(self, text, line):
+        errs = errors_of(text)
+        assert len(errs) == 1 and errs[0][0] == line
+        assert errs[0][1].startswith("discretization: a solve with ")
+        assert errs[0][1].endswith("GiB of memory")
+
     def test_unparseable_kernel_number_reported_once(self):
         errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")
         assert errs == [(2, "kernel.g0: expected a number, got 'abc'")]

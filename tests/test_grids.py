@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viscokern.grids import Grid, dirichlet_eigenpairs, laplacian_values
+from viscokern.grids import Grid, dirichlet_eigenpairs
 
 
 def inner(f, w, g):
@@ -28,48 +28,6 @@ class TestGrid:
     def test_non_finite_domain_rejected(self, a, b):
         with pytest.raises(ValueError, match="finite"):
             Grid(a, b, 8)
-
-
-class TestLaplacian:
-    def test_zero_field(self):
-        g = Grid(0.0, 1.0, 5)
-        out = laplacian_values(np.zeros(g.n_interior), g.h)
-        assert np.all(out == 0.0)
-
-    def test_single_node_stencil(self):
-        g = Grid(0.0, 1.0, 1)  # h = 0.5
-        out = laplacian_values(np.array([3.0]), g.h)
-        assert out[0] == -2.0 * 3.0 / 0.25
-
-    def test_sine_mode_second_order(self):
-        # exact: (sin(pi x))'' = -pi^2 sin(pi x); Richardson oracle: halving
-        # h divides the max nodal error by ~4
-        errs = []
-        for n in (32, 64):
-            g = Grid(0.0, 1.0, n)
-            f = np.sin(np.pi * g.x)
-            out = laplacian_values(f, g.h)
-            errs.append(np.max(np.abs(out + np.pi**2 * f)))
-        ratio = errs[0] / errs[1]
-        assert 3.5 < ratio < 4.5
-
-    def test_discrete_eigenvector_identity(self):
-        # the sampled sine modes are exact eigenvectors of the stencil with
-        # eigenvalue (4/h^2) sin^2(i pi h / (2 L))
-        g = Grid(0.0, 2.0, 37)
-        for i, w in enumerate(dirichlet_eigenpairs(g, 5)[1], start=1):
-            lam_h = (4.0 / g.h**2) * np.sin(i * np.pi * g.h / (2.0 * g.length)) ** 2
-            out = laplacian_values(w, g.h)
-            np.testing.assert_allclose(out, -lam_h * w, atol=1e-12)
-
-    def test_symmetry_in_inner_product(self):
-        rng = np.random.default_rng(7)
-        g = Grid(0.0, 1.0, 21)
-        f = rng.standard_normal(21)
-        w = rng.standard_normal(21)
-        lhs = inner(laplacian_values(f, g.h), w, g)
-        rhs = inner(f, laplacian_values(w, g.h), g)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
 class TestEigenpairs:

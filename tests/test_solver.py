@@ -11,7 +11,8 @@ from scipy.integrate import quad
 
 import viscokern
 import viscokern.solver as solver_module
-from viscokern.grids import Grid, laplacian_values
+from viscokern import expressions
+from viscokern.grids import Grid, dirichlet_eigenpairs
 from viscokern.kernels import (
     DerivativeUndefinedError,
     IntegratedKernel,
@@ -46,8 +47,21 @@ def make_spec(kernel, scheme, nx=32, nt=128, **kw):
 
 
 # ---------------------------------------------------------------------------
-# direct memory sums, the oracle for the blocked engine in the solver
+# the three-point Laplacian and the direct memory sums: a step-by-step march
+# on the nodes, the oracle for the solvers' block march in the sine basis
 # ---------------------------------------------------------------------------
+
+def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
+    """Three-point second difference with zero ghost values at both ends."""
+    out = np.empty_like(values)
+    if len(values) == 1:
+        out[0] = -2.0 * values[0] / (h * h)
+        return out
+    out[1:-1] = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / (h * h)
+    out[0] = (-2.0 * values[0] + values[1]) / (h * h)
+    out[-1] = (values[-2] - 2.0 * values[-1]) / (h * h)
+    return out
+
 
 def _k_history_sum(lap_hist: np.ndarray, n: int, dt: float, kvals: np.ndarray) -> np.ndarray:
     """Product-trapezoid sum_{m=0}^{n-1} w_m K(t_n - t_m) lap_u^m.
@@ -105,32 +119,87 @@ def _gdot_history_sum(
 
 
 def _direct_march(spec: ProblemSpec) -> np.ndarray:
-    """u at every step of the spec's scheme, marched with the direct sums
-    (zero forcing)."""
-    assert spec.f == "0"
+    """u at every step of the spec's scheme, marched on the nodes with the
+    direct sums; the forcing enters per step, for the integral scheme
+    through its double time integral by iterated trapezoid."""
     grid, dt, n_steps = spec.grid, spec.dt, spec.n_steps
     tgrid = dt * np.arange(n_steps + 1)
     u0v = _sample_x(spec.u0_expr, grid.x)
     u1v = _sample_x(spec.u1_expr, grid.x)
     u = np.zeros((n_steps + 1, grid.n_interior))
+    fvals = np.broadcast_to(
+        expressions.evaluate(spec.f_expr, x=grid.x[None, :], t=tgrid[:, None]), u.shape)
     lap_hist = np.zeros_like(u)
     u[0] = u0v
     lap_hist[0] = laplacian_values(u0v, grid.h)
     if spec.scheme == "integral":
         kvals = IntegratedKernel(spec.kernel).cumulative(tgrid)
+        first = np.zeros(grid.n_interior)
+        forcing = np.zeros(grid.n_interior)
         for n in range(1, n_steps + 1):
-            u[n] = _k_history_sum(lap_hist, n, dt, kvals) + u1v * tgrid[n] + u0v
+            first_next = first + 0.5 * dt * (fvals[n] + fvals[n - 1])
+            forcing = forcing + 0.5 * dt * (first_next + first)
+            first = first_next
+            u[n] = _k_history_sum(lap_hist, n, dt, kvals) + u1v * tgrid[n] + u0v + forcing
             lap_hist[n] = laplacian_values(u[n], grid.h)
         return u
     g_zero = float(spec.kernel.g(0.0))
     gd = np.atleast_1d(spec.kernel.gdot(tgrid))
-    u[1] = u0v + dt * u1v + 0.5 * dt * dt * (g_zero * lap_hist[0])
+    u[1] = u0v + dt * u1v + 0.5 * dt * dt * (g_zero * lap_hist[0] + fvals[0])
     lap_hist[1] = laplacian_values(u[1], grid.h)
     for n in range(1, n_steps):
         q = _gdot_history_sum(lap_hist, spec.kernel, n, dt, gd)
-        u[n + 1] = 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap_hist[n] + q)
+        u[n + 1] = 2.0 * u[n] - u[n - 1] + dt * dt * (g_zero * lap_hist[n] + q + fvals[n])
         lap_hist[n + 1] = laplacian_values(u[n + 1], grid.h)
     return u
+
+
+def inner(f, w, g):
+    """Discrete L2 inner product h * sum(f_j * w_j)."""
+    return g.h * np.dot(f, w)
+
+
+class TestLaplacian:
+    # the oracle's Laplacian
+    def test_zero_field(self):
+        g = Grid(0.0, 1.0, 5)
+        out = laplacian_values(np.zeros(g.n_interior), g.h)
+        assert np.all(out == 0.0)
+
+    def test_single_node_stencil(self):
+        g = Grid(0.0, 1.0, 1)  # h = 0.5
+        out = laplacian_values(np.array([3.0]), g.h)
+        assert out[0] == -2.0 * 3.0 / 0.25
+
+    def test_sine_mode_second_order(self):
+        # exact: (sin(pi x))'' = -pi^2 sin(pi x); Richardson oracle: halving
+        # h divides the max nodal error by ~4
+        errs = []
+        for n in (32, 64):
+            g = Grid(0.0, 1.0, n)
+            f = np.sin(np.pi * g.x)
+            out = laplacian_values(f, g.h)
+            errs.append(np.max(np.abs(out + np.pi**2 * f)))
+        ratio = errs[0] / errs[1]
+        assert 3.5 < ratio < 4.5
+
+    def test_discrete_eigenvector_identity(self):
+        # the sampled sine modes are exact eigenvectors of the stencil with
+        # eigenvalue (4/h^2) sin^2(i pi h / (2 L))
+        g = Grid(0.0, 2.0, 37)
+        for i, w in enumerate(dirichlet_eigenpairs(g, 5)[1], start=1):
+            lam_h = (4.0 / g.h**2) * np.sin(i * np.pi * g.h / (2.0 * g.length)) ** 2
+            out = laplacian_values(w, g.h)
+            np.testing.assert_allclose(out, -lam_h * w, atol=1e-12)
+
+    def test_symmetry_in_inner_product(self):
+        rng = np.random.default_rng(7)
+        g = Grid(0.0, 1.0, 21)
+        f = rng.standard_normal(21)
+        w = rng.standard_normal(21)
+        lhs = inner(laplacian_values(f, g.h), w, g)
+        rhs = inner(f, laplacian_values(w, g.h), g)
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
 class TestSpecValidation:
@@ -369,10 +438,11 @@ class TestMemoryTerm:
 
 
 def _blocked_case(scheme, family, n_steps, place, k, frac):
-    """A spec whose kernel kink lag c sits on a step node, at a multiple of
-    the block length, strictly inside a panel, inside the first step, or
-    past the horizon.  dt = 1/64 everywhere and h = 1/25 keeps both schemes
-    inside the CFL bound."""
+    """A spec whose kernel kink lag c (for the wedge and the mollified
+    wedge, also the time after which G is constant) sits on a step node, at
+    a multiple of the block length, strictly inside a panel, inside the
+    first step, or past the horizon.  dt = 1/64 everywhere and h = 1/25
+    keeps both schemes inside the CFL bound."""
     dt = 1.0 / 64.0
     horizon = n_steps * dt
     k = 1 + k % max(n_steps - 1, 1)
@@ -381,6 +451,7 @@ def _blocked_case(scheme, family, n_steps, place, k, frac):
          "beyond": horizon + (k % 3 + frac) * dt}[place]
     kernel = {
         "wedge": WedgeKernel(2.0, 1.0, c),
+        "mollified": MollifiedKernel(WedgeKernel(2.0, 1.0, c), (0.5 + frac) * dt),
         "tabulated": TabulatedKernel([0.0, c, c + 0.37, max(horizon, c + 0.37) + 1.0],
                                      [2.0, 1.5, 1.2, 1.0]),
         "prony": PronyKernel(1.0, ((0.6, 0.3), (0.4, 2.0))),
@@ -390,7 +461,7 @@ def _blocked_case(scheme, family, n_steps, place, k, frac):
 
 
 class TestBlockedMemorySum:
-    # the solvers' blocked far/near memory sum against a march through the
+    # the solvers' block march in the sine basis against a march through the
     # direct sums above; N < B, N = B, N = B + 1 and N above the far
     # product's chunk length (256 rows)
 
@@ -398,7 +469,7 @@ class TestBlockedMemorySum:
     @pytest.mark.parametrize("n_steps", [7, HISTORY_BLOCK, HISTORY_BLOCK + 1, 97, 300])
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
-        family=st.sampled_from(["wedge", "tabulated", "prony"]),
+        family=st.sampled_from(["wedge", "mollified", "tabulated", "prony"]),
         place=st.sampled_from(["node", "block", "panel", "substep", "beyond"]),
         k=st.integers(0, 400),
         frac=st.floats(0.05, 0.95),
@@ -409,27 +480,48 @@ class TestBlockedMemorySum:
     @example(family="prony", place="node", k=0, frac=0.5)
     @example(family="wedge", place="substep", k=0, frac=0.4)
     @example(family="tabulated", place="beyond", k=0, frac=0.05)
+    @example(family="mollified", place="node", k=40, frac=0.5)
+    @example(family="mollified", place="block", k=1, frac=0.5)
+    @example(family="mollified", place="panel", k=5, frac=0.3)
+    @example(family="mollified", place="substep", k=0, frac=0.4)
+    @example(family="mollified", place="beyond", k=0, frac=0.05)
     def test_matches_direct_sums(self, scheme, n_steps, family, place, k, frac):
         spec = _blocked_case(scheme, family, n_steps, place, k, frac)
         direct = _direct_march(spec)
         blocked = solve(spec).u
         assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("spec", [
+        # the differential block solves for the deviation from the line
+        # through the two rows before it; solving for the rows themselves
+        # drifts beyond the bound on this forced two-term Prony case
+        manufactured_prony(PronyKernel(0.5, ((0.6, 0.3), (0.4, 2.0)))).spec(
+            Grid(0.0, 1.0, 64), 1.0, 512, "differential"),
+        # the forcing's double time integral
+        make_spec(PRONY, "integral", nx=24, nt=97, u0="sin(pi*x)", u1="x*(1-x)",
+                  f="cos(3*t)*x*(1-x) + t"),
+    ], ids=["prony-differential", "integral"])
+    def test_forced_matches_direct_march(self, spec):
+        direct = _direct_march(spec)
+        blocked = solve(spec).u
+        assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.max(np.abs(direct))
+
     def test_bytes_do_not_depend_on_blas_threads(self):
-        # one BLAS product over the whole far history rounds differently at
-        # 1 and 2 threads; the fixed chunks make the bytes independent, and
-        # so does padding the rows to a multiple of 8 columns, which 250
-        # interior nodes (and the energy rows of 256) are not; both the
-        # solution and the energy history summed by the same engine
+        # one BLAS product over the whole far history, or over a whole row
+        # of the sine table, rounds differently at 1 and 2 threads; the
+        # fixed chunks make the bytes independent, and so does padding the
+        # rows to a multiple of 8 columns, which 250 and 1001 interior nodes
+        # (and the energy rows of 256) are not; both the solution and the
+        # energy history summed by the same far sums, and a forced run
         script = (
             "import hashlib\n"
             "from viscokern.grids import Grid\n"
             "from viscokern.kernels import WedgeKernel\n"
             "from viscokern.solver import ProblemSpec, solve\n"
             "from viscokern.energy import energy_series\n"
-            "for nx in (256, 250):\n"
-            "    spec = ProblemSpec(Grid(0.0, 1.0, nx), 1.0, 1024, "
-            "WedgeKernel(2.0, 1.0, 0.4), u0='sin(pi*x)', u1='x*(1-x)')\n"
+            "for nx, steps, f in ((256, 1024, '0'), (250, 1024, '0'), (1001, 40, 'x*t')):\n"
+            "    spec = ProblemSpec(Grid(0.0, 1.0, nx), 1.0, steps, "
+            "WedgeKernel(2.0, 1.0, 0.4), u0='sin(pi*x)', u1='x*(1-x)', f=f)\n"
             "    sol = solve(spec)\n"
             "    print(hashlib.sha256(sol.u.tobytes() + "
             "energy_series(sol).history.tobytes()).hexdigest())\n"
@@ -441,7 +533,7 @@ class TestBlockedMemorySum:
             out = subprocess.run([sys.executable, "-c", script], env=env,
                                  capture_output=True, text=True, timeout=120, check=True)
             digests.append(out.stdout.split())
-        assert [len(d) for d in digests[0]] == [64, 64]
+        assert [len(d) for d in digests[0]] == [64, 64, 64]
         assert digests[0] == digests[1]
 
 
@@ -533,26 +625,83 @@ class TestFailureModes:
         # the under-resolved integral run above
         ProblemSpec(Grid(0.0, 1.0, 256), 8.0, 128, PRONY, u0="sin(pi*x)",
                     scheme="integral"),
-        # forcing near the float limit overflows the differential march
+        # forcing near the float limit: dt^2 f overflows with f itself at
+        # step 76, found before the first block
         make_spec(PRONY, "differential", u0="sin(pi*x)", f="1e308*exp(t)"),
     ], ids=["integral", "differential"])
     def test_blocked_check_reports_first_bad_step(self, monkeypatch, spec):
-        # the solvers look for non-finite rows once per block; the step and
-        # time they report must be those of a check of every row as the
-        # march writes it (each step computes its Laplacian exactly once)
-        finite_rows = []
-        original = solver_module.laplacian_values
+        # the solvers check their data before the first block, then each
+        # block of rows as they write it; the step and time they report
+        # must be those of the first non-finite row among those checked,
+        # looked at one row at a time in the order of the checks
+        checked = []
+        original = solver_module._check_finite
 
-        def per_step(values, h):
-            finite_rows.append(bool(np.isfinite(values).all()))
-            return original(values, h)
+        def per_row(u, first, last, *args):
+            checked.extend((n, bool(np.isfinite(u[n]).all())) for n in range(first, last + 1))
+            return original(u, first, last, *args)
 
-        monkeypatch.setattr(solver_module, "laplacian_values", per_step)
+        monkeypatch.setattr(solver_module, "_check_finite", per_row)
         with pytest.raises(SolverDivergenceError) as info:
             solve(spec)
-        step = finite_rows.index(False)
+        step = next(n for n, finite in checked if not finite)
         assert step % HISTORY_BLOCK  # inside a block, not at its end
         assert f"at step {step} (t = {step * spec.dt:.6g})" in str(info.value)
+
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    @pytest.mark.parametrize("data, step, cause", [
+        ({"u0": "1e308*sin(pi*x)"}, 0, "u0 or u1"),
+        ({"u1": "1e308*sin(pi*x)"}, 0, "u0 or u1"),
+        ({"f": "1e308*exp(t)"}, 10, "forcing term"),
+    ], ids=["u0", "u1", "f"])
+    def test_bad_data_reported_before_the_march(self, scheme, data, step, cause):
+        # data whose sine coefficients overflow are step 0's fault; the
+        # forcing's share of a row (for the integral scheme its double time
+        # integral) is reported at its first bad step, here where f itself
+        # overflows at t = 0.625; no numpy warning on the way
+        spec = ProblemSpec(Grid(0.0, 1.0, 8), 1.0, 16, PRONY, scheme=scheme, **data)
+        with pytest.raises(SolverDivergenceError, match=cause) as info:
+            solve(spec)
+        assert f"at step {step} (t = {step * spec.dt:.6g})" in str(info.value)
+
+
+class TestSizeCheck:
+    def test_oversize_solve_refused_before_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="more than the .* GiB of memory"):
+                ProblemSpec(Grid(0.0, 1.0, 8), 1.0, 10**9, PRONY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_estimate_counts_rows_tables_and_forcing(self, monkeypatch):
+        # 2 (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 32^2 inverses
+        monkeypatch.setattr(solver_module.os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * (2 * 11 * 16 + 16 * 16 + 9 * 1024)}[name])
+        solver_module.check_size(9, 10, forced=False)
+        with pytest.raises(ConfigurationError):
+            solver_module.check_size(9, 10, forced=True)
+        with pytest.raises(ConfigurationError):
+            solver_module.check_size(9, 11, forced=False)
+
+
+class TestMemoryQuadrature:
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    @pytest.mark.parametrize("kernel, tail", [
+        (WedgeKernel(2.0, 1.0, 0.3), "from lag 40"),   # ceil(0.3 * 128) + 1
+        (MollifiedKernel(WedgeKernel(2.0, 1.0, 0.3), 0.05), "from lag 40"),
+        (PRONY, "no tail"),
+        (WedgeKernel(2.0, 1.0, 3.0), "no tail"),  # constant only past the horizon
+    ], ids=["wedge", "mollified", "prony", "late-wedge"])
+    def test_meta_names_the_block_march_and_its_tail(self, scheme, kernel, tail):
+        sol = solve(make_spec(kernel, scheme, nx=24, u0="sin(pi*x)"))
+        note = sol.meta["memory_quadrature"]
+        assert note.startswith("block march in the sine basis")
+        assert note.endswith(tail)
 
 
 class TestSaveStride:
