@@ -76,8 +76,10 @@ def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray) -> np.nd
     rows[:, 1] = 1.0
     rows[:, 2 : 2 + uxs.shape[1]] = uxs
     far_wl = np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weight)
+    nonzero = np.flatnonzero(far_wl)
+    tail = (int(nonzero[-1]) if len(nonzero) else 0, 0.0, 0.0)  # skip rows past it
     sums = np.zeros_like(rows)
-    for s, far in _far_sums(rows, far_wl, 1, len(d)):
+    for s, far in _far_sums(rows, far_wl, 1, len(d), tail):
         sums[s : s + len(far)] = far
     out = d * sums[:, 1] + sums[:, 0] - 2.0 * _trap_x(h, uxs * sums[:, 2 : 2 + uxs.shape[1]])
     for k in range(1, min(DIRECT_LAGS, len(d))):
@@ -97,13 +99,7 @@ def _f_block(sol: SolutionField) -> np.ndarray:
 def reconstruct_velocities(sol: SolutionField) -> np.ndarray:
     """Central-difference velocities from saved snapshots (one-sided at the
     first and last steps: accuracy O(ds^2) inside, O(ds) at the ends)."""
-    ds = _uniform_spacing(sol.times)
-    v = np.empty_like(sol.u)
-    v[0] = (sol.u[1] - sol.u[0]) / ds
-    if len(sol.times) > 2:
-        v[1:-1] = (sol.u[2:] - sol.u[:-2]) / (2.0 * ds)
-    v[-1] = (sol.u[-1] - sol.u[-2]) / ds
-    return v
+    return np.gradient(sol.u, _uniform_spacing(sol.times), axis=0)
 
 
 @dataclass

@@ -10,8 +10,10 @@ boundaries, initial data u0, u1 and forcing f:
 
   with product-trapezoid quadrature for the memory term.  Because
   K(0) = 0 the newest history node carries zero weight, so every step is
-  explicit.  Only K (never dG/dt) is consulted: the scheme is valid for
-  merely continuous kernels and needs no special casing at kinks.
+  explicit; as K(t) ~ G(0) t near 0, it is stable for
+  dt <= 2 / sqrt(lam_max G(0)), lam_max below.  Only K (never dG/dt) is
+  consulted: the scheme is valid for merely continuous kernels and needs
+  no special casing at kinks.
 
 * ``differential`` -- explicit central differences in time for
 
@@ -26,8 +28,8 @@ boundaries, initial data u0, u1 and forcing f:
 
 Both schemes are linear in the data and run one march (``_March``), which
 stores the full history (the memory term needs it anyway) and saves
-snapshots at a configurable stride; a scheme gives it its lag weights, its
-start rows and the data of each row.
+snapshots at a configurable stride; a scheme gives it its lag weights and
+the data of each row after row 0 (u0).
 
 The march runs in the orthonormal sine basis (the DST-I), whose vectors
 are exact eigenvectors of the three-point Laplacian with eigenvalues
@@ -46,17 +48,18 @@ and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
 * the block is turned back into nodal values and checked for non-finite
   values before the next one.
 
-The differential block is the discrete wave operator plus the memory.  It
-solves for the deviation e_i of its rows from the line through the two
-rows before it, x_i = x_0 + i (x_0 - x_-1) + e_i: the second difference
-of the line is zero, so the inverse acts on the O(dt^2) terms only, and
-the rounding stays at the level of a step-by-step march.
+The differential form is the integral one differentiated twice in time,
+and its march is the integral march: its second-difference recurrence
+x_t - 2 x_{t-1} + x_{t-2} + mu (memory of step t - 1) = dt^2 f_{t-1},
+summed twice from row 2, reads x_t + mu (memory on the lag weights summed
+twice) = x_1 + (t - 1)(x_1 - x_0) + its forcing and a row-0 term, both
+summed twice.  So one block form serves both schemes.
 
 A kernel that is constant after a known time c (``constant_after``) gives
 the far sum a tail.  Past the lag p = ceil(c/dt) + 1 the weights on K are
-affine, A + B j with B = dt^2 G(c), so the older rows fold into two
-running moments; the weights on Gdot are exact zeros there, so those rows
-are skipped.
+affine, A + B j with B = dt^2 G(c), and the weights on Gdot are exact
+zeros, so summed twice they are affine too; the older rows fold into two
+running moments.
 
 Data are checked before the first block: u0, u1 or their sine coefficients
 that are not finite are reported at step 0, the forcing's share of a row
@@ -117,9 +120,10 @@ class ProblemSpec:
     """Everything a solve needs: domain, horizon, data, kernel, scheme.
 
     ``u0`` and ``u1`` are expression strings in ``x``; ``f`` in ``x`` and
-    ``t``.  For the differential scheme the CFL condition is verified here,
-    before any stepping.  ``save_stride`` keeps every k-th step in the
-    returned solution (it must divide ``n_steps``).
+    ``t``.  The scheme's stability bound (for the differential scheme the
+    CFL condition) is verified here, before any stepping.  ``save_stride``
+    keeps every k-th step in the returned solution (it must divide
+    ``n_steps``).
     """
 
     grid: Grid
@@ -151,6 +155,8 @@ class ProblemSpec:
         check_size(self.grid.n_interior, self.n_steps, not expressions.is_zero(self.f_expr))
         if self.scheme == "differential":
             _check_cfl(self)
+        else:
+            _check_stability(self)
 
     @property
     def dt(self) -> float:
@@ -190,6 +196,21 @@ def _check_cfl(spec: ProblemSpec) -> float:
             f"= {limit:.6g}"
         )
     return limit
+
+
+def _check_stability(spec: ProblemSpec) -> None:
+    """ConfigurationError if the integral scheme's top sine mode grows.  Near
+    lag 0, K(t) ~ G(0) t, so mode k marches like the leapfrog recurrence
+    x_{n+1} - 2 x_n + x_{n-1} = -lam_k dt^2 G(0) x_n, which is stable iff
+    dt <= 2 / sqrt(lam_max G(0)); G(0) = 0 leaves dt free."""
+    nx = spec.grid.n_interior
+    lam_max = (4.0 / spec.grid.h**2) * np.sin(0.5 * np.pi * nx / (nx + 1)) ** 2
+    g_zero = float(spec.kernel.g(0.0))
+    if spec.dt**2 * lam_max * g_zero > 4.0:
+        raise ConfigurationError(
+            f"stability violation: dt = {spec.dt:.6g} exceeds 2 / sqrt(lam_max G(0)) "
+            f"= {2.0 / np.sqrt(lam_max * g_zero):.6g} for the integral scheme"
+        )
 
 
 @dataclass
@@ -395,16 +416,14 @@ def _tail_lag(kernel: RelaxationKernel, dt: float) -> int | None:
     return None if c is None else int(np.ceil(c / dt)) + 1
 
 
-def _block_inverses(mu: np.ndarray, near: np.ndarray, wave: bool) -> np.ndarray:
+def _block_inverses(mu: np.ndarray, near: np.ndarray) -> np.ndarray:
     """Per mode k, the inverse of the unit lower-triangular Toeplitz matrix
-    of a block, whose first column is 1, mu_k near[1], mu_k near[2], ..
-    (plus -2, 1 for the second difference of the *wave* form).  The inverse
-    is Toeplitz again; its first column z comes from the recurrence
-    z_i = -sum_{r=1..i} d_r z_{i-r}, and the table is filled from it."""
+    of a block, whose first column is 1, mu_k near[1], mu_k near[2], ...
+    The inverse is Toeplitz again; its first column z comes from the
+    recurrence z_i = -sum_{r=1..i} d_r z_{i-r}, and the table is filled
+    from it."""
     size = len(near)
     d = mu[:, None] * near[None, 1:]
-    if wave:
-        d[:, :2] += np.array([-2.0, 1.0])[: size - 1]
     z = np.zeros((len(mu), size))
     z[:, 0] = 1.0
     for i in range(1, size):
@@ -458,51 +477,32 @@ class _March:
                           "the forcing term or its sine coefficients are not finite")
         return rows
 
-    def run(self, lags: np.ndarray, mu: np.ndarray, data, start: np.ndarray,
-            tail=None, wave=False, row0=None, **meta) -> SolutionField:
-        """March the rows after the *start* rows (sine coefficients) block by
-        block.  Row t solves, mode by mode,
+    def run(self, lags: np.ndarray, mu: np.ndarray, data, tail=None, **meta) -> SolutionField:
+        """March the rows after row 0 (u0) block by block, in the sine basis.
+        Row t solves, mode by mode,
         ``x_t + mu sum_{m<t} w_m lags[t - m] x_m = data(t)``, with the far
-        sum's w_m and ``row0[t] x_0`` added to the sum; with *wave* the
-        second difference ``x_t - 2 x_{t-1} + x_{t-2}`` replaces x_t, the
-        block solves for the deviation from the line through its two last
-        rows, and the result carries velocities.  ``tail`` is the far sum's.
-        The rows are made here, after every table: made first, they grew
-        the peak RSS of a mollify study by 20 %."""
+        sum's w_m and ``tail``.  The differential scheme's result carries
+        velocities.  The rows are made here, after every table: made first,
+        they grew the peak RSS of a mollify study by 20 %."""
         spec, nx = self.spec, self.spec.grid.n_interior
-        first, stop = len(start), len(self.tgrid)
-        near = lags[: min(HISTORY_BLOCK, stop - first)]
-        steps = np.arange(len(near))
-        if wave:  # the memory of the line x_{s-1} + (i + 1) dx over rows s .. s + i - 1
-            line0 = np.concatenate(([0.0], np.cumsum(near[1:])))
-            line1 = np.cumsum(line0)
+        stop = len(self.tgrid)
         with np.errstate(over="ignore", invalid="ignore"):
-            inverses = _block_inverses(mu[:nx], near, wave)
+            inverses = _block_inverses(mu[:nx], lags[: min(HISTORY_BLOCK, stop - 1)])
             modal = np.zeros((stop, len(self.sines)))
             u_rows = np.zeros_like(modal)
             u = u_rows[:, :nx]
-            modal[:first] = start
+            modal[0] = self.u0m
             u[0] = self.u0v
-            if first > 1:
-                u_rows[1:first] = _product(modal[1:first], self.sines)
-                _check_finite(u, 1, first - 1, self.tgrid, self.scheme)
-            for s, far in _far_sums(modal, lags, first, stop, tail):
+            for s, far in _far_sums(modal, lags, 1, stop, tail):
                 n = len(far)
-                if row0 is not None:
-                    far += row0[s : s + n, None] * modal[0]
-                if wave:
-                    x0, dx = modal[s - 1], modal[s - 1] - modal[s - 2]
-                    far += line0[:n, None] * x0 + line1[:n, None] * dx
                 rhs = data(s, n) - mu * far
                 block = np.matmul(inverses[:, :n, :n], rhs[:, :nx].T[:, :, None])
                 modal[s : s + n, :nx] = block[:, :, 0].T
-                if wave:
-                    modal[s : s + n] += x0 + (steps[:n, None] + 1.0) * dx
                 u_rows[s : s + n] = _product(modal[s : s + n], self.sines)
                 _check_finite(u, s, s + n - 1, self.tgrid, self.scheme)
         del modal, inverses  # before the copies below: a lower peak
         v = None
-        if wave:  # central differences, one-sided at the end, exact at t = 0
+        if self.scheme == "differential":  # central differences, exact at t = 0
             v = np.gradient(u, spec.dt, axis=0)
             v[0] = self.u1v
         s = spec.save_stride
@@ -513,16 +513,17 @@ class _March:
 
 
 def _tail_note(tail, what: str) -> str:
-    note = "no tail" if tail is None else f"{what} from lag {tail[0]}"
-    return f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {note}"
+    note = "no tail" if tail is None else f"affine tail from lag {tail[0]}"
+    return f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, {note}"
 
 
 def solve_integral(spec: ProblemSpec) -> SolutionField:
-    """March the integrated-kernel form; explicit, no CFL restriction.
+    """March the integrated-kernel form; explicit, stable for
+    dt <= 2 / sqrt(lam_max G(0)), which the spec checks (the differential
+    scheme's CFL bound is stricter).
 
     Aborts with :class:`SolverDivergenceError` if non-finite values
-    appear (the scheme is computable for any dt, not unconditionally
-    accurate)."""
+    appear (data near the float limit can overflow on a stable grid)."""
     dt, march = spec.dt, _March(spec, "integral")
     k_table = IntegratedKernel(spec.kernel)
     wl = dt * k_table.cumulative(march.tgrid)
@@ -539,8 +540,8 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
             rows += forcing[s : s + n]
         return rows
 
-    return march.run(wl, march.lam, data, u0m[None], tail,
-                     memory_quadrature=_tail_note(tail, "product trapezoid on K, affine tail"),
+    return march.run(wl, march.lam, data, tail,
+                     memory_quadrature=_tail_note(tail, "product trapezoid on K"),
                      kernel_quadrature=k_table.method)
 
 
@@ -558,26 +559,40 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
             f"cannot provide it: {exc}"
         ) from exc
     wl, row0 = _gdot_weights(spec.kernel, gd, dt)
-    # row n + 1 takes the memory of step n: lags one longer, G(0) at lag 1
+    # row t >= 2 takes the memory of step t - 1 (lags one longer, G(0) at
+    # lag 1), summed twice from row 2 (module docstring); the data take back
+    # the far sum's half weight on row 0 at lag 1 and add the kink split's.
+    # At t = 1 the same form gives back the Taylor startup x_1
     lags = np.concatenate(([0.0], wl[:-1]))
     lags[1] += g_zero
+    once = np.cumsum(lags)
+    twice = np.cumsum(once)
+    x0_coef = 0.5 * lags[1] * np.arange(len(lags)) - np.cumsum(
+        np.cumsum(np.concatenate(([0.0, 0.0], row0[1:-1]))))
     tail, p = None, _tail_lag(spec.kernel, dt)
     if p is not None and p + 1 < len(lags) and not lags[p + 1 :].any():
-        tail = (p, 0.0, 0.0)  # Gdot = 0 past c: the older rows weigh nothing
+        tail = (p, twice[p] - p * once[p], once[p])  # Gdot = 0 past c: affine
     forcing = march.data(integrate=False)
     mu = dt * dt * march.lam
-    with np.errstate(over="ignore", invalid="ignore"):  # run checks the row
-        u1 = march.u0m + dt * march.u1m - 0.5 * g_zero * mu * march.u0m  # Taylor startup
+    x0 = march.u0m
+    with np.errstate(over="ignore", invalid="ignore"):  # run checks the rows
+        x1 = x0 + dt * march.u1m - 0.5 * g_zero * mu * x0  # Taylor startup
         if forcing is not None:
-            u1 += 0.5 * forcing[0]
+            x1 += 0.5 * forcing[0]
+            forcing[0] = 0.0
+            for _ in range(2):  # forcing[t - 1] = sum_{j=1..t-1} (t - j) dt^2 f_j
+                np.cumsum(forcing[1:], axis=0, out=forcing[1:])
+        dx, mu_x0 = x1 - x0, mu * x0
 
-    def data(s: int, n: int):
-        return 0.0 if forcing is None else forcing[s - 1 : s - 1 + n]
+    def data(s: int, n: int) -> np.ndarray:
+        rows = x1 + np.arange(s - 1, s - 1 + n)[:, None] * dx + x0_coef[s : s + n, None] * mu_x0
+        if forcing is not None:
+            rows += forcing[s - 1 : s - 1 + n]
+        return rows
 
-    return march.run(lags, mu, data, np.stack([march.u0m, u1]), tail, wave=True,
-                     row0=np.concatenate(([0.0], row0[:-1])),
+    return march.run(twice, mu, data, tail,
                      memory_quadrature=_tail_note(
-                         tail, "trapezoid on Gdot with kink-split panels, zero weights"),
+                         tail, "trapezoid on Gdot with kink-split panels, summed twice"),
                      cfl_limit=limit)
 
 

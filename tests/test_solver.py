@@ -230,11 +230,11 @@ class TestSpecValidation:
         make_spec(PRONY, "integral", f="x*t")
 
     def test_cfl_checked_before_stepping(self):
-        # dt = 1/16 far above 0.9 h / sqrt(G(0)) for 32 interior nodes
+        # dt = 1/50 above 0.9 h / sqrt(G(0)) = 0.0193 for 32 interior nodes
         with pytest.raises(ConfigurationError, match="CFL"):
-            make_spec(PRONY, "differential", nx=32, nt=16)
-        # the integral scheme takes the same resolution without complaint
-        make_spec(PRONY, "integral", nx=32, nt=16)
+            make_spec(PRONY, "differential", nx=32, nt=50)
+        # the integral scheme's bound, 2 / sqrt(lam_max G(0)) = 0.0214, takes it
+        make_spec(PRONY, "integral", nx=32, nt=50)
 
     def test_cfl_limit_value(self):
         g = Grid(0.0, 1.0, 32)
@@ -437,7 +437,10 @@ class TestMemoryTerm:
         assert err < 1e-10  # piecewise-constant Gdot: split trapezoid is exact
 
 
-def _blocked_case(scheme, family, n_steps, place, k, frac):
+FORCING = "cos(3*t)*x*(1-x) + t"
+
+
+def _blocked_case(scheme, family, n_steps, place, k, frac, f="0"):
     """A spec whose kernel kink lag c (for the wedge and the mollified
     wedge, also the time after which G is constant) sits on a step node, at
     a multiple of the block length, strictly inside a panel, inside the
@@ -457,7 +460,7 @@ def _blocked_case(scheme, family, n_steps, place, k, frac):
         "prony": PronyKernel(1.0, ((0.6, 0.3), (0.4, 2.0))),
     }[family]
     return ProblemSpec(Grid(0.0, 1.0, 24), horizon, n_steps, kernel,
-                       u0="sin(pi*x)", u1="x*(1-x)", scheme=scheme)
+                       u0="sin(pi*x)", u1="x*(1-x)", f=f, scheme=scheme)
 
 
 class TestBlockedMemorySum:
@@ -492,15 +495,23 @@ class TestBlockedMemorySum:
         assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("spec", [
-        # the differential block solves for the deviation from the line
-        # through the two rows before it; solving for the rows themselves
-        # drifts beyond the bound on this forced two-term Prony case
+        # the differential rows are its second-difference recurrence summed
+        # twice, with x_1 + (t - 1)(x_1 - x_0) and the forcing summed twice in
+        # their data; a forced two-term Prony case over 512 steps
         manufactured_prony(PronyKernel(0.5, ((0.6, 0.3), (0.4, 2.0)))).spec(
             Grid(0.0, 1.0, 64), 1.0, 512, "differential"),
         # the forcing's double time integral
         make_spec(PRONY, "integral", nx=24, nt=97, u0="sin(pi*x)", u1="x*(1-x)",
-                  f="cos(3*t)*x*(1-x) + t"),
-    ], ids=["prony-differential", "integral"])
+                  f=FORCING),
+        # forced and kinked: the row-0 term, the forcing summed twice and the
+        # affine tail together; the kink inside a panel (5.3 dt), on a node
+        # (40 dt), a tabulated kernel and a mollified wedge
+        _blocked_case("differential", "wedge", 300, "panel", 4, 0.3, f=FORCING),
+        _blocked_case("differential", "wedge", 300, "node", 39, 0.5, f=FORCING),
+        _blocked_case("differential", "tabulated", 300, "panel", 4, 0.3, f=FORCING),
+        _blocked_case("differential", "mollified", 300, "panel", 4, 0.3, f=FORCING),
+    ], ids=["prony-differential", "integral", "wedge-panel-differential",
+            "wedge-node-differential", "tabulated-differential", "mollified-differential"])
     def test_forced_matches_direct_march(self, spec):
         direct = _direct_march(spec)
         blocked = solve(spec).u
@@ -519,8 +530,9 @@ class TestBlockedMemorySum:
             "from viscokern.kernels import WedgeKernel\n"
             "from viscokern.solver import ProblemSpec, solve\n"
             "from viscokern.energy import energy_series\n"
-            "for nx, steps, f in ((256, 1024, '0'), (250, 1024, '0'), (1001, 40, 'x*t')):\n"
-            "    spec = ProblemSpec(Grid(0.0, 1.0, nx), 1.0, steps, "
+            "for nx, horizon, steps, f in ((256, 1.0, 1024, '0'), (250, 1.0, 1024, '0'),"
+            " (1001, 0.025, 40, 'x*t')):\n"
+            "    spec = ProblemSpec(Grid(0.0, 1.0, nx), horizon, steps, "
             "WedgeKernel(2.0, 1.0, 0.4), u0='sin(pi*x)', u1='x*(1-x)', f=f)\n"
             "    sol = solve(spec)\n"
             "    print(hashlib.sha256(sol.u.tobytes() + "
@@ -597,17 +609,17 @@ class TestFailureModes:
             solve_differential(make_spec(NoDerivative(), "differential"))
 
     def test_divergence_detected(self):
-        # the integral scheme is computable for any dt, but a grossly
-        # under-resolved run overflows; the solver must say so
-        big = ProblemSpec(Grid(0.0, 1.0, 256), 8.0, 128, PRONY, u0="sin(pi*x)",
-                          scheme="integral")
+        # data near the float limit overflow inside the march on a grid
+        # within the stability bound; the solver must say so
+        big = ProblemSpec(Grid(0.0, 1.0, 256), 1.0, 2048, PRONY, u0="1e307*sin(pi*x)",
+                          u1="1e307*sin(pi*x)", scheme="integral")
         with pytest.raises(SolverDivergenceError, match="non-finite"):
             solve_integral(big)
 
     def test_differential_refuses_cfl_violation_of_integral_spec(self):
         # the spec checks the CFL bound only for its own scheme, so the
         # differential solver must check it again
-        spec = make_spec(PRONY, "integral", nx=32, nt=16)
+        spec = make_spec(PRONY, "integral", nx=32, nt=50)
         with pytest.raises(ConfigurationError, match="CFL"):
             solve_differential(spec)
 
@@ -622,9 +634,10 @@ class TestFailureModes:
             run(spec)
 
     @pytest.mark.parametrize("spec", [
-        # the under-resolved integral run above
-        ProblemSpec(Grid(0.0, 1.0, 256), 8.0, 128, PRONY, u0="sin(pi*x)",
-                    scheme="integral"),
+        # the integral run above: u0 + t u1 in the sine basis passes the
+        # float limit at step 961
+        ProblemSpec(Grid(0.0, 1.0, 256), 1.0, 2048, PRONY, u0="1e307*sin(pi*x)",
+                    u1="1e307*sin(pi*x)", scheme="integral"),
         # forcing near the float limit: dt^2 f overflows with f itself at
         # step 76, found before the first block
         make_spec(PRONY, "differential", u0="sin(pi*x)", f="1e308*exp(t)"),
