@@ -20,7 +20,7 @@ from .energy import (
     reconstruct_velocities,
 )
 from .expressions import EvalError, ParseError, evaluate, parse
-from .grids import Grid, dirichlet_eigenpairs
+from .grids import Grid
 from .kernels import (
     AdmissibilityReport,
     DerivativeUndefinedError,
@@ -82,7 +82,6 @@ __all__ = [
     "WedgeKernel",
     "cfl_limit",
     "check_admissibility",
-    "dirichlet_eigenpairs",
     "dissipation_check",
     "energy_series",
     "evaluate",

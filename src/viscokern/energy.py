@@ -25,8 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions
-from .grids import dirichlet_eigenpairs
-from .solver import ConfigurationError, SolutionField, _engine_rows, _far_sums
+from .solver import (
+    ConfigurationError,
+    SolutionField,
+    _engine_rows,
+    _far_sums,
+    _sine_basis,
+    _to_modes,
+)
 
 #: tolerance of the dissipation verdict, relative to E(0) for monotonicity
 #: and absolute for the bound (quadrature noise)
@@ -278,24 +284,29 @@ def mode_decay_diagnostic(
     n_modes: int,
 ) -> ModeDecayReport:
     """Projection magnitudes of w = u_a - u_b onto the first Dirichlet
-    eigenmodes, over the coarser solution's saved times.
+    eigenmodes, over the coarser solution's saved times.  The modes,
+    normalized in the discrete L2 norm, are the rows of the solver's sine
+    table divided by sqrt(h).
 
-    The two solves must share the domain (scheme and resolution may
-    differ; the finer solution is interpolated to the coarser grid).  As
-    both resolutions are refined every mode series shrinks toward zero,
-    mirroring the argument that forces the projections of a difference of
-    two solutions to vanish identically.
+    The two solves must share the domain and the final time (scheme and
+    resolution may differ; the finer solution is interpolated to the
+    coarser grid).  As both resolutions are refined every mode series
+    shrinks toward zero, mirroring the argument that forces the
+    projections of a difference of two solutions to vanish identically.
     """
     ga, gb = sol_a.grid, sol_b.grid
     if (ga.a, ga.b) != (gb.a, gb.b):
         raise ConfigurationError("solutions live on incompatible domains")
+    ta, tb = sol_a.times[-1], sol_b.times[-1]
+    if abs(ta - tb) > 1e-12 * max(abs(ta), abs(tb)):
+        raise ConfigurationError(f"solutions cover incompatible time spans, to {ta} and {tb}")
     coarse, fine = (sol_a, sol_b) if ga.n_interior <= gb.n_interior else (sol_b, sol_a)
     times = coarse.times if len(coarse.times) <= len(fine.times) else fine.times
     grid = coarse.grid
-    _, modes = dirichlet_eigenpairs(grid, n_modes)  # validates n_modes
-    mags = np.empty((n_modes, len(times)))
-    for k, t in enumerate(times):
-        wa = _values_on(sol_a, grid.x, float(t))
-        wb = _values_on(sol_b, grid.x, float(t))
-        mags[:, k] = np.abs(grid.h * (modes @ (wa - wb)))
-    return ModeDecayReport(times=np.asarray(times, dtype=float).copy(), magnitudes=mags)
+    if not 1 <= n_modes <= grid.n_interior:
+        raise ValueError(f"{n_modes} modes requested, the grid resolves at most {grid.n_interior}")
+    diffs = np.stack([_values_on(sol_a, grid.x, float(t)) - _values_on(sol_b, grid.x, float(t))
+                      for t in times])
+    sines, _ = _sine_basis(grid)
+    mags = np.abs(np.sqrt(grid.h) * _to_modes(diffs, sines)[:, :n_modes])
+    return ModeDecayReport(times=np.asarray(times, dtype=float).copy(), magnitudes=mags.T)

@@ -1,11 +1,9 @@
 """Uniform 1-D grid on (a, b) with homogeneous Dirichlet boundaries.
 
 Only interior nodal values are stored, as plain arrays; the boundary
-values are identically zero and never appear as unknowns.  The module
-provides the sine eigenpairs of the Dirichlet problem, normalized in the
-discrete L2 norm (uniform weight h, i.e. the trapezoid rule with the zero
-boundary terms dropped).  The solvers work in the same sine basis, where
-the three-point Laplacian is diagonal (see :mod:`.solver`).
+values are identically zero and never appear as unknowns.  The solvers
+work in the sine basis, where the three-point Laplacian is diagonal (see
+:mod:`.solver`).
 """
 
 from __future__ import annotations
@@ -44,26 +42,3 @@ class Grid:
         pts.setflags(write=False)
         return pts
 
-
-def dirichlet_eigenpairs(grid: Grid, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First *count* eigenpairs of -w'' = lambda w with zero boundaries.
-
-    Returns ``(eigenvalues, modes)``: the continuous eigenvalues
-    ``(i*pi/(b-a))**2`` and a ``(count, n_interior)`` array whose row
-    i - 1 is the i-th sine eigenfunction sampled on the grid and
-    normalized in the discrete L2 norm (trapezoid mass).  The sampled sine
-    vectors happen to be exact eigenvectors of the discrete Laplacian as
-    well, with eigenvalues ``(4/h^2) sin^2(i*pi*h/(2(b-a)))``.
-    """
-    if count < 1:
-        raise ValueError("need count >= 1")
-    if count > grid.n_interior:
-        raise ValueError(
-            f"grid with {grid.n_interior} interior nodes resolves at most "
-            f"{grid.n_interior} modes, requested {count}"
-        )
-    L = grid.length
-    i = np.arange(1, count + 1)[:, None]
-    modes = np.sqrt(2.0 / L) * np.sin(i * np.pi * (grid.x - grid.a) / L)
-    modes /= np.sqrt(grid.h * np.sum(modes * modes, axis=1, keepdims=True))
-    return (i[:, 0] * np.pi / L) ** 2, modes

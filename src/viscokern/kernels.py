@@ -391,6 +391,7 @@ class AdmissibilityViolation:
 class AdmissibilityReport:
     kernel: str
     horizon: float
+    floor: float  # min G over the audit grid
     violations: tuple[AdmissibilityViolation, ...] = field(default_factory=tuple)
 
     @property
@@ -446,5 +447,6 @@ def check_admissibility(kernel: RelaxationKernel, horizon: float) -> Admissibili
     return AdmissibilityReport(
         kernel=kernel.describe(),
         horizon=horizon,
+        floor=float(np.min(vals)),
         violations=tuple(violations),
     )

@@ -33,10 +33,12 @@ the data of each row after row 0 (u0).
 
 The march runs in the orthonormal sine basis (the DST-I), whose vectors
 are exact eigenvectors of the three-point Laplacian with eigenvalues
--lam_k, lam_k = (4/h^2) sin^2(k pi / (2(nx + 1))).  There each mode is a
-scalar Volterra recurrence, and the rows are advanced HISTORY_BLOCK steps
-at a time (the first level of the Toeplitz splitting of Hairer, Lubich
-and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
+-lam_k, lam_k = (4/h^2) sin^2(k pi / (2(nx + 1))).  The same table
+(``_sine_basis``) also serves the CLI's wave reference and the energy
+module's mode decay diagnostic.  In the basis each mode is a scalar
+Volterra recurrence, and the rows are advanced HISTORY_BLOCK steps at a
+time (the first level of the Toeplitz splitting of Hairer, Lubich and
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
 
 * the history written before the block ("far") is one matrix product over
   the modal rows (``_far_sums``, which the energy diagnostics share for

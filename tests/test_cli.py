@@ -367,18 +367,18 @@ class TestWaveReference:
 
     def test_reference_is_exact_for_pure_wave(self):
         # sanity of the modal reference itself: degenerate wedge (g0 = ginf)
-        # is a constant kernel, the solve reproduces the wave solution
-        from viscokern.kernels import WedgeKernel
-
-        cfg = parse_config(
-            "kernel.g0 = 1.0\nkernel.ginf = 1.0\n"
-            "discretization.n_interior = 48\ndiscretization.n_steps = 256\n"
-        )
-        spec = cfg.problem_spec(scheme="integral")
-        sol = solve_integral(spec)
-        reference = cli._wave_reference(spec, 1.0)(sol.times)
-        gap = _l2_space_time(spec.grid, sol.times, sol.u - reference)
-        assert gap < 2e-3  # scheme self-error only
+        # is a constant kernel, the solve reproduces the wave solution; on
+        # (0, 2) the frequencies scale with 1/(b - a)
+        for domain in ("", "problem.b = 2.0\nproblem.u0 = sin(pi*x/2) + 0.3*sin(3*pi*x/2)\n"):
+            cfg = parse_config(
+                "kernel.g0 = 1.0\nkernel.ginf = 1.0\n" + domain +
+                "discretization.n_interior = 48\ndiscretization.n_steps = 256\n"
+            )
+            spec = cfg.problem_spec(scheme="integral")
+            sol = solve_integral(spec)
+            reference = cli._wave_reference(spec, 1.0)(sol.times)
+            gap = _l2_space_time(spec.grid, sol.times, sol.u - reference)
+            assert gap < 2e-3  # scheme self-error only
 
 
 def test_default_configs_parse():

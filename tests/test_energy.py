@@ -345,6 +345,10 @@ class TestModeDecay:
         a = standing_mode_solution(nx=16, nt=128)
         spec = ProblemSpec(Grid(0.0, 2.0, 16), 1.0, 128, PRONY, u0="sin(pi*x/2)",
                            scheme="differential")
-        b = solve(spec)
-        with pytest.raises(ConfigurationError, match="incompatible"):
-            mode_decay_diagnostic(a, b, 2)
+        # another length, and the same problem over a quarter of the time
+        # span (its last row would otherwise stand in for the later times)
+        for b in (solve(spec), standing_mode_solution(nx=16, nt=256, horizon=0.25)):
+            with pytest.raises(ConfigurationError, match="incompatible"):
+                mode_decay_diagnostic(a, b, 2)
+            with pytest.raises(ConfigurationError, match="incompatible"):
+                mode_decay_diagnostic(b, a, 2)

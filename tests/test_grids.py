@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from viscokern.grids import Grid, dirichlet_eigenpairs
+from viscokern.grids import Grid
+from viscokern.solver import _sine_basis
 
 
 def inner(f, w, g):
@@ -31,44 +32,34 @@ class TestGrid:
 
 
 class TestEigenpairs:
-    def test_standard_spectrum(self):
-        g = Grid(0.0, 1.0, 63)
-        lams, _ = dirichlet_eigenpairs(g, 3)
-        assert lams[0] == pytest.approx(np.pi**2)
-        assert lams[1] == pytest.approx(4.0 * np.pi**2)
-
-    def test_length_two_domain(self):
-        g = Grid(0.0, 2.0, 63)
-        lams, _ = dirichlet_eigenpairs(g, 2)
-        # (2 pi / 2)^2 = pi^2
-        assert lams[1] == pytest.approx(np.pi**2)
+    """The Dirichlet sine modes come from the march's orthonormal DST-I
+    table; normalized in the discrete L2 norm they are its rows over sqrt(h)."""
 
     def test_discrete_normalization(self):
         g = Grid(0.0, 1.5, 40)
-        for w in dirichlet_eigenpairs(g, 6)[1]:
+        sines, _ = _sine_basis(g)
+        for w in sines[:6, :40] / np.sqrt(g.h):
             assert inner(w, w, g) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonality(self):
-        g = Grid(0.0, 1.0, 50)
-        _, modes = dirichlet_eigenpairs(g, 4)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert abs(inner(modes[i], modes[j], g)) < 1e-12
-
-    def test_count_exceeds_resolution(self):
-        g = Grid(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="resolves at most"):
-            dirichlet_eigenpairs(g, 6)
-
+        # symmetric and orthonormal, also on widths that need padding
+        for nx in (5, 37, 127, 250):
+            sines, _ = _sine_basis(Grid(0.0, 1.0, nx))
+            np.testing.assert_array_equal(sines, sines.T)
+            table = sines[:nx, :nx]
+            np.testing.assert_allclose(table @ table, np.eye(nx), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("nx", [5, 37, 127])
     def test_rows_match_per_mode_build(self, nx):
-        # one mode at a time, as the wave reference depends on: bit for bit
+        # one mode at a time from the closed form, the argument jk pi/(nx + 1)
+        # reduced exactly in integers; padding and lam past nx are zero
         g = Grid(-0.3, 1.1, nx)
-        lams, modes = dirichlet_eigenpairs(g, nx)
-        assert lams.shape == (nx,) and modes.shape == (nx, nx)
-        for i in range(1, nx + 1):
-            w = np.sqrt(2.0 / g.length) * np.sin(i * np.pi * (g.x - g.a) / g.length)
-            w /= np.sqrt(g.h * np.sum(w * w))
-            np.testing.assert_array_equal(modes[i - 1], w)
-            assert lams[i - 1] == (i * np.pi / g.length) ** 2
+        sines, lam = _sine_basis(g)
+        assert sines.shape == (len(lam), len(lam)) and len(lam) % 8 == 0
+        j = np.arange(1, nx + 1)
+        for k in range(1, nx + 1):
+            w = np.sqrt(2.0 / (nx + 1)) * np.sin(np.pi * (j * k % (2 * (nx + 1))) / (nx + 1))
+            np.testing.assert_allclose(sines[k - 1, :nx], w, rtol=0, atol=1e-15)
+            assert lam[k - 1] == pytest.approx(
+                (4.0 / g.h**2) * np.sin(k * np.pi / (2 * (nx + 1))) ** 2, rel=1e-15)
+        assert not sines[nx:].any() and not sines[:, nx:].any() and not lam[nx:].any()

@@ -233,6 +233,7 @@ class TestAdmissibility:
     def test_nonpositive_kernel_flagged(self):
         report = check_admissibility(ExpressionKernel("1 - t"), 3.0)
         assert any(v.condition == "positivity" for v in report.violations)
+        assert report.floor == -2.0  # min G over the audit grid, at t = 3
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

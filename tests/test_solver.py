@@ -12,7 +12,7 @@ from scipy.integrate import quad
 import viscokern
 import viscokern.solver as solver_module
 from viscokern import expressions
-from viscokern.grids import Grid, dirichlet_eigenpairs
+from viscokern.grids import Grid
 from viscokern.kernels import (
     DerivativeUndefinedError,
     IntegratedKernel,
@@ -184,13 +184,13 @@ class TestLaplacian:
         assert 3.5 < ratio < 4.5
 
     def test_discrete_eigenvector_identity(self):
-        # the sampled sine modes are exact eigenvectors of the stencil with
-        # eigenvalue (4/h^2) sin^2(i pi h / (2 L))
+        # every row of the march's sine table is an eigenvector of the
+        # stencil with eigenvalue -lam
         g = Grid(0.0, 2.0, 37)
-        for i, w in enumerate(dirichlet_eigenpairs(g, 5)[1], start=1):
-            lam_h = (4.0 / g.h**2) * np.sin(i * np.pi * g.h / (2.0 * g.length)) ** 2
+        sines, lam = solver_module._sine_basis(g)
+        for w, lam_k in zip(sines[:37, :37], lam):
             out = laplacian_values(w, g.h)
-            np.testing.assert_allclose(out, -lam_h * w, atol=1e-12)
+            np.testing.assert_allclose(out, -lam_k * w, atol=1e-12)
 
     def test_symmetry_in_inner_product(self):
         rng = np.random.default_rng(7)
@@ -523,9 +523,11 @@ class TestBlockedMemorySum:
         # fixed chunks make the bytes independent, and so does padding the
         # rows to a multiple of 8 columns, which 250 and 1001 interior nodes
         # (and the energy rows of 256) are not; both the solution and the
-        # energy history summed by the same far sums, and a forced run
+        # energy history summed by the same far sums, the wave reference
+        # built on the same sine table, and a forced run
         script = (
             "import hashlib\n"
+            "from viscokern import cli\n"
             "from viscokern.grids import Grid\n"
             "from viscokern.kernels import WedgeKernel\n"
             "from viscokern.solver import ProblemSpec, solve\n"
@@ -535,8 +537,10 @@ class TestBlockedMemorySum:
             "    spec = ProblemSpec(Grid(0.0, 1.0, nx), horizon, steps, "
             "WedgeKernel(2.0, 1.0, 0.4), u0='sin(pi*x)', u1='x*(1-x)', f=f)\n"
             "    sol = solve(spec)\n"
-            "    print(hashlib.sha256(sol.u.tobytes() + "
-            "energy_series(sol).history.tobytes()).hexdigest())\n"
+            "    data = sol.u.tobytes() + energy_series(sol).history.tobytes()\n"
+            "    if f == '0':\n"
+            "        data += cli._wave_reference(spec, 1.0)(sol.times).tobytes()\n"
+            "    print(hashlib.sha256(data).hexdigest())\n"
         )
         src = str(Path(viscokern.__file__).resolve().parents[1])
         digests = []
