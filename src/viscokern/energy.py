@@ -30,6 +30,7 @@ from .solver import (
     SolutionField,
     _engine_rows,
     _far_sums,
+    _head_lag,
     _sine_basis,
     _to_modes,
 )
@@ -69,12 +70,15 @@ def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
     return rows @ w
 
 
-def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray,
+              head_lag: int | None = None) -> np.ndarray:
     """Per saved step n, the ds-trapezoid over the lags s = 0, ds, .., t_n of
     weight(s) D(t_n, s), D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx, with
     *weight* the kernel at the saved times.  Lags of DIRECT_LAGS steps and
     more come from one engine pass over the rows (|u_x|^2, 1, u_x), by
-    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b; shorter ones are summed as differences."""
+    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b; shorter ones are summed as differences.
+    A *head_lag* says the weight is constant from lag 0 to it, so the far
+    sums take those lags as block moments."""
     uxs = uxs - uxs.mean(axis=0)  # D sees differences only: shrink what cancels
     d = _trap_x(h, uxs * uxs)
     rows = _engine_rows(len(d), 2 + uxs.shape[1])
@@ -84,8 +88,11 @@ def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray) -> np.nd
     far_wl = np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weight)
     nonzero = np.flatnonzero(far_wl)
     tail = (int(nonzero[-1]) if len(nonzero) else 0, 0.0, 0.0)  # skip rows past it
+    head = None
+    if head_lag is not None:
+        head = (DIRECT_LAGS, head_lag, far_wl[min(head_lag, len(d) - 1)], 0.0, 0.0)
     sums = np.zeros_like(rows)
-    for s, far in _far_sums(rows, far_wl, 1, len(d), tail):
+    for s, far in _far_sums(rows, far_wl, 1, len(d), tail, head):
         sums[s : s + len(far)] = far
     out = d * sums[:, 1] + sums[:, 0] - 2.0 * _trap_x(h, uxs * sums[:, 2 : 2 + uxs.shape[1]])
     for k in range(1, min(DIRECT_LAGS, len(d))):
@@ -150,7 +157,7 @@ def energy_series(sol: SolutionField) -> EnergyReport:
     elastic = 0.5 * g_at * _trap_x(h, uxs * uxs)
     kinetic = 0.5 * _trap_x(h, _full_rows(v) ** 2)
 
-    history = -0.5 * _lag_sums(h, ds, uxs, gdot_at)
+    history = -0.5 * _lag_sums(h, ds, uxs, gdot_at, _head_lag(kernel, ds))
 
     horizon = sol.spec.horizon
     alpha = max(1.0 / float(kernel.g(horizon + 1.0)), 1.0)
@@ -261,21 +268,25 @@ class ModeDecayReport:
         return self.magnitudes.max(axis=1)
 
 
-def _values_on(sol: SolutionField, x_target: np.ndarray, t: float) -> np.ndarray:
-    """Snapshot of *sol* at time t on the target interior nodes, linear in
-    both time (between saved steps) and space (through the boundary zeros)."""
-    times = sol.times
-    idx = int(np.searchsorted(times, t))
-    idx = min(max(idx, 0), len(times) - 1)
-    if idx > 0 and abs(times[idx] - t) > 1e-12 and times[idx] > t:
-        lo = idx - 1
-        theta = (t - times[lo]) / (times[idx] - times[lo])
-        row = (1.0 - theta) * sol.u[lo] + theta * sol.u[idx]
-    else:
-        row = sol.u[idx]
+def _values_at(sol: SolutionField, x_target: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Snapshots of *sol* at *times* on the target interior nodes, linear in
+    both time (between saved steps) and space (through the boundary zeros),
+    as ``np.interp`` takes it: a time or node on a saved one takes its
+    value, any other the value of the left one plus slope times offset."""
+    saved = sol.times
+    idx = np.minimum(np.searchsorted(saved, times), len(saved) - 1)
+    between = (idx > 0) & (np.abs(saved[idx] - times) > 1e-12) & (saved[idx] > times)
     g = sol.grid
     x_full = np.concatenate(([g.a], g.x, [g.b]))
-    return np.interp(x_target, x_full, np.concatenate(([0.0], row, [0.0])))
+    full = np.zeros((len(times), len(x_full)))
+    full[:, 1:-1] = sol.u[idx]
+    hi = idx[between]
+    theta = ((times[between] - saved[hi - 1]) / (saved[hi] - saved[hi - 1]))[:, None]
+    full[between, 1:-1] = (1.0 - theta) * sol.u[hi - 1] + theta * sol.u[hi]
+    left = np.clip(np.searchsorted(x_full, x_target, side="right") - 1, 0, len(x_full) - 2)
+    offset = x_target - x_full[left]
+    slope = (full[:, left + 1] - full[:, left]) / (x_full[left + 1] - x_full[left])
+    return np.where(offset == 0.0, full[:, left], slope * offset + full[:, left])
 
 
 def mode_decay_diagnostic(
@@ -305,8 +316,7 @@ def mode_decay_diagnostic(
     grid = coarse.grid
     if not 1 <= n_modes <= grid.n_interior:
         raise ValueError(f"{n_modes} modes requested, the grid resolves at most {grid.n_interior}")
-    diffs = np.stack([_values_on(sol_a, grid.x, float(t)) - _values_on(sol_b, grid.x, float(t))
-                      for t in times])
+    diffs = _values_at(sol_a, grid.x, times) - _values_at(sol_b, grid.x, times)
     sines, _ = _sine_basis(grid)
     mags = np.abs(np.sqrt(grid.h) * _to_modes(diffs, sines)[:, :n_modes])
     return ModeDecayReport(times=np.asarray(times, dtype=float).copy(), magnitudes=mags.T)

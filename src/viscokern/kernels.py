@@ -12,6 +12,10 @@ jump (wedge and tabulated variants).  Four kernel families are provided:
   i.e. a general piecewise-linear (wedge-like) kernel.
 * :class:`ExpressionKernel` -- formula in ``t`` via :mod:`.expressions`.
 
+Kernels declare the structure the solvers use, from their parameters and
+never fitted: ``constant_after`` (wedge) and ``affine_until`` (wedge, and a
+table that starts at t = 0).
+
 Kernels and integrated kernels are immutable after construction and safe
 to share across threads; they hold no caches.
 """
@@ -76,6 +80,11 @@ class RelaxationKernel:
     #: then fold the history older than c into a closed form
     constant_after: float | None = None
 
+    #: a time a > 0 such that G is affine on [0, a], or None; K is then
+    #: quadratic there, and the solvers sum the history at lags up to a
+    #: through per-block moments
+    affine_until: float | None = None
+
     def g(self, t):
         """G(t); accepts a scalar or an ndarray of times >= 0."""
         raise NotImplementedError
@@ -126,6 +135,7 @@ class WedgeKernel(RelaxationKernel):
             require_positive(f"wedge {name}", getattr(self, name))
         object.__setattr__(self, "kink_times", (float(self.ramp),))
         object.__setattr__(self, "constant_after", float(self.ramp))
+        object.__setattr__(self, "affine_until", float(self.ramp))
 
     @property
     def slope(self) -> float:
@@ -236,6 +246,8 @@ class TabulatedKernel(RelaxationKernel):
         self.times.setflags(write=False)
         self.values.setflags(write=False)
         self.kink_times = tuple(float(t) for t in times[1:-1])
+        if times[0] == 0.0:  # the first segment starts at t = 0
+            self.affine_until = float(times[1])
         # exact cumulative integral at the nodes (trapezoid is exact here)
         cum = np.zeros(len(times))
         cum[1:] = np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)

@@ -33,8 +33,14 @@ the two integrals:
 Over a wedge, Prony or tabulated base, whose K is closed-form, this is
 one bump average per abscissa by the same rule and kink splits (K has
 its kinks, in the second derivative, where G has them in the first), so
-no quadrature over G_eps is needed.  Over an expression kernel K_eps is
-integrated from G_eps by :class:`IntegratedKernel`'s Gauss panels.
+no quadrature over G_eps is needed.  Where the window meets only the
+base's affine head (xi <= a - 2 eps), the shift identity gives
+K_eps(xi) = K(xi + eps) - K(eps), and where it meets only the constant
+tail, K_eps(xi) = K(xi + eps) minus the average at xi = 0; both are exact
+for an even unit-mass bump, so the bump average runs only in between.
+By the same identity G_eps is affine on [0, a - 2 eps] (``affine_until``).
+Over an expression kernel K_eps is integrated from G_eps by
+:class:`IntegratedKernel`'s Gauss panels.
 """
 
 from __future__ import annotations
@@ -124,8 +130,9 @@ class MollifiedKernel(RelaxationKernel):
 
     The result is itself a :class:`RelaxationKernel`: admissibility
     auditing, integrated-kernel evaluation and both solvers consume it
-    unchanged.  It has no kinks of its own, and it is constant after the
-    base kernel's ``constant_after``.
+    unchanged.  It has no kinks of its own, it is constant after the
+    base kernel's ``constant_after``, and affine up to the base kernel's
+    ``affine_until`` less 2 eps.
     """
 
     kink_times: tuple[float, ...] = ()
@@ -139,8 +146,11 @@ class MollifiedKernel(RelaxationKernel):
         self.base = base
         self.epsilon = epsilon
         self.smoothness_scale = self.epsilon
-        # every argument of G lies at or beyond t: constant where G is
+        # every argument of G lies at or beyond t: constant where G is, and
+        # affine (by the shift identity) where G is on the whole window
         self.constant_after = base.constant_after
+        if base.affine_until is not None and base.affine_until > 2.0 * epsilon:
+            self.affine_until = base.affine_until - 2.0 * epsilon
         if base.closed_k_method is not None:
             self.closed_k_method = "bump average of the base kernel's closed-form K"
 
@@ -229,9 +239,27 @@ class MollifiedKernel(RelaxationKernel):
     def _k_closed(self, xi: np.ndarray):
         """K_eps(xi) = int rho(sigma) [K(eps + xi - eps*sigma)
         - K(eps - eps*sigma)] dsigma (Fubini on the definition of G_eps),
-        for a base with a closed-form K."""
+        for a base with a closed-form K.
+
+        The even unit-mass bump averages a polynomial of degree <= 2 to its
+        centre value plus a term in its (constant) second derivative.  So
+        where the window meets only the affine head of G, xi <= a - 2 eps,
+        the second derivatives cancel and K_eps(xi) = K(xi + eps) - K(eps);
+        where it meets only the constant tail, xi >= ``constant_after``,
+        K is affine and K_eps(xi) = K(xi + eps) - int rho(sigma) K(eps -
+        eps*sigma).  Only the abscissae in between take the bump average."""
         k_base = self.base._k_closed
-        return self._eval_many(xi, rho, 0, k_base) - self._eval_many(0.0, rho, 0, k_base)
+        xi = np.asarray(xi, dtype=float)
+        out = np.empty_like(xi)
+        at_zero = self._eval_many(0.0, rho, 0, k_base)
+        a, c = self.affine_until, self.constant_after
+        head = xi <= (-np.inf if a is None else a)
+        tail = (xi >= (np.inf if c is None else c)) & ~head
+        rest = ~(head | tail)
+        out[head] = k_base(xi[head] + self.epsilon) - k_base(np.array(self.epsilon))
+        out[tail] = k_base(xi[tail] + self.epsilon) - at_zero
+        out[rest] = self._eval_many(xi[rest], rho, 0, k_base) - at_zero
+        return out
 
     def describe(self) -> str:
         return f"mollified({self.base.describe()}, eps={self.epsilon})"

@@ -63,6 +63,16 @@ affine, A + B j with B = dt^2 G(c), and the weights on Gdot are exact
 zeros, so summed twice they are affine too; the older rows fold into two
 running moments.
 
+A kernel that is affine on [0, a] (``affine_until``) gives the far sum a
+head.  Up to the lag J = floor(a/dt) the weights on K are
+dt^2 (G(0) j + dt s j^2 / 2), s = (G(a) - G(0))/a taken from G, and the
+twice-summed weights on Gdot are G(0) j + dt s j^2 / 2.  Each block of
+HISTORY_BLOCK rows keeps three moments, taken once, and a block whose lags
+all lie in the head enters through them (the block moments of the
+Toeplitz splitting); only row 0, the blocks that straddle J and the rows
+between J and p stay in the product.  The head is used when J spans at
+least two blocks.
+
 Data are checked before the first block: u0, u1 or their sine coefficients
 that are not finite are reported at step 0, the forcing's share of a row
 at its own step.  A solve whose arrays would not fit in physical memory is
@@ -169,10 +179,11 @@ def check_size(n_interior: int, n_steps: int, forced: bool) -> None:
     """ConfigurationError if the arrays of a solve on this grid would not fit
     in physical memory, judged from their shapes before anything is made:
     the rows of u in the sine basis and on the nodes, the forcing's rows,
-    the sine table and the block inverses (see :meth:`_March.run`)."""
+    the sine table, the block inverses (see :meth:`_March.run`) and the far
+    sums' block moments."""
     width = _padded(n_interior)
     need = 8 * ((2 + forced) * (n_steps + 1) * width + width * width
-                + n_interior * HISTORY_BLOCK**2)
+                + n_interior * HISTORY_BLOCK**2 + 3 * -(-n_steps // HISTORY_BLOCK) * width)
     try:
         ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such figure here
@@ -200,19 +211,22 @@ def _check_cfl(spec: ProblemSpec) -> float:
     return limit
 
 
-def _check_stability(spec: ProblemSpec) -> None:
-    """ConfigurationError if the integral scheme's top sine mode grows.  Near
-    lag 0, K(t) ~ G(0) t, so mode k marches like the leapfrog recurrence
+def _check_stability(spec: ProblemSpec) -> float:
+    """The integral scheme's stability limit 2 / sqrt(lam_max G(0)) (inf for
+    G(0) = 0), or ConfigurationError if the spec's dt exceeds it.  Near lag
+    0, K(t) ~ G(0) t, so mode k marches like the leapfrog recurrence
     x_{n+1} - 2 x_n + x_{n-1} = -lam_k dt^2 G(0) x_n, which is stable iff
-    dt <= 2 / sqrt(lam_max G(0)); G(0) = 0 leaves dt free."""
+    dt <= 2 / sqrt(lam_max G(0))."""
     nx = spec.grid.n_interior
     lam_max = (4.0 / spec.grid.h**2) * np.sin(0.5 * np.pi * nx / (nx + 1)) ** 2
     g_zero = float(spec.kernel.g(0.0))
+    limit = 2.0 / np.sqrt(lam_max * g_zero) if g_zero > 0.0 else np.inf
     if spec.dt**2 * lam_max * g_zero > 4.0:
         raise ConfigurationError(
             f"stability violation: dt = {spec.dt:.6g} exceeds 2 / sqrt(lam_max G(0)) "
-            f"= {2.0 / np.sqrt(lam_max * g_zero):.6g} for the integral scheme"
+            f"= {limit:.6g} for the integral scheme"
         )
+    return float(limit)
 
 
 @dataclass
@@ -336,7 +350,8 @@ def _to_modes(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
     return out
 
 
-def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, tail=None):
+def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, tail=None,
+              head=None):
     """Yield (s, far) for the blocks of rows s .. s + b - 1, s = first,
     first + HISTORY_BLOCK, .. below stop: far[i] = sum_{m<s} w_m wl[s+i-m]
     rows[m], with w_0 = 1/2 and every other w_m = 1.  The caller fills the
@@ -347,9 +362,22 @@ def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, tail=None
     ``tail = (p, a, b)``, which says wl[j] = a + b j for every j > p: as
     the running moments sum_m w_m rows[m] and sum_m w_m (s - m) rows[m],
     or not at all when a = b = 0.  Without a tail every row is in the
-    product."""
+    product.
+
+    ``head = (lo, hi, c0, c1, c2)`` says wl[j] = q(j) = c0 + c1 j + c2 j^2
+    for lo <= j <= hi.  Each finished source block of HISTORY_BLOCK rows
+    from m0 = first on then keeps its moments M_k = sum_e e^k rows[m0 + e],
+    taken once; a source block whose lags s + i - m0 - e all lie in the
+    head enters by q(D - e) = q(D) - q'(D) e + c2 e^2, D = s + i - m0, as
+    one product of the (n x 3k) coefficients with the stacked moments of
+    its k such blocks.  Row 0, the blocks that straddle the head's ends
+    and the rows between head and tail stay in the direct product."""
     p, a, b = (stop, 0.0, 0.0) if tail is None else tail
     moments = np.zeros((2, rows.shape[1]))
+    if head is not None:
+        lo_lag, hi_lag, c0, c1, c2 = head
+        powers = np.arange(float(HISTORY_BLOCK)) ** np.arange(3)[:, None]
+        blocks = np.zeros((-(-(stop - first) // HISTORY_BLOCK), 3, rows.shape[1]))
     cut = s_prev = 0  # rows below cut are in the moments
     for s in range(first, stop, HISTORY_BLOCK):
         n = min(HISTORY_BLOCK, stop - s)
@@ -366,12 +394,31 @@ def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, tail=None
             far += (a + b * np.arange(n))[:, None] * moments[0] + b * moments[1]
         cut, s_prev = new_cut, s
         lags = np.arange(s, s + n)[:, None]
-        for lo in range(cut, s, _FAR_CHUNK):
-            hi = min(lo + _FAR_CHUNK, s)
-            w = wl[lags - np.arange(lo, hi)]
-            if lo == 0:
-                w[:, 0] *= 0.5
-            far += w @ rows[lo:hi]
+        direct = [(cut, s)]
+        if head is not None and s > first:
+            newest = (s - first) // HISTORY_BLOCK - 1
+            blocks[newest] = _product(powers, rows[s - HISTORY_BLOCK : s])
+            # source blocks at or above the cut whose lags all lie in the head
+            lo_b = max(-(-(s + n - 1 - hi_lag - first) // HISTORY_BLOCK),
+                       -(-(cut - first) // HISTORY_BLOCK), 0)
+            hi_b = min((s - HISTORY_BLOCK + 1 - lo_lag - first) // HISTORY_BLOCK, newest)
+            if lo_b <= hi_b:
+                m0 = first + HISTORY_BLOCK * np.arange(lo_b, hi_b + 1)
+                d = (lags - m0).astype(float)
+                coef = np.empty(d.shape + (3,))
+                coef[:, :, 0] = c0 + d * (c1 + c2 * d)
+                coef[:, :, 1] = -(c1 + 2.0 * c2 * d)
+                coef[:, :, 2] = c2
+                stacked = blocks[lo_b : hi_b + 1].reshape(-1, rows.shape[1])
+                far += _product(coef.reshape(n, -1), stacked)
+                direct = [(cut, int(m0[0])), (int(m0[-1]) + HISTORY_BLOCK, s)]
+        for start, end in direct:
+            for lo in range(start, end, _FAR_CHUNK):
+                hi = min(lo + _FAR_CHUNK, end)
+                w = wl[lags - np.arange(lo, hi)]
+                if lo == 0:
+                    w[:, 0] *= 0.5
+                far += w @ rows[lo:hi]
         yield s, far
 
 
@@ -416,6 +463,14 @@ def _tail_lag(kernel: RelaxationKernel, dt: float) -> int | None:
     """p = ceil(c/dt) + 1 for a kernel constant after c, else None."""
     c = kernel.constant_after
     return None if c is None else int(np.ceil(c / dt)) + 1
+
+
+def _head_lag(kernel: RelaxationKernel, dt: float) -> int | None:
+    """J = floor(a/dt) for a kernel affine on [0, a], when the head spans at
+    least two blocks, else None."""
+    a = kernel.affine_until
+    lag = None if a is None else int(np.floor(a / dt))
+    return lag if lag is not None and lag >= 2 * HISTORY_BLOCK else None
 
 
 def _block_inverses(mu: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -479,11 +534,12 @@ class _March:
                           "the forcing term or its sine coefficients are not finite")
         return rows
 
-    def run(self, lags: np.ndarray, mu: np.ndarray, data, tail=None, **meta) -> SolutionField:
+    def run(self, lags: np.ndarray, mu: np.ndarray, data, tail=None, head=None,
+            **meta) -> SolutionField:
         """March the rows after row 0 (u0) block by block, in the sine basis.
         Row t solves, mode by mode,
         ``x_t + mu sum_{m<t} w_m lags[t - m] x_m = data(t)``, with the far
-        sum's w_m and ``tail``.  The differential scheme's result carries
+        sum's w_m, ``tail`` and ``head``.  The differential scheme's result carries
         velocities.  The rows are made here, after every table: made first,
         they grew the peak RSS of a mollify study by 20 %."""
         spec, nx = self.spec, self.spec.grid.n_interior
@@ -495,7 +551,7 @@ class _March:
             u = u_rows[:, :nx]
             modal[0] = self.u0m
             u[0] = self.u0v
-            for s, far in _far_sums(modal, lags, 1, stop, tail):
+            for s, far in _far_sums(modal, lags, 1, stop, tail, head):
                 n = len(far)
                 rhs = data(s, n) - mu * far
                 block = np.matmul(inverses[:, :n, :n], rhs[:, :nx].T[:, :, None])
@@ -514,9 +570,11 @@ class _March:
                              None if v is None else v[::s].copy(), meta)
 
 
-def _tail_note(tail, what: str) -> str:
-    note = "no tail" if tail is None else f"affine tail from lag {tail[0]}"
-    return f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, {note}"
+def _far_note(head, tail, what: str) -> str:
+    head_note = "no head" if head is None else f"block moments on the affine head to lag {head[1]}"
+    tail_note = "no tail" if tail is None else f"affine tail from lag {tail[0]}"
+    return (f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, "
+            f"{head_note}, {tail_note}")
 
 
 def solve_integral(spec: ProblemSpec) -> SolutionField:
@@ -526,6 +584,7 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
 
     Aborts with :class:`SolverDivergenceError` if non-finite values
     appear (data near the float limit can overflow on a stable grid)."""
+    limit = _check_stability(spec)
     dt, march = spec.dt, _March(spec, "integral")
     k_table = IntegratedKernel(spec.kernel)
     wl = dt * k_table.cumulative(march.tgrid)
@@ -533,6 +592,11 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
     if p is not None and p < len(wl):  # wl[j] = dt K(t_j) is affine past c
         slope = dt * dt * float(spec.kernel.g(spec.kernel.constant_after))
         tail = (p, wl[p] - slope * p, slope)
+    head, lag = None, _head_lag(spec.kernel, dt)
+    if lag is not None:  # K(t) = G(0) t + s t^2 / 2 up to a, s from G, not Gdot
+        a, g_zero = spec.kernel.affine_until, float(spec.kernel.g(0.0))
+        s = (float(spec.kernel.g(a)) - g_zero) / a
+        head = (0, lag, 0.0, dt * dt * g_zero, 0.5 * dt**3 * s)
     forcing = march.data(integrate=True)
     u0m, u1m, tgrid = march.u0m, march.u1m, march.tgrid
 
@@ -542,9 +606,9 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
             rows += forcing[s : s + n]
         return rows
 
-    return march.run(wl, march.lam, data, tail,
-                     memory_quadrature=_tail_note(tail, "product trapezoid on K"),
-                     kernel_quadrature=k_table.method)
+    return march.run(wl, march.lam, data, tail, head,
+                     memory_quadrature=_far_note(head, tail, "product trapezoid on K"),
+                     kernel_quadrature=k_table.method, stability_limit=limit)
 
 
 def solve_differential(spec: ProblemSpec) -> SolutionField:
@@ -574,6 +638,12 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
     tail, p = None, _tail_lag(spec.kernel, dt)
     if p is not None and p + 1 < len(lags) and not lags[p + 1 :].any():
         tail = (p, twice[p] - p * once[p], once[p])  # Gdot = 0 past c: affine
+    head, lag = None, _head_lag(spec.kernel, dt)
+    if lag is not None:  # Gdot = s up to a: twice[j] = G(0) j + dt s j^2 / 2,
+        # with dt s / 2 read off the table at lag J, as a mollified Gdot
+        # carries its rule's bias of ~1e-12 relative
+        j = min(lag, len(twice) - 1)
+        head = (0, lag, 0.0, g_zero, (twice[j] - g_zero * j) / (j * j))
     forcing = march.data(integrate=False)
     mu = dt * dt * march.lam
     x0 = march.u0m
@@ -592,9 +662,9 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
             rows += forcing[s - 1 : s - 1 + n]
         return rows
 
-    return march.run(twice, mu, data, tail,
-                     memory_quadrature=_tail_note(
-                         tail, "trapezoid on Gdot with kink-split panels, summed twice"),
+    return march.run(twice, mu, data, tail, head,
+                     memory_quadrature=_far_note(
+                         head, tail, "trapezoid on Gdot with kink-split panels, summed twice"),
                      cfl_limit=limit)
 
 

@@ -24,7 +24,14 @@ from viscokern.kernels import (
     WedgeKernel,
 )
 from viscokern.mollify import MollifiedKernel
-from viscokern.solver import HISTORY_BLOCK, ConfigurationError, ProblemSpec, solve
+from viscokern.solver import (
+    HISTORY_BLOCK,
+    ConfigurationError,
+    ProblemSpec,
+    _sine_basis,
+    _to_modes,
+    solve,
+)
 
 PRONY = PronyKernel(1.0, ((1.0, 0.5),))
 
@@ -80,6 +87,24 @@ def _residual_rows(sol, report) -> np.ndarray:
         rhs -= 0.5 * _lag_integral(h, ds, uxs, n, gddot_at)
         residuals[n - 1] = rate - rhs
     return residuals
+
+
+def _values_on(sol, x_target: np.ndarray, t: float) -> np.ndarray:
+    """Snapshot of *sol* at time t on the target interior nodes, linear in
+    both time (between saved steps) and space (through the boundary zeros):
+    the per-time loop the mode diagnostic ran before, kept as its oracle."""
+    times = sol.times
+    idx = int(np.searchsorted(times, t))
+    idx = min(max(idx, 0), len(times) - 1)
+    if idx > 0 and abs(times[idx] - t) > 1e-12 and times[idx] > t:
+        lo = idx - 1
+        theta = (t - times[lo]) / (times[idx] - times[lo])
+        row = (1.0 - theta) * sol.u[lo] + theta * sol.u[idx]
+    else:
+        row = sol.u[idx]
+    g = sol.grid
+    x_full = np.concatenate(([g.a], g.x, [g.b]))
+    return np.interp(x_target, x_full, np.concatenate(([0.0], row, [0.0])))
 
 
 def standing_mode_solution(nx=64, nt=512, kernel=PRONY, scheme="differential",
@@ -277,6 +302,18 @@ class TestEngineAgainstRowLoop:
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(residual - expected)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    @pytest.mark.parametrize("ramp", [0.7, 158.5 / 256, 2.0])
+    def test_wedge_head_matches_row_loop(self, scheme, ramp):
+        # Gdot is constant up to the ramp, so the lags from DIRECT_LAGS to
+        # J = floor(ramp / ds) (179; 158, one short of a block's last lag;
+        # past the horizon) enter the far sums as block moments
+        sol = standing_mode_solution(nx=16, nt=320, horizon=1.25, scheme=scheme,
+                                     u1="x*(1-x)", kernel=WedgeKernel(2.0, 1.0, ramp))
+        expected = _history_rows(sol)
+        history = energy_series(sol).history
+        assert np.max(np.abs(history - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestDissipationBranches:
     def test_forced_run_monotonicity_not_applicable(self):
@@ -335,6 +372,22 @@ class TestModeDecay:
         report = mode_decay_diagnostic(a, b, 2)
         assert report.magnitudes.shape[1] == len(a.times)
         assert np.max(report.magnitudes) < 1e-2
+
+    @pytest.mark.parametrize("sizes", [((24, 192), (40, 256)), ((40, 256), (24, 192)),
+                                       ((24, 192), (24, 384))])
+    def test_matches_per_time_loop(self, sizes):
+        # grids that do not nest and time steps that do not divide: every
+        # value is interpolated in space and, on the finer time grid, in time
+        (na, ta), (nb, tb) = sizes
+        a = standing_mode_solution(nx=na, nt=ta, scheme="integral", u0="x*(1-x)*exp(x)")
+        b = standing_mode_solution(nx=nb, nt=tb, u0="x*(1-x)*exp(x)")
+        report = mode_decay_diagnostic(a, b, 4)
+        grid = (a if na <= nb else b).grid
+        times = min(a.times, b.times, key=len)
+        diffs = np.stack([_values_on(a, grid.x, float(t)) - _values_on(b, grid.x, float(t))
+                          for t in times])
+        expected = np.abs(np.sqrt(grid.h) * _to_modes(diffs, _sine_basis(grid)[0])[:, :4]).T
+        assert np.max(np.abs(report.magnitudes - expected)) <= 1e-12 * np.max(expected)
 
     def test_mode_count_beyond_resolution(self):
         sol = standing_mode_solution(nx=8, nt=64)

@@ -429,6 +429,28 @@ class TestClosedK:
         got = IntegratedKernel(MollifiedKernel(base, eps)).cumulative(xs)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("family", ["wedge", "table"])
+    @pytest.mark.parametrize("eps", [0.004, 0.03, 0.2, 0.35])
+    def test_shift_identity_matches_bump_average(self, family, eps):
+        # K_eps(xi) = K(xi + eps) - K(eps) on the head xi <= a - 2 eps and
+        # K(xi + eps) - int rho K(eps - eps s) past constant_after, against
+        # the bump average of the base K that every abscissa took before;
+        # at eps = 0.35 the head is empty (a - 2 eps <= 0)
+        if family == "wedge":
+            base = WedgeKernel(2.0, 1.0, 0.6)
+        else:
+            base = TabulatedKernel([0.0, 0.6, 0.9, 4.0], [2.0, 1.4, 1.2, 1.0])
+        a = 0.6
+        mk = MollifiedKernel(base, eps)
+        assert mk.affine_until == (a - 2.0 * eps if a > 2.0 * eps else None)
+        edges = [a - 2.0 * eps, a, 0.9]
+        xs = np.union1d(np.linspace(0.0, 2.0, 41),
+                        [e + d for e in edges for d in (-1e-9, 0.0, 1e-9) if e + d >= 0.0])
+        k_base = base._k_closed
+        ref = mk._eval_many(xs, rho, 0, k_base) - mk._eval_many(0.0, rho, 0, k_base)
+        got = IntegratedKernel(mk).cumulative(xs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_expression_base_keeps_gauss_path(self):
         mk = MollifiedKernel(catalog()["expression"], 0.05)
         assert mk.closed_k_method is None

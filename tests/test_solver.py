@@ -240,6 +240,21 @@ class TestSpecValidation:
         g = Grid(0.0, 1.0, 32)
         assert cfl_limit(PRONY, g) == pytest.approx(0.9 * g.h / np.sqrt(2.0))
 
+    @pytest.mark.parametrize("kernel, g_zero", [(PRONY, 2.0), (PronyKernel(0.0), 0.0)],
+                             ids=["prony", "vanishing"])
+    def test_stability_limit_recorded(self, kernel, g_zero):
+        # 2 / sqrt(lam_max G(0)), lam_max = (4/h^2) sin^2(nx pi / (2(nx + 1)));
+        # no bound when G(0) = 0
+        g = Grid(0.0, 1.0, 32)
+        lam_max = 4.0 / g.h**2 * np.sin(0.5 * np.pi * 32 / 33) ** 2
+        sol = solve_integral(make_spec(kernel, "integral", nx=32, nt=50))
+        limit = sol.meta["stability_limit"]
+        if g_zero:
+            assert limit == pytest.approx(2.0 / np.sqrt(lam_max * g_zero), rel=1e-14)
+            assert limit > sol.spec.dt
+        else:
+            assert limit == np.inf
+
 
 class TestZeroData:
     @pytest.mark.parametrize("scheme", ["integral", "differential"])
@@ -463,6 +478,27 @@ def _blocked_case(scheme, family, n_steps, place, k, frac, f="0"):
                        u0="sin(pi*x)", u1="x*(1-x)", f=f, scheme=scheme)
 
 
+def _head_case(scheme, family, where, f="0"):
+    """A 300-step spec on dt = 1/64 whose kernel is affine on [0, a], with
+    a on a node one lag short of a block's last lag (J = floor(a/dt) = 190),
+    inside a panel and a block (J = 150), on the last lag of a block
+    (J = 191), below two blocks (no head) or past the horizon.  The
+    mollified wedge's ramp sits 2 eps past a, with eps = 3/4 dt, so that a
+    stays a binary fraction."""
+    dt, n_steps = 1.0 / 64.0, 300
+    a = {"node": 190.0, "inside": 150.4, "boundary": 6.0 * HISTORY_BLOCK - 1.0, "short": 50.0,
+         "beyond": 340.3}[where] * dt
+    eps = 0.75 * dt
+    kernel = {
+        "wedge": WedgeKernel(2.0, 1.0, a),
+        "mollified": MollifiedKernel(WedgeKernel(2.0, 1.0, a + 2.0 * eps), eps),
+        "tabulated": TabulatedKernel([0.0, a, a + 0.37, a + 7.0], [2.0, 1.5, 1.2, 1.0]),
+    }[family]
+    assert kernel.affine_until == a
+    return ProblemSpec(Grid(0.0, 1.0, 24), n_steps * dt, n_steps, kernel,
+                       u0="sin(pi*x)", u1="x*(1-x)", f=f, scheme=scheme)
+
+
 class TestBlockedMemorySum:
     # the solvers' block march in the sine basis against a march through the
     # direct sums above; N < B, N = B, N = B + 1 and N above the far
@@ -517,6 +553,19 @@ class TestBlockedMemorySum:
         blocked = solve(spec).u
         assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    @pytest.mark.parametrize("family", ["wedge", "mollified", "tabulated"])
+    @pytest.mark.parametrize("where", ["node", "inside", "boundary", "short", "beyond"])
+    def test_affine_head_matches_direct_sums(self, scheme, family, where):
+        # the far sums take the lags up to J = floor(a/dt) as block moments
+        spec = _head_case(scheme, family, where, f=FORCING if where == "inside" else "0")
+        sol = solve(spec)
+        lag = int(np.floor(spec.kernel.affine_until / spec.dt))
+        head = "no head" if where == "short" else f"affine head to lag {lag},"
+        assert head in sol.meta["memory_quadrature"]
+        direct = _direct_march(spec)
+        assert np.max(np.abs(sol.u - direct)) <= 1e-12 * np.max(np.abs(direct))
+
     def test_bytes_do_not_depend_on_blas_threads(self):
         # one BLAS product over the whole far history, or over a whole row
         # of the sine table, rounds differently at 1 and 2 threads; the
@@ -554,6 +603,16 @@ class TestBlockedMemorySum:
 
 
 class TestKinkIsolation:
+    def test_integral_head_never_consults_gdot(self, monkeypatch):
+        # the head's slope comes from G: J = floor(0.4 * 256) = 102
+        def forbidden(self, t):
+            raise AssertionError("integral scheme consulted dG/dt")
+
+        monkeypatch.setattr(WedgeKernel, "gdot", forbidden)
+        monkeypatch.setattr(WedgeKernel, "gdot_limits", forbidden)
+        sol = solve_integral(make_spec(WEDGE, "integral", nt=256, u0="sin(pi*x)"))
+        assert "affine head to lag 102" in sol.meta["memory_quadrature"]
+
     def test_integral_scheme_never_consults_gdot(self, monkeypatch):
         def forbidden(self, t):
             raise AssertionError("integral scheme consulted dG/dt")
@@ -696,9 +755,11 @@ class TestSizeCheck:
         assert peak < 2**20
 
     def test_estimate_counts_rows_tables_and_forcing(self, monkeypatch):
-        # 2 (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 32^2 inverses
+        # 2 (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 32^2 inverses,
+        # 3 ceil(N / 32) w block moments
         monkeypatch.setattr(solver_module.os, "sysconf", lambda name: {
-            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * (2 * 11 * 16 + 16 * 16 + 9 * 1024)}[name])
+            "SC_PAGE_SIZE": 1,
+            "SC_PHYS_PAGES": 8 * (2 * 11 * 16 + 16 * 16 + 9 * 1024 + 3 * 1 * 16)}[name])
         solver_module.check_size(9, 10, forced=False)
         with pytest.raises(ConfigurationError):
             solver_module.check_size(9, 10, forced=True)
@@ -719,6 +780,18 @@ class TestMemoryQuadrature:
         note = sol.meta["memory_quadrature"]
         assert note.startswith("block march in the sine basis")
         assert note.endswith(tail)
+
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    @pytest.mark.parametrize("kernel, head", [
+        (WedgeKernel(2.0, 1.0, 0.6), "affine head to lag 76"),  # floor(0.6 * 128)
+        (MollifiedKernel(WedgeKernel(2.0, 1.0, 0.6), 0.05), "affine head to lag 64"),
+        (TabulatedKernel([0.0, 0.7, 3.0], [2.0, 1.5, 1.0]), "affine head to lag 89"),
+        (PRONY, "no head"),
+        (WedgeKernel(2.0, 1.0, 0.3), "no head"),  # J = 38, below two blocks
+    ], ids=["wedge", "mollified", "tabulated", "prony", "short-wedge"])
+    def test_meta_names_the_head(self, scheme, kernel, head):
+        sol = solve(make_spec(kernel, scheme, nx=24, u0="sin(pi*x)"))
+        assert f"{head}," in sol.meta["memory_quadrature"]
 
 
 class TestSaveStride:
