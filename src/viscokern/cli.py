@@ -230,11 +230,7 @@ def run_convergence(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
         for lev in range(cfg.levels):
             coarse, fine = sols[lev], sols[lev + 1]
             sizes.append((coarse.grid.n_interior, coarse.spec.n_steps))
-            x_full = np.concatenate(([fine.grid.a], fine.grid.x, [fine.grid.b]))
-            diff = np.empty_like(coarse.u)
-            for k in range(len(coarse.times)):
-                fine_row = np.concatenate(([0.0], fine.u[2 * k], [0.0]))
-                diff[k] = coarse.u[k] - np.interp(coarse.grid.x, x_full, fine_row)
+            diff = coarse.u - energy_mod._values_at(fine, coarse.grid.x, coarse.times)
             errors.append(_l2_space_time(coarse.grid, coarse.times, diff))
 
     orders: list[float | None] = [None]

@@ -77,8 +77,9 @@ def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray,
     *weight* the kernel at the saved times.  Lags of DIRECT_LAGS steps and
     more come from one engine pass over the rows (|u_x|^2, 1, u_x), by
     |a - b|^2 = |a|^2 + |b|^2 - 2 a.b; shorter ones are summed as differences.
-    A *head_lag* says the weight is constant from lag 0 to it, so the far
-    sums take those lags as block moments."""
+    A *head_lag* says the weight is constant from lag 0 to it; those lags,
+    and the lags past the weight's last nonzero value, are lag pieces of
+    the far sums."""
     uxs = uxs - uxs.mean(axis=0)  # D sees differences only: shrink what cancels
     d = _trap_x(h, uxs * uxs)
     rows = _engine_rows(len(d), 2 + uxs.shape[1])
@@ -87,12 +88,11 @@ def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray,
     rows[:, 2 : 2 + uxs.shape[1]] = uxs
     far_wl = np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weight)
     nonzero = np.flatnonzero(far_wl)
-    tail = (int(nonzero[-1]) if len(nonzero) else 0, 0.0, 0.0)  # skip rows past it
-    head = None
+    pieces = [(int(nonzero[-1]) + 1 if len(nonzero) else 0, len(d))]
     if head_lag is not None:
-        head = (DIRECT_LAGS, head_lag, far_wl[min(head_lag, len(d) - 1)], 0.0, 0.0)
+        pieces.append((DIRECT_LAGS, head_lag))
     sums = np.zeros_like(rows)
-    for s, far in _far_sums(rows, far_wl, 1, len(d), tail, head):
+    for s, far in _far_sums(rows, far_wl, 1, len(d), pieces):
         sums[s : s + len(far)] = far
     out = d * sums[:, 1] + sums[:, 0] - 2.0 * _trap_x(h, uxs * sums[:, 2 : 2 + uxs.shape[1]])
     for k in range(1, min(DIRECT_LAGS, len(d))):

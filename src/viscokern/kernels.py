@@ -82,7 +82,7 @@ class RelaxationKernel:
 
     #: a time a > 0 such that G is affine on [0, a], or None; K is then
     #: quadratic there, and the solvers sum the history at lags up to a
-    #: through per-block moments
+    #: through running sums
     affine_until: float | None = None
 
     def g(self, t):

@@ -57,21 +57,16 @@ summed twice from row 2, reads x_t + mu (memory on the lag weights summed
 twice) = x_1 + (t - 1)(x_1 - x_0) + its forcing and a row-0 term, both
 summed twice.  So one block form serves both schemes.
 
-A kernel that is constant after a known time c (``constant_after``) gives
-the far sum a tail.  Past the lag p = ceil(c/dt) + 1 the weights on K are
-affine, A + B j with B = dt^2 G(c), and the weights on Gdot are exact
-zeros, so summed twice they are affine too; the older rows fold into two
-running moments.
-
-A kernel that is affine on [0, a] (``affine_until``) gives the far sum a
-head.  Up to the lag J = floor(a/dt) the weights on K are
-dt^2 (G(0) j + dt s j^2 / 2), s = (G(a) - G(0))/a taken from G, and the
-twice-summed weights on Gdot are G(0) j + dt s j^2 / 2.  Each block of
-HISTORY_BLOCK rows keeps three moments, taken once, and a block whose lags
-all lie in the head enters through them (the block moments of the
-Toeplitz splitting); only row 0, the blocks that straddle J and the rows
-between J and p stay in the product.  The head is used when J spans at
-least two blocks.
+A kernel's declared structure gives the far sum lag pieces, ranges of lags
+on which the weights are a polynomial of degree at most 2: up to the lag
+J = floor(a/dt) for a kernel affine on [0, a] (``affine_until``), where
+the weights on K are quadratic and the twice-summed weights on Gdot too,
+and from the lag p = ceil(c/dt) + 1 on for a kernel constant after c
+(``constant_after``), where both are affine.  The rows whose lags lie in a
+piece enter through three running sums, whose coefficients are read off
+the scheme's own weights; only the rows between the pieces and the newest
+ones stay in the product.  The head is used when J spans at least two
+blocks.
 
 Data are checked before the first block: u0, u1 or their sine coefficients
 that are not finite are reported at step 0, the forcing's share of a row
@@ -179,11 +174,10 @@ def check_size(n_interior: int, n_steps: int, forced: bool) -> None:
     """ConfigurationError if the arrays of a solve on this grid would not fit
     in physical memory, judged from their shapes before anything is made:
     the rows of u in the sine basis and on the nodes, the forcing's rows,
-    the sine table, the block inverses (see :meth:`_March.run`) and the far
-    sums' block moments."""
+    the sine table and the block inverses (see :meth:`_March.run`)."""
     width = _padded(n_interior)
     need = 8 * ((2 + forced) * (n_steps + 1) * width + width * width
-                + n_interior * HISTORY_BLOCK**2 + 3 * -(-n_steps // HISTORY_BLOCK) * width)
+                + n_interior * HISTORY_BLOCK**2)
     try:
         ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such figure here
@@ -350,68 +344,74 @@ def _to_modes(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
     return out
 
 
-def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, tail=None,
-              head=None):
-    """Yield (s, far) for the blocks of rows s .. s + b - 1, s = first,
-    first + HISTORY_BLOCK, .. below stop: far[i] = sum_{m<s} w_m wl[s+i-m]
-    rows[m], with w_0 = 1/2 and every other w_m = 1.  The caller fills the
-    rows below s before it asks for the block at s.
+def _piece_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, lo: int, hi: int):
+    """For :func:`_far_sums`: per block s, the rows [a, b) whose lags all lie
+    in the piece [lo, hi], and their share of far (None when the piece's
+    weights are all zero).  q(j) = wl[lo] + (j - lo)(d1 + c2 (j - mid))
+    goes through wl at lo, mid and hi; q and q' are tabulated on every lag,
+    so that a row leaves the sums with what it holds after the shifts."""
+    mid = (lo + hi) // 2
+    d1 = (wl[mid] - wl[lo]) / (mid - lo)
+    c2 = ((wl[hi] - wl[mid]) / (hi - mid) - d1) / (hi - lo)
+    j = np.arange(float(len(wl)))
+    table = np.stack([wl[lo] + (j - lo) * (d1 + c2 * (j - mid)),
+                      d1 + c2 * (2.0 * j - lo - mid), np.ones(len(wl))])
+    i = np.arange(float(HISTORY_BLOCK))
+    spread = np.stack([np.ones(HISTORY_BLOCK), i, c2 * i * i], axis=1)
+    zero = not wl[lo : hi + 1].any()
+    sums = np.zeros((3, rows.shape[1]))
+    a = b = 0
+    s_prev = first
+    for s in range(first, stop, HISTORY_BLOCK):
+        n = min(HISTORY_BLOCK, stop - s)
+        new_a, new_b = max(s + n - 1 - hi, 0), max(s + 1 - max(lo, 1), 0)
+        if zero:
+            yield new_a, new_b, None
+            continue
+        d = s - s_prev
+        sums[0] += d * sums[1] + c2 * d * d * sums[2]
+        sums[1] += 2.0 * c2 * d * sums[2]
+        for r0, r1, sign in ((a, min(new_a, b), -1.0), (max(new_a, b), new_b, 1.0)):
+            if r0 < r1:  # rows r0 .. r1 - 1 at lags s - r0 .. s - r1 + 1
+                coef = sign * table[:, s - r1 + 1 : s - r0 + 1][:, ::-1]
+                if r0 == 0:
+                    coef[:, 0] *= 0.5
+                sums += _product(coef, rows[r0:r1])
+        a, b, s_prev = new_a, new_b, s
+        yield a, b, spread[:n] @ sums
 
-    The rows of the last ``p`` lags before s are one matrix product over
-    chunks of fixed length in a fixed order.  Older rows enter through
-    ``tail = (p, a, b)``, which says wl[j] = a + b j for every j > p: as
-    the running moments sum_m w_m rows[m] and sum_m w_m (s - m) rows[m],
-    or not at all when a = b = 0.  Without a tail every row is in the
-    product.
 
-    ``head = (lo, hi, c0, c1, c2)`` says wl[j] = q(j) = c0 + c1 j + c2 j^2
-    for lo <= j <= hi.  Each finished source block of HISTORY_BLOCK rows
-    from m0 = first on then keeps its moments M_k = sum_e e^k rows[m0 + e],
-    taken once; a source block whose lags s + i - m0 - e all lie in the
-    head enters by q(D - e) = q(D) - q'(D) e + c2 e^2, D = s + i - m0, as
-    one product of the (n x 3k) coefficients with the stacked moments of
-    its k such blocks.  Row 0, the blocks that straddle the head's ends
-    and the rows between head and tail stay in the direct product."""
-    p, a, b = (stop, 0.0, 0.0) if tail is None else tail
-    moments = np.zeros((2, rows.shape[1]))
-    if head is not None:
-        lo_lag, hi_lag, c0, c1, c2 = head
-        powers = np.arange(float(HISTORY_BLOCK)) ** np.arange(3)[:, None]
-        blocks = np.zeros((-(-(stop - first) // HISTORY_BLOCK), 3, rows.shape[1]))
-    cut = s_prev = 0  # rows below cut are in the moments
+def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, pieces=()):
+    """Yield (s, far) for the blocks of rows s .. s + n - 1, s = first,
+    first + HISTORY_BLOCK, .. below stop, n = min(HISTORY_BLOCK, stop - s):
+    far[i] = sum_{m<s} w_m wl[s+i-m] rows[m], with w_0 = 1/2 and every other
+    w_m = 1.  The caller fills the rows below s before it asks for the block
+    at s.
+
+    Each of the ``pieces``, disjoint, is a lag range (lo, hi) on which wl is
+    a polynomial q of degree at most 2, c2 j^2 + ..; hi may pass the end of
+    wl.  The rows whose lags s + i - m all lie in a piece enter through
+    three running sums, sum_m w_m [q(s - m), q'(s - m), 1] rows[m], and
+    add [1, i, c2 i^2] @ sums to far[i]; the sums move to the next block by
+    the exact Taylor shift of q, rows that enter the range are added and
+    rows that leave it are subtracted.  q is read off wl at three lags of
+    the range, which the caller takes from the kernel's declared structure,
+    and a piece whose weights are all zero leaves its rows out.  A piece of
+    fewer than HISTORY_BLOCK + 1 lags is ignored.  Every other row is in one
+    matrix product over chunks of fixed length in a fixed order."""
+    tracks = [_piece_sums(rows, wl, first, stop, lo, min(hi, len(wl) - 1))
+              for lo, hi in pieces if min(hi, len(wl) - 1) - lo >= HISTORY_BLOCK]
     for s in range(first, stop, HISTORY_BLOCK):
         n = min(HISTORY_BLOCK, stop - s)
         far = np.zeros((n, rows.shape[1]))
-        new_cut = max(s - p, 0)
-        if a or b:
-            moments[1] += (s - s_prev) * moments[0]
-            if new_cut > cut:
-                m = np.arange(cut, new_cut)
-                coef = np.stack([np.ones(len(m)), (s - m).astype(float)])
-                if cut == 0:
-                    coef[:, 0] *= 0.5
-                moments += coef @ rows[cut:new_cut]
-            far += (a + b * np.arange(n))[:, None] * moments[0] + b * moments[1]
-        cut, s_prev = new_cut, s
+        start, direct = 0, []
+        for a, b, share in sorted((next(t) for t in tracks), key=lambda c: c[0]):
+            if share is not None:
+                far += share
+            direct.append((start, a))
+            start = max(start, b)
+        direct.append((start, s))
         lags = np.arange(s, s + n)[:, None]
-        direct = [(cut, s)]
-        if head is not None and s > first:
-            newest = (s - first) // HISTORY_BLOCK - 1
-            blocks[newest] = _product(powers, rows[s - HISTORY_BLOCK : s])
-            # source blocks at or above the cut whose lags all lie in the head
-            lo_b = max(-(-(s + n - 1 - hi_lag - first) // HISTORY_BLOCK),
-                       -(-(cut - first) // HISTORY_BLOCK), 0)
-            hi_b = min((s - HISTORY_BLOCK + 1 - lo_lag - first) // HISTORY_BLOCK, newest)
-            if lo_b <= hi_b:
-                m0 = first + HISTORY_BLOCK * np.arange(lo_b, hi_b + 1)
-                d = (lags - m0).astype(float)
-                coef = np.empty(d.shape + (3,))
-                coef[:, :, 0] = c0 + d * (c1 + c2 * d)
-                coef[:, :, 1] = -(c1 + 2.0 * c2 * d)
-                coef[:, :, 2] = c2
-                stacked = blocks[lo_b : hi_b + 1].reshape(-1, rows.shape[1])
-                far += _product(coef.reshape(n, -1), stacked)
-                direct = [(cut, int(m0[0])), (int(m0[-1]) + HISTORY_BLOCK, s)]
         for start, end in direct:
             for lo in range(start, end, _FAR_CHUNK):
                 hi = min(lo + _FAR_CHUNK, end)
@@ -534,12 +534,11 @@ class _March:
                           "the forcing term or its sine coefficients are not finite")
         return rows
 
-    def run(self, lags: np.ndarray, mu: np.ndarray, data, tail=None, head=None,
-            **meta) -> SolutionField:
+    def run(self, lags: np.ndarray, mu: np.ndarray, data, pieces, **meta) -> SolutionField:
         """March the rows after row 0 (u0) block by block, in the sine basis.
         Row t solves, mode by mode,
         ``x_t + mu sum_{m<t} w_m lags[t - m] x_m = data(t)``, with the far
-        sum's w_m, ``tail`` and ``head``.  The differential scheme's result carries
+        sum's w_m and lag ``pieces``.  The differential scheme's result carries
         velocities.  The rows are made here, after every table: made first,
         they grew the peak RSS of a mollify study by 20 %."""
         spec, nx = self.spec, self.spec.grid.n_interior
@@ -551,7 +550,7 @@ class _March:
             u = u_rows[:, :nx]
             modal[0] = self.u0m
             u[0] = self.u0v
-            for s, far in _far_sums(modal, lags, 1, stop, tail, head):
+            for s, far in _far_sums(modal, lags, 1, stop, pieces):
                 n = len(far)
                 rhs = data(s, n) - mu * far
                 block = np.matmul(inverses[:, :n, :n], rhs[:, :nx].T[:, :, None])
@@ -570,11 +569,17 @@ class _March:
                              None if v is None else v[::s].copy(), meta)
 
 
-def _far_note(head, tail, what: str) -> str:
-    head_note = "no head" if head is None else f"block moments on the affine head to lag {head[1]}"
-    tail_note = "no tail" if tail is None else f"affine tail from lag {tail[0]}"
-    return (f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, "
-            f"{head_note}, {tail_note}")
+def _far_pieces(head: int | None, tail: int | None, n_lags: int, what: str):
+    """(pieces, note): the far sums' lag pieces [0, head] and [tail, n_lags)
+    of a scheme's weights, and the memory quadrature note that names them.
+    A tail of one lag or none is dropped."""
+    tail = None if tail is None or tail >= n_lags - 1 else tail
+    pieces = [(0, head)] if head is not None else []
+    pieces += [(tail, n_lags - 1)] if tail is not None else []
+    head_note = "no head" if head is None else f"running sums on the affine head to lag {head}"
+    tail_note = "no tail" if tail is None else f"affine tail from lag {tail}"
+    return pieces, (f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, "
+                    f"{head_note}, {tail_note}")
 
 
 def solve_integral(spec: ProblemSpec) -> SolutionField:
@@ -588,15 +593,9 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
     dt, march = spec.dt, _March(spec, "integral")
     k_table = IntegratedKernel(spec.kernel)
     wl = dt * k_table.cumulative(march.tgrid)
-    tail, p = None, _tail_lag(spec.kernel, dt)
-    if p is not None and p < len(wl):  # wl[j] = dt K(t_j) is affine past c
-        slope = dt * dt * float(spec.kernel.g(spec.kernel.constant_after))
-        tail = (p, wl[p] - slope * p, slope)
-    head, lag = None, _head_lag(spec.kernel, dt)
-    if lag is not None:  # K(t) = G(0) t + s t^2 / 2 up to a, s from G, not Gdot
-        a, g_zero = spec.kernel.affine_until, float(spec.kernel.g(0.0))
-        s = (float(spec.kernel.g(a)) - g_zero) / a
-        head = (0, lag, 0.0, dt * dt * g_zero, 0.5 * dt**3 * s)
+    # wl[j] = dt K(t_j) is quadratic up to a and affine past c
+    pieces, note = _far_pieces(_head_lag(spec.kernel, dt), _tail_lag(spec.kernel, dt),
+                               len(wl), "product trapezoid on K")
     forcing = march.data(integrate=True)
     u0m, u1m, tgrid = march.u0m, march.u1m, march.tgrid
 
@@ -606,8 +605,7 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
             rows += forcing[s : s + n]
         return rows
 
-    return march.run(wl, march.lam, data, tail, head,
-                     memory_quadrature=_far_note(head, tail, "product trapezoid on K"),
+    return march.run(wl, march.lam, data, pieces, memory_quadrature=note,
                      kernel_quadrature=k_table.method, stability_limit=limit)
 
 
@@ -631,19 +629,16 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
     # At t = 1 the same form gives back the Taylor startup x_1
     lags = np.concatenate(([0.0], wl[:-1]))
     lags[1] += g_zero
-    once = np.cumsum(lags)
-    twice = np.cumsum(once)
+    twice = np.cumsum(np.cumsum(lags))
     x0_coef = 0.5 * lags[1] * np.arange(len(lags)) - np.cumsum(
         np.cumsum(np.concatenate(([0.0, 0.0], row0[1:-1]))))
-    tail, p = None, _tail_lag(spec.kernel, dt)
-    if p is not None and p + 1 < len(lags) and not lags[p + 1 :].any():
-        tail = (p, twice[p] - p * once[p], once[p])  # Gdot = 0 past c: affine
-    head, lag = None, _head_lag(spec.kernel, dt)
-    if lag is not None:  # Gdot = s up to a: twice[j] = G(0) j + dt s j^2 / 2,
-        # with dt s / 2 read off the table at lag J, as a mollified Gdot
-        # carries its rule's bias of ~1e-12 relative
-        j = min(lag, len(twice) - 1)
-        head = (0, lag, 0.0, g_zero, (twice[j] - g_zero * j) / (j * j))
+    # Gdot = s up to a: twice[j] = G(0) j + dt s j^2 / 2; Gdot = 0 past c,
+    # where the weights say so: twice is affine
+    tail = _tail_lag(spec.kernel, dt)
+    if tail is not None and lags[tail + 1 :].any():
+        tail = None
+    pieces, note = _far_pieces(_head_lag(spec.kernel, dt), tail, len(twice),
+                               "trapezoid on Gdot with kink-split panels, summed twice")
     forcing = march.data(integrate=False)
     mu = dt * dt * march.lam
     x0 = march.u0m
@@ -662,10 +657,7 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
             rows += forcing[s - 1 : s - 1 + n]
         return rows
 
-    return march.run(twice, mu, data, tail, head,
-                     memory_quadrature=_far_note(
-                         head, tail, "trapezoid on Gdot with kink-split panels, summed twice"),
-                     cfl_limit=limit)
+    return march.run(twice, mu, data, pieces, memory_quadrature=note, cfl_limit=limit)
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ class TestEngineAgainstRowLoop:
     def test_wedge_head_matches_row_loop(self, scheme, ramp):
         # Gdot is constant up to the ramp, so the lags from DIRECT_LAGS to
         # J = floor(ramp / ds) (179; 158, one short of a block's last lag;
-        # past the horizon) enter the far sums as block moments
+        # past the horizon) are a lag piece of the far sums
         sol = standing_mode_solution(nx=16, nt=320, horizon=1.25, scheme=scheme,
                                      u1="x*(1-x)", kernel=WedgeKernel(2.0, 1.0, ramp))
         expected = _history_rows(sol)

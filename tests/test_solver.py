@@ -557,7 +557,7 @@ class TestBlockedMemorySum:
     @pytest.mark.parametrize("family", ["wedge", "mollified", "tabulated"])
     @pytest.mark.parametrize("where", ["node", "inside", "boundary", "short", "beyond"])
     def test_affine_head_matches_direct_sums(self, scheme, family, where):
-        # the far sums take the lags up to J = floor(a/dt) as block moments
+        # the far sums take the lags up to J = floor(a/dt) as a lag piece
         spec = _head_case(scheme, family, where, f=FORCING if where == "inside" else "0")
         sol = solve(spec)
         lag = int(np.floor(spec.kernel.affine_until / spec.dt))
@@ -565,6 +565,40 @@ class TestBlockedMemorySum:
         assert head in sol.meta["memory_quadrature"]
         direct = _direct_march(spec)
         assert np.max(np.abs(sol.u - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("scheme, kernel, caller", [
+        ("integral", WedgeKernel(2.0, 1.0, 0.4), "solver"),
+        ("integral", MollifiedKernel(WedgeKernel(2.0, 1.0, 0.4), 0.05), "solver"),
+        ("differential", WedgeKernel(2.0, 1.0, 0.4), "solver"),
+        ("differential", MollifiedKernel(WedgeKernel(2.0, 1.0, 0.4), 0.05), "solver"),
+        ("integral", WedgeKernel(2.0, 1.0, 0.4), "energy"),
+    ], ids=["wedge-integral", "mollified-integral", "wedge-differential",
+            "mollified-differential", "wedge-energy"])
+    def test_lag_pieces_match_direct_product(self, monkeypatch, scheme, kernel, caller):
+        # the far sums on the weights and pieces a caller passes, against the
+        # same sums with no pieces (the direct product), on random rows over
+        # 4096 steps: rows leave the head's range for 80 blocks and more.
+        # The energy's weights start at lag 32 and end in a zero tail
+        import viscokern.energy as energy_module
+        from viscokern.solver import _far_sums
+
+        module = energy_module if caller == "energy" else solver_module
+        calls = []
+
+        def spy(rows, wl, first, stop, pieces=()):
+            calls.append((wl.copy(), first, stop, list(pieces)))
+            return _far_sums(rows, wl, first, stop, pieces)
+
+        monkeypatch.setattr(module, "_far_sums", spy)
+        sol = solve(make_spec(kernel, scheme, nx=8, nt=4096, u0="sin(pi*x)"))
+        if caller == "energy":
+            energy_module.energy_series(sol)
+        (wl, first, stop, pieces), = calls
+        assert len(pieces) == 2 and all(hi - lo > HISTORY_BLOCK for lo, hi in pieces)
+        rows = np.random.default_rng(7).standard_normal((stop, 8)) + 1.0
+        got = np.concatenate([far for _, far in _far_sums(rows, wl, first, stop, pieces)])
+        want = np.concatenate([far for _, far in _far_sums(rows, wl, first, stop)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # one BLAS product over the whole far history, or over a whole row
@@ -604,7 +638,7 @@ class TestBlockedMemorySum:
 
 class TestKinkIsolation:
     def test_integral_head_never_consults_gdot(self, monkeypatch):
-        # the head's slope comes from G: J = floor(0.4 * 256) = 102
+        # the head's coefficients come from the weights on K: J = floor(0.4 * 256) = 102
         def forbidden(self, t):
             raise AssertionError("integral scheme consulted dG/dt")
 
@@ -755,11 +789,10 @@ class TestSizeCheck:
         assert peak < 2**20
 
     def test_estimate_counts_rows_tables_and_forcing(self, monkeypatch):
-        # 2 (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 32^2 inverses,
-        # 3 ceil(N / 32) w block moments
+        # 2 (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 32^2 inverses
         monkeypatch.setattr(solver_module.os, "sysconf", lambda name: {
             "SC_PAGE_SIZE": 1,
-            "SC_PHYS_PAGES": 8 * (2 * 11 * 16 + 16 * 16 + 9 * 1024 + 3 * 1 * 16)}[name])
+            "SC_PHYS_PAGES": 8 * (2 * 11 * 16 + 16 * 16 + 9 * 1024)}[name])
         solver_module.check_size(9, 10, forced=False)
         with pytest.raises(ConfigurationError):
             solver_module.check_size(9, 10, forced=True)
