@@ -144,7 +144,8 @@ def run_wave_limit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
         if not errors:  # the specs share grid, times, u0 and g_inf
             reference = _wave_reference(spec, wedge.g_inf)(sol.times)
             norm = _l2_space_time(spec.grid, sol.times, reference)
-        errors.append(_l2_space_time(spec.grid, sol.times, sol.u - reference) / norm)
+        errors.append(_l2_space_time(spec.grid, sol.times, sol.u, reference) / norm)
+        del sol  # before the next solve
 
     passed = _strictly_decreasing(errors)
     path = out_dir / "wave_limit.csv"
@@ -178,6 +179,7 @@ def run_mollify_study(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
         smoothed = MollifiedKernel(base, eps)
         sol = solve_integral(cfg.problem_spec(kernel=smoothed, scheme="integral"))
         dist = l2_distance(sol, ref_sol)
+        del sol  # before the next solve
         report = check_admissibility(smoothed, horizon)
         sups.append(sup)
         dists.append(dist)
@@ -230,8 +232,8 @@ def run_convergence(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
         for lev in range(cfg.levels):
             coarse, fine = sols[lev], sols[lev + 1]
             sizes.append((coarse.grid.n_interior, coarse.spec.n_steps))
-            diff = coarse.u - energy_mod._values_at(fine, coarse.grid.x, coarse.times)
-            errors.append(_l2_space_time(coarse.grid, coarse.times, diff))
+            fine_u = energy_mod._values_at(fine, coarse.grid.x, coarse.times)
+            errors.append(_l2_space_time(coarse.grid, coarse.times, coarse.u, fine_u))
 
     orders: list[float | None] = [None]
     for prev, curr in zip(errors, errors[1:]):

@@ -327,7 +327,8 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     n_interior, f = values.get("discretization.n_interior"), values.get("problem.f")
     if n_steps is not None and n_interior is not None and f is not None:
         try:
-            check_size(n_interior, n_steps, not expressions.is_zero(expressions.parse(f)))
+            check_size(n_interior, n_steps, not expressions.is_zero(expressions.parse(f)),
+                       values.get("problem.scheme") == "differential")
         except ConfigurationError as exc:
             errors.append((line("discretization.n_steps") or line("discretization.n_interior"),
                            f"discretization: {exc}"))

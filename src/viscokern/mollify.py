@@ -221,6 +221,9 @@ class MollifiedKernel(RelaxationKernel):
                 vals = (half * weights) * weight_fn(sigma) * base_f(args, rows)
                 out[rows] = vals.sum(axis=(1, 2))
         out /= eps**order
+        if order and self.affine_until is not None:  # the shift identity, as in
+            head = t <= self.affine_until  # _k_closed: G_eps' = G'(t + eps), G_eps'' = 0
+            out[head] = self.base.gdot(t[head] + eps) if order == 1 else 0.0
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     # ------------------------------------------------------------------

@@ -26,10 +26,10 @@ boundaries, initial data u0, u1 and forcing f:
   The panel sits at the same lags at every step, so the split lives in
   the lag weights, set once per solve (``_gdot_weights``).
 
-Both schemes are linear in the data and run one march (``_March``), which
-stores the full history (the memory term needs it anyway) and saves
-snapshots at a configurable stride; a scheme gives it its lag weights and
-the data of each row after row 0 (u0).
+Both schemes are linear in the data and run one march (``_March``) on one
+array of rows, the history in the sine basis, which then becomes the
+solution on the nodes in place; a scheme gives it its lag weights and the
+data of each row after row 0 (u0).
 
 The march runs in the orthonormal sine basis (the DST-I), whose vectors
 are exact eigenvectors of the three-point Laplacian with eigenvalues
@@ -47,8 +47,8 @@ Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
   Toeplitz system, whose inverse is again Toeplitz; its first column comes
   from a HISTORY_BLOCK-term recurrence once per solve
   (``_block_inverses``), so a block is one batched product;
-* the block is turned back into nodal values and checked for non-finite
-  values before the next one.
+* the block is checked for non-finite values before the next one; after
+  the march each block is turned back into nodal values in place.
 
 The differential form is the integral one differentiated twice in time,
 and its march is the integral march: its second-difference recurrence
@@ -159,7 +159,8 @@ class ProblemSpec:
         self.u0_expr = _parse_data(self.u0, {"x"}, "u0")
         self.u1_expr = _parse_data(self.u1, {"x"}, "u1")
         self.f_expr = _parse_data(self.f, {"x", "t"}, "f")
-        check_size(self.grid.n_interior, self.n_steps, not expressions.is_zero(self.f_expr))
+        check_size(self.grid.n_interior, self.n_steps, not expressions.is_zero(self.f_expr),
+                   self.scheme == "differential")
         if self.scheme == "differential":
             _check_cfl(self)
         else:
@@ -170,14 +171,14 @@ class ProblemSpec:
         return self.horizon / self.n_steps
 
 
-def check_size(n_interior: int, n_steps: int, forced: bool) -> None:
-    """ConfigurationError if the arrays of a solve on this grid would not fit
-    in physical memory, judged from their shapes before anything is made:
-    the rows of u in the sine basis and on the nodes, the forcing's rows,
-    the sine table and the block inverses (see :meth:`_March.run`)."""
+def check_size(n_interior: int, n_steps: int, forced: bool, differential: bool) -> None:
+    """ConfigurationError if the arrays of a solve would not fit in physical
+    memory, judged from their shapes before anything is made: the array of
+    rows (:meth:`_March.run`), the forcing's rows, the differential scheme's
+    velocities, the sine table and the block inverses."""
     width = _padded(n_interior)
-    need = 8 * ((2 + forced) * (n_steps + 1) * width + width * width
-                + n_interior * HISTORY_BLOCK**2)
+    need = 8 * ((1 + forced) * (n_steps + 1) * width + differential * (n_steps + 1) * n_interior
+                + width * width + n_interior * HISTORY_BLOCK**2)
     try:
         ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such figure here
@@ -272,8 +273,8 @@ def _check_finite(u: np.ndarray, first: int, last: int, tgrid: np.ndarray,
                   scheme: str, cause: str = "max |u| at previous step may have overflowed",
                   ) -> None:
     """Raise at the first of the steps first .. last whose row of u is not
-    finite; the march checks its data before the first block, then each
-    block as it is written."""
+    finite; the march checks its data before the first block, then its
+    nodal rows once, after the last."""
     finite = np.isfinite(u[first : last + 1]).all(axis=1)
     if not finite.all():
         step = first + int(np.argmin(finite))
@@ -538,35 +539,44 @@ class _March:
         """March the rows after row 0 (u0) block by block, in the sine basis.
         Row t solves, mode by mode,
         ``x_t + mu sum_{m<t} w_m lags[t - m] x_m = data(t)``, with the far
-        sum's w_m and lag ``pieces``.  The differential scheme's result carries
-        velocities.  The rows are made here, after every table: made first,
-        they grew the peak RSS of a mollify study by 20 %."""
+        sum's w_m and lag ``pieces``; the differential scheme's result carries
+        velocities.  The array of rows is made after every table (made first,
+        it grew the peak RSS of a mollify study by 20 %).  The march stops
+        after a block that is not finite; each block then becomes nodal values
+        in place, and the first non-finite nodal row is reported."""
         spec, nx = self.spec, self.spec.grid.n_interior
-        stop = len(self.tgrid)
+        end = len(self.tgrid)
         with np.errstate(over="ignore", invalid="ignore"):
-            inverses = _block_inverses(mu[:nx], lags[: min(HISTORY_BLOCK, stop - 1)])
-            modal = np.zeros((stop, len(self.sines)))
-            u_rows = np.zeros_like(modal)
-            u = u_rows[:, :nx]
-            modal[0] = self.u0m
-            u[0] = self.u0v
-            for s, far in _far_sums(modal, lags, 1, stop, pieces):
+            inverses = _block_inverses(mu[:nx], lags[: min(HISTORY_BLOCK, end - 1)])
+            rows = np.zeros((end, len(self.sines)))
+            rows[0] = self.u0m
+            for s, far in _far_sums(rows, lags, 1, end, pieces):
                 n = len(far)
                 rhs = data(s, n) - mu * far
                 block = np.matmul(inverses[:, :n, :n], rhs[:, :nx].T[:, :, None])
-                modal[s : s + n, :nx] = block[:, :, 0].T
-                u_rows[s : s + n] = _product(modal[s : s + n], self.sines)
-                _check_finite(u, s, s + n - 1, self.tgrid, self.scheme)
-        del modal, inverses  # before the copies below: a lower peak
+                rows[s : s + n, :nx] = block[:, :, 0].T
+                if not np.isfinite(rows[s : s + n]).all():
+                    end = s + n
+                    break
+            del inverses
+            for s in range(1, end, HISTORY_BLOCK):  # the march's blocks
+                block = rows[s : min(s + HISTORY_BLOCK, end)]
+                block[:] = _product(block, self.sines)
+        u = rows[:, :nx]
+        u[0] = self.u0v
+        _check_finite(u, 1, end - 1, self.tgrid, self.scheme)
         v = None
         if self.scheme == "differential":  # central differences, exact at t = 0
-            v = np.gradient(u, spec.dt, axis=0)
-            v[0] = self.u1v
+            v = np.empty_like(u)  # as np.gradient, without its temporary
+            np.subtract(u[2:], u[:-2], out=v[1:-1])
+            v[1:-1] /= 2.0 * spec.dt
+            v[0], v[-1] = self.u1v, (u[-1] - u[-2]) / spec.dt
         s = spec.save_stride
         meta = {"scheme": self.scheme, "dt": spec.dt, "h": spec.grid.h,
                 "kernel": spec.kernel.describe(), **meta}
-        return SolutionField(spec, self.tgrid[::s].copy(), u[::s].copy(),
-                             None if v is None else v[::s].copy(), meta)
+        if s > 1:
+            u, v = u[::s].copy(), None if v is None else v[::s].copy()
+        return SolutionField(spec, self.tgrid[::s].copy(), u, v, meta)
 
 
 def _far_pieces(head: int | None, tail: int | None, n_lags: int, what: str):
@@ -664,10 +674,16 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
 # space-time norms and manufactured reference problems
 # ---------------------------------------------------------------------------
 
-def _l2_space_time(grid: Grid, times: np.ndarray, values: np.ndarray) -> float:
-    """L2 norm over (a, b) x (t_0, t_end): trapezoid in both directions,
-    with the zero boundary columns implied."""
-    space = grid.h * np.sum(values * values, axis=1)
+def _l2_space_time(grid: Grid, times: np.ndarray, values: np.ndarray,
+                   other: np.ndarray | None = None) -> float:
+    """L2 norm of *values*, or of values - *other*, over (a, b) x (t_0, t_end):
+    trapezoid in both directions, with the zero boundary columns implied;
+    the rows are differenced and squared a block at a time."""
+    space = np.empty(len(values))
+    for lo in range(0, len(values), HISTORY_BLOCK):
+        part = values[lo : lo + HISTORY_BLOCK]
+        part = part if other is None else part - other[lo : lo + HISTORY_BLOCK]
+        space[lo : lo + HISTORY_BLOCK] = grid.h * np.sum(part * part, axis=1)
     if len(times) == 1:
         return float(np.sqrt(space[0]))
     dts = np.diff(times)
@@ -687,7 +703,7 @@ def l2_distance(sol_a: SolutionField, sol_b: SolutionField) -> float:
         raise ConfigurationError("solutions live on different grids")
     if sol_a.u.shape != sol_b.u.shape or np.max(np.abs(sol_a.times - sol_b.times)) > 1e-12:
         raise ConfigurationError("solutions saved at different times")
-    return _l2_space_time(sol_a.grid, sol_a.times, sol_a.u - sol_b.u)
+    return _l2_space_time(sol_a.grid, sol_a.times, sol_a.u, sol_b.u)
 
 
 def l2_error_vs(sol: SolutionField, exact) -> float:

@@ -224,6 +224,10 @@ class TestBatchedKinkWindows:
             got = getattr(mk, name)(ts)
             ref = np.array([split_reference(mk, float(t), weight_fn, order) for t in ts])
             ref /= eps**order
+            if order:  # the window lies on the affine head: the shift identity
+                # gives slope -1 and curvature 0 exactly, where the rule is off
+                # by 1.5e-12 relative in the slope
+                ref[ts <= kink - 2.0 * eps] = (slopes[0], 0.0)[order - 1]
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
     def test_one_base_call_per_block(self):
@@ -244,6 +248,22 @@ class TestBatchedKinkWindows:
         ts = np.linspace(0.0, 3.9, 500)
         mk.g(ts)
         assert base.elements <= len(ts) * 6 * 256
+
+
+class TestAffineHead:
+    @pytest.mark.parametrize("eps_steps", [0.55, 0.8, 0.95])
+    def test_head_derivatives_are_exact(self, eps_steps):
+        # G_eps = G(t + eps) on the head t <= a - 2 eps, so G_eps' is the
+        # wedge's slope and G_eps'' is 0, to the last bit; the bump rule was
+        # off by 1.5e-12 relative and 2e-12 there
+        base = WedgeKernel(2.0, 1.0, 150 / 64)
+        mk = MollifiedKernel(base, eps_steps / 64)
+        head = np.linspace(0.0, mk.affine_until, 101)
+        np.testing.assert_array_equal(mk.gdot(head), base.slope)
+        np.testing.assert_array_equal(mk.gddot(head), 0.0)
+        assert mk.gdot(0.0) == base.slope and mk.gddot(mk.affine_until) == 0.0
+        # past the head the window meets the kink and the rule runs
+        assert abs(mk.gdot(mk.affine_until + 0.5 / 64) - base.slope) > 1e-3
 
 
 class TestDerivativeCancellation:

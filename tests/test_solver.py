@@ -154,6 +154,48 @@ def _direct_march(spec: ProblemSpec) -> np.ndarray:
     return u
 
 
+def _long_double_march(spec: ProblemSpec) -> np.ndarray:
+    """u at every step of the spec's scheme for f = 0, marched step by step
+    on the nodes in np.longdouble with the scheme's own float64 lag weights
+    (dt K(t_j), or ``_gdot_weights``): the same scheme as the block march,
+    rounded about three digits finer than either float64 march."""
+    ld = np.longdouble
+    grid, dt, n_steps = spec.grid, spec.dt, spec.n_steps
+    tgrid = dt * np.arange(n_steps + 1)
+    u0 = _sample_x(spec.u0_expr, grid.x).astype(ld)
+    u1 = _sample_x(spec.u1_expr, grid.x).astype(ld)
+    h2 = ld(grid.h) * ld(grid.h)
+
+    def lap(v):  # three-point, zero ghost values
+        out = -2 * v
+        out[1:] += v[:-1]
+        out[:-1] += v[1:]
+        return out / h2
+
+    u = np.zeros((n_steps + 1, grid.n_interior), dtype=ld)
+    lap_hist = np.zeros_like(u)
+    u[0], lap_hist[0] = u0, lap(u0)
+    if spec.scheme == "integral":
+        wl = (dt * IntegratedKernel(spec.kernel).cumulative(tgrid)).astype(ld)
+        for n in range(1, n_steps + 1):
+            w = wl[n:0:-1].copy()
+            w[0] *= 0.5
+            u[n] = w @ lap_hist[:n] + u0 + ld(tgrid[n]) * u1
+            lap_hist[n] = lap(u[n])
+        return u
+    wl, row0 = solver_module._gdot_weights(spec.kernel, np.atleast_1d(spec.kernel.gdot(tgrid)), dt)
+    wl, row0, g_zero, dt = wl.astype(ld), row0.astype(ld), ld(spec.kernel.g(0.0)), ld(dt)
+    u[1] = u0 + dt * u1 + 0.5 * dt * dt * g_zero * lap_hist[0]
+    lap_hist[1] = lap(u[1])
+    for n in range(1, n_steps):
+        w = wl[n::-1].copy()  # wl[0] carries the newest node's half weight
+        w[0] = 0.5 * wl[n] + row0[n]
+        q = w @ lap_hist[: n + 1]
+        u[n + 1] = 2 * u[n] - u[n - 1] + dt * dt * (g_zero * lap_hist[n] + q)
+        lap_hist[n + 1] = lap(u[n + 1])
+    return u
+
+
 def inner(f, w, g):
     """Discrete L2 inner product h * sum(f_j * w_j)."""
     return g.h * np.dot(f, w)
@@ -453,6 +495,18 @@ class TestMemoryTerm:
 
 
 FORCING = "cos(3*t)*x*(1-x) + t"
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no finer than double here")
+@pytest.mark.parametrize("scheme", ["integral", "differential"])
+def test_block_march_matches_long_double_reference(scheme):
+    # 2048 steps over the wedge's kink at 0.4 (inside a panel: 819.2 steps)
+    spec = ProblemSpec(Grid(0.0, 1.0, 32), 1.0, 2048, WEDGE, u0="sin(pi*x)",
+                       u1="x*(1-x)", scheme=scheme)
+    ref = _long_double_march(spec)
+    got = solve(spec).u
+    assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) <= 1e-12
 
 
 def _blocked_case(scheme, family, n_steps, place, k, frac, f="0"):
@@ -789,15 +843,61 @@ class TestSizeCheck:
         assert peak < 2**20
 
     def test_estimate_counts_rows_tables_and_forcing(self, monkeypatch):
-        # 2 (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 32^2 inverses
+        # (N + 1) w rows, (N + 1) w forcing rows, (N + 1) nx velocities,
+        # w^2 sines, nx 32^2 inverses
         monkeypatch.setattr(solver_module.os, "sysconf", lambda name: {
             "SC_PAGE_SIZE": 1,
-            "SC_PHYS_PAGES": 8 * (2 * 11 * 16 + 16 * 16 + 9 * 1024)}[name])
-        solver_module.check_size(9, 10, forced=False)
+            "SC_PHYS_PAGES": 8 * (11 * 16 + 16 * 16 + 9 * 1024)}[name])
+        solver_module.check_size(9, 10, forced=False, differential=False)
         with pytest.raises(ConfigurationError):
-            solver_module.check_size(9, 10, forced=True)
+            solver_module.check_size(9, 10, forced=True, differential=False)
         with pytest.raises(ConfigurationError):
-            solver_module.check_size(9, 11, forced=False)
+            solver_module.check_size(9, 10, forced=False, differential=True)
+        with pytest.raises(ConfigurationError):
+            solver_module.check_size(9, 11, forced=False, differential=False)
+
+
+def _traced_peak(call):
+    """(result, peak bytes traced while *call* ran)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestMemoryPeak:
+    # a 64 x 4096 wedge solve; one array of rows is (N + 1) x 64 doubles
+    ROW_ARRAY = 8 * 4097 * 64
+
+    @staticmethod
+    def _spec(scheme):
+        return make_spec(WEDGE, scheme, nx=64, nt=4096, u0="sin(pi*x)", u1="x*(1-x)")
+
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    def test_solve_stays_below_two_row_arrays(self, scheme):
+        # the march keeps one array of rows, which becomes the solution in
+        # place; beside it the differential scheme returns its velocities.
+        # Two arrays of rows and a copy made the peak 2.4 row arrays, and
+        # 4.1 with the velocities
+        sol, peak = _traced_peak(lambda: solve(self._spec(scheme)))
+        velocities = 0 if sol.v is None else sol.v.nbytes
+        assert peak - velocities < 2 * self.ROW_ARRAY
+
+    def test_distance_needs_no_full_size_temporary(self):
+        a, b = solve(self._spec("integral")), solve(self._spec("differential"))
+        dist, peak = _traced_peak(lambda: l2_distance(a, b))
+        assert peak < 2**20  # the difference of the rows took 4 MB
+        # the same bytes as the whole-array trapezoid
+        d = a.u - b.u
+        w = np.zeros(len(a.times))
+        w[:-1] += 0.5 * np.diff(a.times)
+        w[1:] += 0.5 * np.diff(a.times)
+        assert dist == float(np.sqrt(w @ (a.grid.h * np.sum(d * d, axis=1))))
 
 
 class TestMemoryQuadrature:
