@@ -30,7 +30,7 @@ from .solver import (
     SolutionField,
     _engine_rows,
     _far_sums,
-    _head_lag,
+    _lag_pieces,
     _sine_basis,
     _to_modes,
 )
@@ -70,16 +70,14 @@ def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
     return rows @ w
 
 
-def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray,
-              head_lag: int | None = None) -> np.ndarray:
+def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray, kernel) -> np.ndarray:
     """Per saved step n, the ds-trapezoid over the lags s = 0, ds, .., t_n of
     weight(s) D(t_n, s), D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx, with
     *weight* the kernel at the saved times.  Lags of DIRECT_LAGS steps and
     more come from one engine pass over the rows (|u_x|^2, 1, u_x), by
-    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b; shorter ones are summed as differences.
-    A *head_lag* says the weight is constant from lag 0 to it; those lags,
-    and the lags past the weight's last nonzero value, are lag pieces of
-    the far sums."""
+    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, with the lag pieces the solver's gate
+    takes on those weights from the *kernel*'s declared structure; shorter
+    ones are summed as differences."""
     uxs = uxs - uxs.mean(axis=0)  # D sees differences only: shrink what cancels
     d = _trap_x(h, uxs * uxs)
     rows = _engine_rows(len(d), 2 + uxs.shape[1])
@@ -87,10 +85,7 @@ def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray,
     rows[:, 1] = 1.0
     rows[:, 2 : 2 + uxs.shape[1]] = uxs
     far_wl = np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weight)
-    nonzero = np.flatnonzero(far_wl)
-    pieces = [(int(nonzero[-1]) + 1 if len(nonzero) else 0, len(d))]
-    if head_lag is not None:
-        pieces.append((DIRECT_LAGS, head_lag))
+    pieces, _ = _lag_pieces(kernel, ds, far_wl, DIRECT_LAGS)
     sums = np.zeros_like(rows)
     for s, far in _far_sums(rows, far_wl, 1, len(d), pieces):
         sums[s : s + len(far)] = far
@@ -157,7 +152,7 @@ def energy_series(sol: SolutionField) -> EnergyReport:
     elastic = 0.5 * g_at * _trap_x(h, uxs * uxs)
     kinetic = 0.5 * _trap_x(h, _full_rows(v) ** 2)
 
-    history = -0.5 * _lag_sums(h, ds, uxs, gdot_at, _head_lag(kernel, ds))
+    history = -0.5 * _lag_sums(h, ds, uxs, gdot_at, kernel)
 
     horizon = sol.spec.horizon
     alpha = max(1.0 / float(kernel.g(horizon + 1.0)), 1.0)
@@ -252,7 +247,7 @@ def identity_residual(sol: SolutionField, report: EnergyReport) -> np.ndarray:
     rhs = 0.5 * gdot_at[inner] * _trap_x(h, uxs[inner] ** 2)
     if not expressions.is_zero(sol.spec.f_expr):
         rhs += _trap_x(h, _f_block(sol)[inner] * _full_rows(v[inner]))
-    rhs -= 0.5 * _lag_sums(h, ds, uxs, gddot_at)[inner]
+    rhs -= 0.5 * _lag_sums(h, ds, uxs, gddot_at, kernel)[inner]
     return rate - rhs
 
 

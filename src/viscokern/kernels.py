@@ -115,7 +115,7 @@ class RelaxationKernel:
 
     @staticmethod
     def _check_nonneg_time(t: np.ndarray) -> None:
-        if np.any(t < 0.0):
+        if not np.all(t >= 0.0):  # also fails for NaN
             raise KernelRangeError("relaxation kernels are defined for t >= 0")
 
 
@@ -235,7 +235,7 @@ class TabulatedKernel(RelaxationKernel):
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
             raise ValueError("need two 1-D arrays of equal length >= 2")
-        if np.any(np.diff(times) <= 0.0):
+        if not np.all(np.diff(times) > 0.0):  # also fails for NaN
             raise ValueError("sample times must be strictly increasing")
         if times[0] < 0.0:
             raise KernelRangeError("sample times must be >= 0")
@@ -354,7 +354,7 @@ class IntegratedKernel:
 
     def value(self, xi) -> float:
         """K at a single abscissa xi >= 0."""
-        if xi < 0.0:
+        if not xi >= 0.0:  # also fails for NaN
             raise KernelRangeError("K(xi) is defined for xi >= 0")
         return float(self.cumulative([xi])[0])
 
@@ -366,7 +366,7 @@ class IntegratedKernel:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("need a 1-D, nonempty grid")
-        if np.any(np.diff(times) < 0.0) or times[0] < 0.0:
+        if not (np.all(np.diff(times) >= 0.0) and times[0] >= 0.0):  # also fails for NaN
             raise ValueError("grid must be ascending and nonnegative")
         if self.source.closed_k_method is not None:
             return self.source._k_closed(times)

@@ -57,16 +57,17 @@ summed twice from row 2, reads x_t + mu (memory on the lag weights summed
 twice) = x_1 + (t - 1)(x_1 - x_0) + its forcing and a row-0 term, both
 summed twice.  So one block form serves both schemes.
 
-A kernel's declared structure gives the far sum lag pieces, ranges of lags
-on which the weights are a polynomial of degree at most 2: up to the lag
-J = floor(a/dt) for a kernel affine on [0, a] (``affine_until``), where
+A kernel's declared structure offers the far sums lag pieces, ranges of
+lags on which the weights are a polynomial of degree at most 2: up to the
+lag J = floor(a/dt) for a kernel affine on [0, a] (``affine_until``), where
 the weights on K are quadratic and the twice-summed weights on Gdot too,
 and from the lag p = ceil(c/dt) + 1 on for a kernel constant after c
-(``constant_after``), where both are affine.  The rows whose lags lie in a
-piece enter through three running sums, whose coefficients are read off
-the scheme's own weights; only the rows between the pieces and the newest
-ones stay in the product.  The head is used when J spans at least two
-blocks.
+(``constant_after``), where both are affine.  One gate (``_lag_pieces``)
+takes an offered range only where the scheme's own weights meet the
+quadratic read off them on every lag of it, so a wrong declaration costs
+time, never correctness.  The rows whose lags lie in a piece enter through
+three running sums; only the rows between the pieces and the newest ones
+stay in the product.
 
 Data are checked before the first block: u0, u1 or their sine coefficients
 that are not finite are reported at step 0, the forcing's share of a row
@@ -345,18 +346,57 @@ def _to_modes(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
     return out
 
 
-def _piece_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, lo: int, hi: int):
-    """For :func:`_far_sums`: per block s, the rows [a, b) whose lags all lie
-    in the piece [lo, hi], and their share of far (None when the piece's
-    weights are all zero).  q(j) = wl[lo] + (j - lo)(d1 + c2 (j - mid))
-    goes through wl at lo, mid and hi; q and q' are tabulated on every lag,
-    so that a row leaves the sums with what it holds after the shifts."""
+def _quadratic(wl: np.ndarray, lo: int, hi: int):
+    """(q, q', c2): the quadratic through wl at lo, mid = (lo + hi) // 2 and
+    hi, in Newton form q(j) = wl[lo] + (j - lo)(d1 + c2 (j - mid)), and its
+    derivative, tabulated on every lag of wl."""
     mid = (lo + hi) // 2
     d1 = (wl[mid] - wl[lo]) / (mid - lo)
     c2 = ((wl[hi] - wl[mid]) / (hi - mid) - d1) / (hi - lo)
     j = np.arange(float(len(wl)))
-    table = np.stack([wl[lo] + (j - lo) * (d1 + c2 * (j - mid)),
-                      d1 + c2 * (2.0 * j - lo - mid), np.ones(len(wl))])
+    return wl[lo] + (j - lo) * (d1 + c2 * (j - mid)), d1 + c2 * (2.0 * j - lo - mid), c2
+
+
+#: the share of max |wl| by which the weights may miss a piece's quadratic
+#: on a lag of its range (roundoff reaches 3.5e-15 on every declared piece)
+PIECE_FIT = 1e-13
+
+
+def _lag_pieces(kernel: RelaxationKernel, dt: float, wl: np.ndarray, first: int = 0):
+    """(pieces, note): the lag pieces of :func:`_far_sums` on the weights
+    *wl*, and the memory quadrature note that names them.  The kernel offers
+    the head [first, J], J = floor(a/dt), for G affine on [0, a] when J spans
+    at least two blocks, and the tail [ceil(c/dt) + 1, last lag] for G
+    constant after c.  A range is taken when it has more than HISTORY_BLOCK
+    lags up to the last lag (a shorter one saves nothing), starts after the
+    range taken before it, and wl meets its :func:`_quadratic` on every lag
+    of it to PIECE_FIT of max |wl|."""
+    a, c, last = kernel.affine_until, kernel.constant_after, len(wl) - 1
+    offered = []
+    if a is not None and a / dt >= 2 * HISTORY_BLOCK:
+        offered.append(("head", first, int(np.floor(a / dt))))
+    if c is not None:
+        offered.append(("tail", int(np.ceil(c / dt)) + 1, last))
+    tol, end, taken = PIECE_FIT * np.max(np.abs(wl)), -1, {}
+    for name, lo, hi in offered:
+        top = min(hi, last)
+        if top - lo >= HISTORY_BLOCK and lo > end and np.all(
+                np.abs(_quadratic(wl, lo, top)[0][lo : top + 1] - wl[lo : top + 1]) <= tol):
+            taken[name], end = (lo, hi), top
+    head, tail = taken.get("head"), taken.get("tail")
+    return list(taken.values()), ", ".join((
+        "no head" if head is None else f"running sums on the affine head to lag {head[1]}",
+        "no tail" if tail is None else f"affine tail from lag {tail[0]}"))
+
+
+def _piece_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, lo: int, hi: int):
+    """For :func:`_far_sums`: per block s, the rows [a, b) whose lags all lie
+    in the piece [lo, hi], and their share of far (None when the piece's
+    weights are all zero).  q and q' (:func:`_quadratic`) are tabulated on
+    every lag, so that a row leaves the sums with what it holds after the
+    shifts."""
+    q, dq, c2 = _quadratic(wl, lo, hi)
+    table = np.stack([q, dq, np.ones(len(wl))])
     i = np.arange(float(HISTORY_BLOCK))
     spread = np.stack([np.ones(HISTORY_BLOCK), i, c2 * i * i], axis=1)
     zero = not wl[lo : hi + 1].any()
@@ -396,12 +436,10 @@ def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, pieces=()
     add [1, i, c2 i^2] @ sums to far[i]; the sums move to the next block by
     the exact Taylor shift of q, rows that enter the range are added and
     rows that leave it are subtracted.  q is read off wl at three lags of
-    the range, which the caller takes from the kernel's declared structure,
-    and a piece whose weights are all zero leaves its rows out.  A piece of
-    fewer than HISTORY_BLOCK + 1 lags is ignored.  Every other row is in one
-    matrix product over chunks of fixed length in a fixed order."""
-    tracks = [_piece_sums(rows, wl, first, stop, lo, min(hi, len(wl) - 1))
-              for lo, hi in pieces if min(hi, len(wl) - 1) - lo >= HISTORY_BLOCK]
+    the range (:func:`_lag_pieces` takes the ranges and checks them), and a
+    piece whose weights are all zero leaves its rows out.  Every other row
+    is in one matrix product over chunks of fixed length in a fixed order."""
+    tracks = [_piece_sums(rows, wl, first, stop, lo, min(hi, len(wl) - 1)) for lo, hi in pieces]
     for s in range(first, stop, HISTORY_BLOCK):
         n = min(HISTORY_BLOCK, stop - s)
         far = np.zeros((n, rows.shape[1]))
@@ -458,20 +496,6 @@ def _gdot_weights(kernel: RelaxationKernel, gd: np.ndarray, dt: float):
         row0[lag] += 0.5 * lo    # the split panel meets row 0 at full weight
         row0[lag - 1] -= 0.5 * hi  # and is not there yet one step earlier
     return wl, row0
-
-
-def _tail_lag(kernel: RelaxationKernel, dt: float) -> int | None:
-    """p = ceil(c/dt) + 1 for a kernel constant after c, else None."""
-    c = kernel.constant_after
-    return None if c is None else int(np.ceil(c / dt)) + 1
-
-
-def _head_lag(kernel: RelaxationKernel, dt: float) -> int | None:
-    """J = floor(a/dt) for a kernel affine on [0, a], when the head spans at
-    least two blocks, else None."""
-    a = kernel.affine_until
-    lag = None if a is None else int(np.floor(a / dt))
-    return lag if lag is not None and lag >= 2 * HISTORY_BLOCK else None
 
 
 def _block_inverses(mu: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -535,27 +559,35 @@ class _March:
                           "the forcing term or its sine coefficients are not finite")
         return rows
 
-    def run(self, lags: np.ndarray, mu: np.ndarray, data, pieces, **meta) -> SolutionField:
+    def run(self, lags: np.ndarray, mu: np.ndarray, data, what: str, **meta) -> SolutionField:
         """March the rows after row 0 (u0) block by block, in the sine basis.
         Row t solves, mode by mode,
         ``x_t + mu sum_{m<t} w_m lags[t - m] x_m = data(t)``, with the far
-        sum's w_m and lag ``pieces``; the differential scheme's result carries
-        velocities.  The array of rows is made after every table (made first,
-        it grew the peak RSS of a mollify study by 20 %).  The march stops
-        after a block that is not finite; each block then becomes nodal values
-        in place, and the first non-finite nodal row is reported."""
+        sum's w_m and the lag pieces :func:`_lag_pieces` takes on *lags*; the
+        memory quadrature note names them after *what*.  The differential
+        scheme's result carries velocities.  The array of rows is made after
+        every table (made first, it grew the peak RSS of a mollify study by
+        20 %).  The march stops after a block that is not finite; each block
+        then becomes nodal values in place, and the first non-finite nodal row
+        is reported."""
         spec, nx = self.spec, self.spec.grid.n_interior
         end = len(self.tgrid)
         with np.errstate(over="ignore", invalid="ignore"):
+            pieces, note = _lag_pieces(spec.kernel, spec.dt, lags)
             inverses = _block_inverses(mu[:nx], lags[: min(HISTORY_BLOCK, end - 1)])
             rows = np.zeros((end, len(self.sines)))
             rows[0] = self.u0m
             for s, far in _far_sums(rows, lags, 1, end, pieces):
                 n = len(far)
-                rhs = data(s, n) - mu * far
-                block = np.matmul(inverses[:, :n, :n], rhs[:, :nx].T[:, :, None])
+                rhs = (data(s, n) - mu * far)[:, :nx]
+                block = np.matmul(inverses[:, :n, :n], rhs.T[:, :, None])
                 rows[s : s + n, :nx] = block[:, :, 0].T
                 if not np.isfinite(rows[s : s + n]).all():
+                    # the inverse's zero upper triangle times a later non-finite
+                    # right-hand side gives NaN: solve the rows before it alone
+                    r = int(np.argmin(np.isfinite(rhs).all(axis=1)))
+                    block = np.matmul(inverses[:, :r, :r], rhs[:r].T[:, :, None])
+                    rows[s : s + r, :nx] = block[:, :, 0].T
                     end = s + n
                     break
             del inverses
@@ -573,23 +605,12 @@ class _March:
             v[0], v[-1] = self.u1v, (u[-1] - u[-2]) / spec.dt
         s = spec.save_stride
         meta = {"scheme": self.scheme, "dt": spec.dt, "h": spec.grid.h,
-                "kernel": spec.kernel.describe(), **meta}
+                "kernel": spec.kernel.describe(), "memory_quadrature":
+                f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, {note}",
+                **meta}
         if s > 1:
             u, v = u[::s].copy(), None if v is None else v[::s].copy()
         return SolutionField(spec, self.tgrid[::s].copy(), u, v, meta)
-
-
-def _far_pieces(head: int | None, tail: int | None, n_lags: int, what: str):
-    """(pieces, note): the far sums' lag pieces [0, head] and [tail, n_lags)
-    of a scheme's weights, and the memory quadrature note that names them.
-    A tail of one lag or none is dropped."""
-    tail = None if tail is None or tail >= n_lags - 1 else tail
-    pieces = [(0, head)] if head is not None else []
-    pieces += [(tail, n_lags - 1)] if tail is not None else []
-    head_note = "no head" if head is None else f"running sums on the affine head to lag {head}"
-    tail_note = "no tail" if tail is None else f"affine tail from lag {tail}"
-    return pieces, (f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, "
-                    f"{head_note}, {tail_note}")
 
 
 def solve_integral(spec: ProblemSpec) -> SolutionField:
@@ -602,10 +623,7 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
     limit = _check_stability(spec)
     dt, march = spec.dt, _March(spec, "integral")
     k_table = IntegratedKernel(spec.kernel)
-    wl = dt * k_table.cumulative(march.tgrid)
-    # wl[j] = dt K(t_j) is quadratic up to a and affine past c
-    pieces, note = _far_pieces(_head_lag(spec.kernel, dt), _tail_lag(spec.kernel, dt),
-                               len(wl), "product trapezoid on K")
+    wl = dt * k_table.cumulative(march.tgrid)  # quadratic up to a, affine past c
     forcing = march.data(integrate=True)
     u0m, u1m, tgrid = march.u0m, march.u1m, march.tgrid
 
@@ -615,7 +633,7 @@ def solve_integral(spec: ProblemSpec) -> SolutionField:
             rows += forcing[s : s + n]
         return rows
 
-    return march.run(wl, march.lam, data, pieces, memory_quadrature=note,
+    return march.run(wl, march.lam, data, "product trapezoid on K",
                      kernel_quadrature=k_table.method, stability_limit=limit)
 
 
@@ -642,13 +660,8 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
     twice = np.cumsum(np.cumsum(lags))
     x0_coef = 0.5 * lags[1] * np.arange(len(lags)) - np.cumsum(
         np.cumsum(np.concatenate(([0.0, 0.0], row0[1:-1]))))
-    # Gdot = s up to a: twice[j] = G(0) j + dt s j^2 / 2; Gdot = 0 past c,
-    # where the weights say so: twice is affine
-    tail = _tail_lag(spec.kernel, dt)
-    if tail is not None and lags[tail + 1 :].any():
-        tail = None
-    pieces, note = _far_pieces(_head_lag(spec.kernel, dt), tail, len(twice),
-                               "trapezoid on Gdot with kink-split panels, summed twice")
+    # Gdot = s up to a: twice[j] = G(0) j + dt s j^2 / 2; Gdot = 0 past c:
+    # twice is affine there
     forcing = march.data(integrate=False)
     mu = dt * dt * march.lam
     x0 = march.u0m
@@ -667,7 +680,8 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
             rows += forcing[s - 1 : s - 1 + n]
         return rows
 
-    return march.run(twice, mu, data, pieces, memory_quadrature=note, cfl_limit=limit)
+    return march.run(twice, mu, data, "trapezoid on Gdot with kink-split panels, summed twice",
+                     cfl_limit=limit)
 
 
 # ---------------------------------------------------------------------------

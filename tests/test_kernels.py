@@ -15,6 +15,7 @@ from viscokern.kernels import (
     WedgeKernel,
     check_admissibility,
 )
+from viscokern.mollify import MollifiedKernel
 
 WEDGE = WedgeKernel(2.0, 1.0, 1.0)
 PRONY = PronyKernel(1.0, ((1.0, 0.5),))
@@ -44,6 +45,15 @@ class TestEvalG:
     def test_negative_time_rejected(self):
         with pytest.raises(KernelRangeError):
             WEDGE.g(-0.1)
+
+    @pytest.mark.parametrize("name", ["wedge", "prony", "tabulated", "expression", "mollified"])
+    @pytest.mark.parametrize("method", ["g", "gdot"])
+    def test_nan_time_rejected(self, name, method):
+        # a bare t < 0 test lets NaN through: the wedge gave G(nan) = 1
+        kernel = MollifiedKernel(WEDGE, 0.1) if name == "mollified" else catalog()[name]
+        for t in (float("nan"), np.array([0.5, float("nan")])):
+            with pytest.raises(KernelRangeError):
+                getattr(kernel, method)(t)
 
     def test_tabulated_range_error_names_interval(self):
         tab = catalog()["tabulated"]
@@ -98,6 +108,15 @@ class TestEvalK:
         closed = IntegratedKernel(WEDGE)
         for xi in (0.3, 1.0, 1.7, 3.1):
             assert abs(ik.value(xi) - closed.value(xi)) < 1e-13
+
+    @pytest.mark.parametrize("name", ["wedge", "expression"])
+    def test_nan_abscissa_rejected(self, name):
+        k = IntegratedKernel(catalog()[name])
+        with pytest.raises(KernelRangeError):
+            k.value(float("nan"))
+        for grid in ([float("nan")], [0.0, float("nan"), 1.0]):
+            with pytest.raises(ValueError, match="ascending and nonnegative"):
+                k.cumulative(grid)
 
     def test_cumulative_matches_value(self):
         times = np.linspace(0.0, 3.0, 17)
@@ -309,6 +328,9 @@ class TestConstruction:
             TabulatedKernel([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             TabulatedKernel([0.0], [1.0])
+        for times in ([0.0, float("nan"), 1.0], [float("nan"), 0.5, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                TabulatedKernel(times, [2.0, 1.5, 1.0])
 
     def test_expression_only_t(self):
         with pytest.raises(ValueError, match="only use t"):

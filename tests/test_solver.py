@@ -155,10 +155,12 @@ def _direct_march(spec: ProblemSpec) -> np.ndarray:
 
 
 def _long_double_march(spec: ProblemSpec) -> np.ndarray:
-    """u at every step of the spec's scheme for f = 0, marched step by step
-    on the nodes in np.longdouble with the scheme's own float64 lag weights
-    (dt K(t_j), or ``_gdot_weights``): the same scheme as the block march,
-    rounded about three digits finer than either float64 march."""
+    """u at every step of the spec's scheme, marched step by step on the
+    nodes in np.longdouble with the scheme's own float64 lag weights
+    (dt K(t_j), or ``_gdot_weights``) and f sampled in float64, the integral
+    scheme's double time integral of f by iterated trapezoid: the same
+    scheme as the block march, rounded about three digits finer than either
+    float64 march."""
     ld = np.longdouble
     grid, dt, n_steps = spec.grid, spec.dt, spec.n_steps
     tgrid = dt * np.arange(n_steps + 1)
@@ -173,25 +175,32 @@ def _long_double_march(spec: ProblemSpec) -> np.ndarray:
         return out / h2
 
     u = np.zeros((n_steps + 1, grid.n_interior), dtype=ld)
+    fvals = np.broadcast_to(expressions.evaluate(spec.f_expr, x=grid.x[None, :],
+                                                 t=tgrid[:, None]), u.shape).astype(ld)
     lap_hist = np.zeros_like(u)
     u[0], lap_hist[0] = u0, lap(u0)
     if spec.scheme == "integral":
         wl = (dt * IntegratedKernel(spec.kernel).cumulative(tgrid)).astype(ld)
+        half = ld(0.5) * ld(dt)
+        first, forcing = np.zeros_like(u0), np.zeros_like(u0)
         for n in range(1, n_steps + 1):
+            first_next = first + half * (fvals[n] + fvals[n - 1])
+            forcing = forcing + half * (first_next + first)
+            first = first_next
             w = wl[n:0:-1].copy()
             w[0] *= 0.5
-            u[n] = w @ lap_hist[:n] + u0 + ld(tgrid[n]) * u1
+            u[n] = w @ lap_hist[:n] + u0 + ld(tgrid[n]) * u1 + forcing
             lap_hist[n] = lap(u[n])
         return u
     wl, row0 = solver_module._gdot_weights(spec.kernel, np.atleast_1d(spec.kernel.gdot(tgrid)), dt)
     wl, row0, g_zero, dt = wl.astype(ld), row0.astype(ld), ld(spec.kernel.g(0.0)), ld(dt)
-    u[1] = u0 + dt * u1 + 0.5 * dt * dt * g_zero * lap_hist[0]
+    u[1] = u0 + dt * u1 + 0.5 * dt * dt * (g_zero * lap_hist[0] + fvals[0])
     lap_hist[1] = lap(u[1])
     for n in range(1, n_steps):
         w = wl[n::-1].copy()  # wl[0] carries the newest node's half weight
         w[0] = 0.5 * wl[n] + row0[n]
         q = w @ lap_hist[: n + 1]
-        u[n + 1] = 2 * u[n] - u[n - 1] + dt * dt * (g_zero * lap_hist[n] + q)
+        u[n + 1] = 2 * u[n] - u[n - 1] + dt * dt * (g_zero * lap_hist[n] + q + fvals[n])
         lap_hist[n + 1] = lap(u[n + 1])
     return u
 
@@ -501,12 +510,15 @@ FORCING = "cos(3*t)*x*(1-x) + t"
                     reason="long double is no finer than double here")
 @pytest.mark.parametrize("scheme", ["integral", "differential"])
 def test_block_march_matches_long_double_reference(scheme):
-    # 2048 steps over the wedge's kink at 0.4 (inside a panel: 819.2 steps)
-    spec = ProblemSpec(Grid(0.0, 1.0, 32), 1.0, 2048, WEDGE, u0="sin(pi*x)",
-                       u1="x*(1-x)", scheme=scheme)
-    ref = _long_double_march(spec)
-    got = solve(spec).u
-    assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) <= 1e-12
+    # 2048 steps: over the wedge's kink at 0.4 (inside a panel: 819.2 steps),
+    # with a two-term Prony kernel, which takes no lag piece, and forced
+    for kernel, f in ((WEDGE, "0"), (PronyKernel(1.0, ((0.6, 0.3), (0.4, 2.0))), "0"),
+                      (WEDGE, FORCING)):
+        spec = ProblemSpec(Grid(0.0, 1.0, 32), 1.0, 2048, kernel, u0="sin(pi*x)",
+                           u1="x*(1-x)", f=f, scheme=scheme)
+        ref = _long_double_march(spec)
+        got = solve(spec).u
+        assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) <= 1e-12
 
 
 def _blocked_case(scheme, family, n_steps, place, k, frac, f="0"):
@@ -785,8 +797,7 @@ class TestFailureModes:
             run(spec)
 
     @pytest.mark.parametrize("spec", [
-        # the integral run above: u0 + t u1 in the sine basis passes the
-        # float limit at step 961
+        # the integral run above: its rows pass the float limit at step 968
         ProblemSpec(Grid(0.0, 1.0, 256), 1.0, 2048, PRONY, u0="1e307*sin(pi*x)",
                     u1="1e307*sin(pi*x)", scheme="integral"),
         # forcing near the float limit: dt^2 f overflows with f itself at
@@ -811,6 +822,20 @@ class TestFailureModes:
         step = next(n for n, finite in checked if not finite)
         assert step % HISTORY_BLOCK  # inside a block, not at its end
         assert f"at step {step} (t = {step * spec.dt:.6g})" in str(info.value)
+
+    def test_reported_step_is_where_the_march_fails(self):
+        # the run above reports step n: at its dt, n - 1 steps march to their
+        # end and n steps fail at step n, not earlier in their block
+        def run(n_steps):
+            return solve(ProblemSpec(Grid(0.0, 1.0, 256), n_steps / 2048, n_steps, PRONY,
+                                     u0="1e307*sin(pi*x)", u1="1e307*sin(pi*x)"))
+
+        with pytest.raises(SolverDivergenceError) as info:
+            run(2048)
+        n = int(str(info.value).split("at step ")[1].split()[0])
+        assert np.isfinite(run(n - 1).u).all()
+        with pytest.raises(SolverDivergenceError, match=f"at step {n} "):
+            run(n)
 
     @pytest.mark.parametrize("scheme", ["integral", "differential"])
     @pytest.mark.parametrize("data, step, cause", [
@@ -900,6 +925,14 @@ class TestMemoryPeak:
         assert dist == float(np.sqrt(w @ (a.grid.h * np.sum(d * d, axis=1))))
 
 
+def _declared(kernel, **structure):
+    """*kernel* with its declared structure (``affine_until``,
+    ``constant_after``) set to *structure*, right or wrong."""
+    for name, value in structure.items():
+        object.__setattr__(kernel, name, value)
+    return kernel
+
+
 class TestMemoryQuadrature:
     @pytest.mark.parametrize("scheme", ["integral", "differential"])
     @pytest.mark.parametrize("kernel, tail", [
@@ -907,7 +940,9 @@ class TestMemoryQuadrature:
         (MollifiedKernel(WedgeKernel(2.0, 1.0, 0.3), 0.05), "from lag 40"),
         (PRONY, "no tail"),
         (WedgeKernel(2.0, 1.0, 3.0), "no tail"),  # constant only past the horizon
-    ], ids=["wedge", "mollified", "prony", "late-wedge"])
+        # c = 116.5 dt: the tail [118, 128] has 11 lags, too few to take
+        (WedgeKernel(2.0, 1.0, 116.5 / 128), "affine head to lag 116, no tail"),
+    ], ids=["wedge", "mollified", "prony", "late-wedge", "short-tail"])
     def test_meta_names_the_block_march_and_its_tail(self, scheme, kernel, tail):
         sol = solve(make_spec(kernel, scheme, nx=24, u0="sin(pi*x)"))
         note = sol.meta["memory_quadrature"]
@@ -925,6 +960,32 @@ class TestMemoryQuadrature:
     def test_meta_names_the_head(self, scheme, kernel, head):
         sol = solve(make_spec(kernel, scheme, nx=24, u0="sin(pi*x)"))
         assert f"{head}," in sol.meta["memory_quadrature"]
+
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    @pytest.mark.parametrize("kernel, note", [
+        # K is not quadratic up to 0.6: only the true tail, from lag 40
+        (_declared(WedgeKernel(2.0, 1.0, 0.3), affine_until=0.6),
+         "no head, affine tail from lag 40"),
+        # nor affine past 0.15, nor Prony's past 0.5
+        (_declared(WedgeKernel(2.0, 1.0, 0.3), constant_after=0.15), "no head, no tail"),
+        (_declared(PronyKernel(1.0, ((0.6, 0.2), (0.4, 1.5))), constant_after=0.5),
+         "no head, no tail"),
+    ], ids=["wedge-head", "wedge-tail", "prony-tail"])
+    def test_wrong_declaration_costs_time_not_correctness(self, monkeypatch, scheme, kernel,
+                                                           note):
+        # the far sums take a declared range only where the weights follow it,
+        # in both schemes and in the energy history
+        import viscokern.energy as energy_module
+
+        spec = make_spec(kernel, scheme, u0="sin(pi*x)", u1="x*(1-x)")
+        sol = solve(spec)
+        assert sol.meta["memory_quadrature"].endswith(note)
+        direct = _direct_march(spec)
+        assert np.max(np.abs(sol.u - direct)) <= 1e-12 * np.max(np.abs(direct))
+        history = energy_module.energy_series(sol).history
+        monkeypatch.setattr(energy_module, "_lag_pieces", lambda *args: ([], ""))
+        want = energy_module.energy_series(sol).history
+        assert np.max(np.abs(history - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSaveStride:
