@@ -42,7 +42,6 @@ from .solver import (
     ConfigurationError,
     _l2_space_time,
     _product,
-    _sample_x,
     _sine_basis,
     _to_modes,
     l2_distance,
@@ -101,9 +100,9 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     x_full = np.concatenate(([grid.a], grid.x, [grid.b]))
     header = ["time"] + [fmt(xi) for xi in x_full]
     rows = []
-    for k in range(0, len(sol.times), cfg.output_stride):
-        full = np.concatenate(([0.0], sol.u[k], [0.0]))
-        rows.append([fmt(sol.times[k])] + [fmt(v) for v in full])
+    for t, row in zip(sol.times, sol.u):
+        full = np.concatenate(([0.0], row, [0.0]))
+        rows.append([fmt(t)] + [fmt(v) for v in full])
     path = out_dir / "snapshots.csv"
     write_csv(
         path,
@@ -114,12 +113,12 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     return ScenarioResult("solve", True, f"solved {len(sol.times)} snapshots", [path])
 
 
-def _wave_reference(spec, g_inf: float):
-    """Exact wave-equation evolution of the sampled u0 (u1 = 0, f = 0):
-    sine-mode expansion with frequencies sqrt(g_inf) k pi / (b - a)."""
-    grid = spec.grid
+def _wave_reference(grid, u0_row: np.ndarray, g_inf: float):
+    """Exact wave-equation evolution of u0 sampled on the nodes, *u0_row*
+    (u1 = 0, f = 0): sine-mode expansion with frequencies
+    sqrt(g_inf) k pi / (b - a)."""
     sines, _ = _sine_basis(grid)
-    coefs = _to_modes(_sample_x(spec.u0_expr, grid.x)[None, :], sines)[0]
+    coefs = _to_modes(u0_row[None, :], sines)[0]
     freqs = np.sqrt(g_inf) * np.pi / grid.length * np.arange(1, len(sines) + 1)
 
     def reference(times: np.ndarray) -> np.ndarray:
@@ -142,7 +141,7 @@ def run_wave_limit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     for spec in specs:
         sol = solve_integral(spec)
         if not errors:  # the specs share grid, times, u0 and g_inf
-            reference = _wave_reference(spec, wedge.g_inf)(sol.times)
+            reference = _wave_reference(spec.grid, sol.u[0], wedge.g_inf)(sol.times)
             norm = _l2_space_time(spec.grid, sol.times, reference)
         errors.append(_l2_space_time(spec.grid, sol.times, sol.u, reference) / norm)
         del sol  # before the next solve

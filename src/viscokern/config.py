@@ -18,13 +18,12 @@ Recognised keys, with their defaults:
     kernel.epsilon =          # optional: mollify the base kernel
     discretization.n_interior = 127
     discretization.n_steps = 512
-    discretization.stride = 1
+    discretization.stride = 1                # save every k-th step; divides n_steps
     scenario.epsilon_list = 0.1,0.05,0.025   # strictly decreasing, 2*eps <= 1
     scenario.a_list = 0.1,0.05,0.025         # strictly decreasing
     scenario.levels = 3                      # at least 3
     scenario.study = manufactured   # convergence: manufactured | self
     output.directory = out
-    output.stride = 1
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ class RunConfig:
     levels: int
     study: str
     out_dir: str
-    output_stride: int
     resolved: dict[str, str]        # effective key = value echo
 
     def grid(self, n_interior: int | None = None) -> Grid:
@@ -234,7 +232,6 @@ _KEYS = {
     "scenario.levels": ("3", _at_least(3)),
     "scenario.study": ("manufactured", _choice("manufactured", "self")),
     "output.directory": ("out", _text),
-    "output.stride": ("1", _at_least(1)),
 }
 
 
@@ -327,8 +324,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     n_interior, f = values.get("discretization.n_interior"), values.get("problem.f")
     if n_steps is not None and n_interior is not None and f is not None:
         try:
-            check_size(n_interior, n_steps, not expressions.is_zero(expressions.parse(f)),
-                       values.get("problem.scheme") == "differential")
+            check_size(n_interior, n_steps, not expressions.is_zero(expressions.parse(f)))
         except ConfigurationError as exc:
             errors.append((line("discretization.n_steps") or line("discretization.n_interior"),
                            f"discretization: {exc}"))
@@ -354,6 +350,5 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         levels=values["scenario.levels"],
         study=values["scenario.study"],
         out_dir=values["output.directory"],
-        output_stride=values["output.stride"],
         resolved=raw,
     )

@@ -105,9 +105,12 @@ def _f_block(sol: SolutionField) -> np.ndarray:
 
 
 def reconstruct_velocities(sol: SolutionField) -> np.ndarray:
-    """Central-difference velocities from saved snapshots (one-sided at the
-    first and last steps: accuracy O(ds^2) inside, O(ds) at the ends)."""
-    return np.gradient(sol.u, _uniform_spacing(sol.times), axis=0)
+    """Velocities of the saved snapshots, for either scheme: u1 on the nodes
+    at t = 0, central differences inside (O(ds^2)) and a one-sided one at
+    the last step (O(ds))."""
+    v = np.gradient(sol.u, _uniform_spacing(sol.times), axis=0)
+    v[0] = expressions.evaluate(sol.spec.u1_expr, x=sol.grid.x)
+    return v
 
 
 @dataclass
@@ -129,10 +132,10 @@ class EnergyReport:
 def energy_series(sol: SolutionField) -> EnergyReport:
     """Per-snapshot energy terms plus the a-priori bound.
 
-    Velocities are taken from the solution when the differential scheme
-    stored them, otherwise reconstructed by central differences.  The
-    history integral runs over the saved snapshots, so a coarse save
-    stride coarsens it too; fewer than three snapshots are rejected.
+    Velocities come from the snapshots, with u1 at t = 0
+    (:func:`reconstruct_velocities`).  The history integral runs over the
+    saved snapshots, so a coarse save stride coarsens it too; fewer than
+    three snapshots are rejected.
     """
     kernel = sol.spec.kernel
     if len(sol.times) < 3:
@@ -144,7 +147,7 @@ def energy_series(sol: SolutionField) -> EnergyReport:
     h = sol.grid.h
     n_saved = len(sol.times)
 
-    v = sol.v if sol.v is not None else reconstruct_velocities(sol)
+    v = reconstruct_velocities(sol)
     uxs = _ux_rows(h, sol.u)
     g_at = np.atleast_1d(kernel.g(sol.times))
     gdot_at = np.atleast_1d(kernel.gdot(sol.times))
@@ -237,7 +240,7 @@ def identity_residual(sol: SolutionField, report: EnergyReport) -> np.ndarray:
     h = sol.grid.h
     gddot_at = np.atleast_1d(kernel.gddot(sol.times))  # may raise
     gdot_at = np.atleast_1d(kernel.gdot(sol.times))
-    v = sol.v if sol.v is not None else reconstruct_velocities(sol)
+    v = reconstruct_velocities(sol)
     uxs = _ux_rows(h, sol.u)
 
     # stop one step short of the end: the final velocity is one-sided and

@@ -160,8 +160,7 @@ class ProblemSpec:
         self.u0_expr = _parse_data(self.u0, {"x"}, "u0")
         self.u1_expr = _parse_data(self.u1, {"x"}, "u1")
         self.f_expr = _parse_data(self.f, {"x", "t"}, "f")
-        check_size(self.grid.n_interior, self.n_steps, not expressions.is_zero(self.f_expr),
-                   self.scheme == "differential")
+        check_size(self.grid.n_interior, self.n_steps, not expressions.is_zero(self.f_expr))
         if self.scheme == "differential":
             _check_cfl(self)
         else:
@@ -172,14 +171,14 @@ class ProblemSpec:
         return self.horizon / self.n_steps
 
 
-def check_size(n_interior: int, n_steps: int, forced: bool, differential: bool) -> None:
+def check_size(n_interior: int, n_steps: int, forced: bool) -> None:
     """ConfigurationError if the arrays of a solve would not fit in physical
     memory, judged from their shapes before anything is made: the array of
-    rows (:meth:`_March.run`), the forcing's rows, the differential scheme's
-    velocities, the sine table and the block inverses."""
+    rows (:meth:`_March.run`), the forcing's rows, the sine table and the
+    block inverses."""
     width = _padded(n_interior)
-    need = 8 * ((1 + forced) * (n_steps + 1) * width + differential * (n_steps + 1) * n_interior
-                + width * width + n_interior * HISTORY_BLOCK**2)
+    need = 8 * ((1 + forced) * (n_steps + 1) * width + width * width
+                + n_interior * HISTORY_BLOCK**2)
     try:
         ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such figure here
@@ -227,14 +226,13 @@ def _check_stability(spec: ProblemSpec) -> float:
 
 @dataclass
 class SolutionField:
-    """Saved trajectory of a solve: u (and, for the differential scheme,
-    u_t) on the interior nodes at the saved times.  Boundary values are
-    structurally zero and not stored."""
+    """Saved trajectory of a solve: u on the interior nodes at the saved
+    times.  Boundary values are structurally zero and not stored;
+    velocities come from the snapshots (:func:`energy.reconstruct_velocities`)."""
 
     spec: ProblemSpec
     times: np.ndarray
     u: np.ndarray                      # (n_saved, n_interior)
-    v: np.ndarray | None = None        # velocities, differential scheme
     meta: dict = field(default_factory=dict)
 
     @property
@@ -564,12 +562,12 @@ class _March:
         Row t solves, mode by mode,
         ``x_t + mu sum_{m<t} w_m lags[t - m] x_m = data(t)``, with the far
         sum's w_m and the lag pieces :func:`_lag_pieces` takes on *lags*; the
-        memory quadrature note names them after *what*.  The differential
-        scheme's result carries velocities.  The array of rows is made after
-        every table (made first, it grew the peak RSS of a mollify study by
-        20 %).  The march stops after a block that is not finite; each block
-        then becomes nodal values in place, and the first non-finite nodal row
-        is reported."""
+        memory quadrature note names them after *what*.  The result holds
+        displacements only, every ``save_stride``-th row.  The array of rows
+        is made after every table (made first, it grew the peak RSS of a
+        mollify study by 20 %).  The march stops after a block that is not
+        finite; each block then becomes nodal values in place, and the first
+        non-finite nodal row is reported."""
         spec, nx = self.spec, self.spec.grid.n_interior
         end = len(self.tgrid)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -597,20 +595,14 @@ class _March:
         u = rows[:, :nx]
         u[0] = self.u0v
         _check_finite(u, 1, end - 1, self.tgrid, self.scheme)
-        v = None
-        if self.scheme == "differential":  # central differences, exact at t = 0
-            v = np.empty_like(u)  # as np.gradient, without its temporary
-            np.subtract(u[2:], u[:-2], out=v[1:-1])
-            v[1:-1] /= 2.0 * spec.dt
-            v[0], v[-1] = self.u1v, (u[-1] - u[-2]) / spec.dt
         s = spec.save_stride
         meta = {"scheme": self.scheme, "dt": spec.dt, "h": spec.grid.h,
                 "kernel": spec.kernel.describe(), "memory_quadrature":
                 f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, {note}",
                 **meta}
         if s > 1:
-            u, v = u[::s].copy(), None if v is None else v[::s].copy()
-        return SolutionField(spec, self.tgrid[::s].copy(), u, v, meta)
+            u = u[::s].copy()
+        return SolutionField(spec, self.tgrid[::s].copy(), u, meta)
 
 
 def solve_integral(spec: ProblemSpec) -> SolutionField:

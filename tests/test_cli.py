@@ -79,7 +79,7 @@ class TestScenarios:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
             "discretization.n_interior = 16\ndiscretization.n_steps = 32\n"
-            "output.stride = 4\n"
+            "discretization.stride = 4\n"
         )
         assert run_cli(["solve", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
         meta, header, rows = read_csv(tmp_path / "o" / "snapshots.csv")
@@ -376,7 +376,7 @@ class TestWaveReference:
             )
             spec = cfg.problem_spec(scheme="integral")
             sol = solve_integral(spec)
-            reference = cli._wave_reference(spec, 1.0)(sol.times)
+            reference = cli._wave_reference(spec.grid, sol.u[0], 1.0)(sol.times)
             gap = _l2_space_time(spec.grid, sol.times, sol.u - reference)
             assert gap < 2e-3  # scheme self-error only
 

@@ -222,10 +222,11 @@ class TestValidation:
         errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")
         assert errs == [(2, "kernel.g0: expected a number, got 'abc'")]
 
-    def test_unparseable_output_stride_reported_once(self):
-        errs = errors_of("problem.T = 1.0\noutput.stride = abc")
-        assert errs == [(2, "output.stride: expected an integer, got 'abc'")]
-        assert errors_of("output.stride = 0") == [(1, "need output.stride >= 1")]
+    def test_unparseable_stride_reported_once(self):
+        errs = errors_of("problem.T = 1.0\ndiscretization.stride = abc")
+        assert errs == [(2, "discretization.stride: expected an integer, got 'abc'")]
+        assert errors_of("discretization.stride = 0") == [
+            (1, "need discretization.stride >= 1")]
 
 
 def test_docstring_lists_every_key_with_its_default():

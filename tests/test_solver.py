@@ -312,8 +312,6 @@ class TestZeroData:
     def test_zero_data_bitwise_zero(self, scheme):
         sol = solve(make_spec(PRONY, scheme))
         assert np.all(sol.u == 0.0)
-        if sol.v is not None:
-            assert np.all(sol.v == 0.0)
 
     def test_boundary_excluded_structurally(self):
         sol = solve(make_spec(PRONY, "integral", u0="sin(pi*x)"))
@@ -688,7 +686,7 @@ class TestBlockedMemorySum:
             "    sol = solve(spec)\n"
             "    data = sol.u.tobytes() + energy_series(sol).history.tobytes()\n"
             "    if f == '0':\n"
-            "        data += cli._wave_reference(spec, 1.0)(sol.times).tobytes()\n"
+            "        data += cli._wave_reference(spec.grid, sol.u[0], 1.0)(sol.times).tobytes()\n"
             "    print(hashlib.sha256(data).hexdigest())\n"
         )
         src = str(Path(viscokern.__file__).resolve().parents[1])
@@ -868,18 +866,15 @@ class TestSizeCheck:
         assert peak < 2**20
 
     def test_estimate_counts_rows_tables_and_forcing(self, monkeypatch):
-        # (N + 1) w rows, (N + 1) w forcing rows, (N + 1) nx velocities,
-        # w^2 sines, nx 32^2 inverses
+        # (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 32^2 inverses
         monkeypatch.setattr(solver_module.os, "sysconf", lambda name: {
             "SC_PAGE_SIZE": 1,
             "SC_PHYS_PAGES": 8 * (11 * 16 + 16 * 16 + 9 * 1024)}[name])
-        solver_module.check_size(9, 10, forced=False, differential=False)
+        solver_module.check_size(9, 10, forced=False)
         with pytest.raises(ConfigurationError):
-            solver_module.check_size(9, 10, forced=True, differential=False)
+            solver_module.check_size(9, 10, forced=True)
         with pytest.raises(ConfigurationError):
-            solver_module.check_size(9, 10, forced=False, differential=True)
-        with pytest.raises(ConfigurationError):
-            solver_module.check_size(9, 11, forced=False, differential=False)
+            solver_module.check_size(9, 11, forced=False)
 
 
 def _traced_peak(call):
@@ -906,12 +901,11 @@ class TestMemoryPeak:
     @pytest.mark.parametrize("scheme", ["integral", "differential"])
     def test_solve_stays_below_two_row_arrays(self, scheme):
         # the march keeps one array of rows, which becomes the solution in
-        # place; beside it the differential scheme returns its velocities.
-        # Two arrays of rows and a copy made the peak 2.4 row arrays, and
-        # 4.1 with the velocities
-        sol, peak = _traced_peak(lambda: solve(self._spec(scheme)))
-        velocities = 0 if sol.v is None else sol.v.nbytes
-        assert peak - velocities < 2 * self.ROW_ARRAY
+        # place, and a solve returns no velocities.  Two arrays of rows and a
+        # copy made the peak 2.4 row arrays, and 4.1 with the differential
+        # scheme's velocities
+        _, peak = _traced_peak(lambda: solve(self._spec(scheme)))
+        assert peak < 2 * self.ROW_ARRAY
 
     def test_distance_needs_no_full_size_temporary(self):
         a, b = solve(self._spec("integral")), solve(self._spec("differential"))
@@ -996,7 +990,6 @@ class TestSaveStride:
         assert len(sol.times) == 17
         assert sol.times[0] == 0.0
         assert sol.times[-1] == pytest.approx(1.0)
-        assert sol.v.shape == sol.u.shape
 
     def test_stride_consistent_with_full(self):
         full = solve(make_spec(PRONY, "integral", nx=16, nt=64, u0="sin(pi*x)"))
