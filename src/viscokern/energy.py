@@ -16,6 +16,7 @@ elastic behaviour, so it is computed explicitly even though the a-priori
 bound discards it.  Spatial integrals use the trapezoid rule with
 one-sided u_x stencils at the boundary nodes; the time quadratures run
 over the saved snapshots, with the lag sums in the solver's far sums.
+One pass, :func:`energy_series`, also gives the rate identity's residual.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions
+from .kernels import DerivativeUndefinedError
 from .solver import (
     ConfigurationError,
     SolutionField,
@@ -70,30 +72,32 @@ def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
     return rows @ w
 
 
-def _lag_sums(h: float, ds: float, uxs: np.ndarray, weight: np.ndarray, kernel) -> np.ndarray:
-    """Per saved step n, the ds-trapezoid over the lags s = 0, ds, .., t_n of
-    weight(s) D(t_n, s), D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx, with
-    *weight* the kernel at the saved times.  Lags of DIRECT_LAGS steps and
-    more come from one engine pass over the rows (|u_x|^2, 1, u_x), by
-    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, with the lag pieces the solver's gate
-    takes on those weights from the *kernel*'s declared structure; shorter
-    ones are summed as differences."""
+def _lag_sums(h: float, ds: float, uxs: np.ndarray, weights: np.ndarray, kernel) -> np.ndarray:
+    """Per row of *weights* (kernel derivatives at the saved times) and saved
+    step n, the ds-trapezoid over the lags s = 0, ds, .., t_n of weight(s)
+    D(t_n, s), D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx.  Lags of
+    DIRECT_LAGS steps and more come from one engine pass per row over the
+    same rows (|u_x|^2, 1, u_x), by |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, with
+    the lag pieces the solver's gate takes on that row from the *kernel*'s
+    declared structure; shorter ones are differenced once for every row."""
     uxs = uxs - uxs.mean(axis=0)  # D sees differences only: shrink what cancels
     d = _trap_x(h, uxs * uxs)
-    rows = _engine_rows(len(d), 2 + uxs.shape[1])
+    nx = uxs.shape[1]
+    rows = _engine_rows(len(d), 2 + nx)
     rows[:, 0] = d
     rows[:, 1] = 1.0
-    rows[:, 2 : 2 + uxs.shape[1]] = uxs
-    far_wl = np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weight)
-    pieces, _ = _lag_pieces(kernel, ds, far_wl, DIRECT_LAGS)
-    sums = np.zeros_like(rows)
-    for s, far in _far_sums(rows, far_wl, 1, len(d), pieces):
-        sums[s : s + len(far)] = far
-    out = d * sums[:, 1] + sums[:, 0] - 2.0 * _trap_x(h, uxs * sums[:, 2 : 2 + uxs.shape[1]])
+    rows[:, 2 : 2 + nx] = uxs
+    out = np.empty((len(weights), len(d)))
+    for far_wl, total in zip(np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weights), out):
+        pieces, _ = _lag_pieces(kernel, ds, far_wl, DIRECT_LAGS)
+        sums = np.zeros_like(rows)
+        for s, far in _far_sums(rows, far_wl, 1, len(d), pieces):
+            sums[s : s + len(far)] = far
+        total[:] = d * sums[:, 1] + sums[:, 0] - 2.0 * _trap_x(h, uxs * sums[:, 2 : 2 + nx])
     for k in range(1, min(DIRECT_LAGS, len(d))):
-        near = ds * weight[k] * _trap_x(h, (uxs[k:] - uxs[:-k]) ** 2)
-        near[0] *= 0.5  # lag k ends the trapezoid of step n = k
-        out[k:] += near
+        near = ds * weights[:, k, None] * _trap_x(h, (uxs[k:] - uxs[:-k]) ** 2)
+        near[:, 0] *= 0.5  # lag k ends the trapezoid of step n = k
+        out[:, k:] += near
     return out
 
 
@@ -115,6 +119,9 @@ def reconstruct_velocities(sol: SolutionField) -> np.ndarray:
 
 @dataclass
 class EnergyReport:
+    """One :func:`energy_series` pass: the terms per saved snapshot, the
+    bound, and the rate identity's residual at saved steps 1 .. N - 3."""
+
     times: np.ndarray
     elastic: np.ndarray    # 1/2 int G(t) |u_x|^2
     kinetic: np.ndarray    # 1/2 int |u_t|^2
@@ -123,6 +130,7 @@ class EnergyReport:
     alpha: float           # max{1/G(T+1), 1}
     constant: float        # data constant C
     bound: float           # alpha * e^T * C
+    residual: np.ndarray | None  # dE/dt minus the identity's right side
 
     @property
     def initial(self) -> float:
@@ -130,12 +138,19 @@ class EnergyReport:
 
 
 def energy_series(sol: SolutionField) -> EnergyReport:
-    """Per-snapshot energy terms plus the a-priori bound.
+    """Per-snapshot energy terms, the a-priori bound and, when the kernel
+    has a second derivative, the residual at the interior saved steps of
+    the energy rate identity
 
-    Velocities come from the snapshots, with u1 at t = 0
-    (:func:`reconstruct_velocities`).  The history integral runs over the
-    saved snapshots, so a coarse save stride coarsens it too; fewer than
-    three snapshots are rejected.
+        dE/dt = int f u_t + 1/2 Gdot(t) int |u_x|^2
+                - 1/2 int_0^t Gddot(s) int |u_x(t) - u_x(t-s)|^2 dx ds,
+
+    a diagnostic carrying the O(ds) error of the outer derivative (None for
+    a raw wedge, whose curvature is a point mass at the kink).  One pass
+    builds the velocities (:func:`reconstruct_velocities`), the u_x rows,
+    the sampled f and the lag sums of Gdot and Gddot (:func:`_lag_sums`).
+    The history integral runs over the saved snapshots, so a coarse save
+    stride coarsens it too; fewer than three snapshots are rejected.
     """
     kernel = sol.spec.kernel
     if len(sol.times) < 3:
@@ -145,33 +160,42 @@ def energy_series(sol: SolutionField) -> EnergyReport:
         )
     ds = _uniform_spacing(sol.times)
     h = sol.grid.h
-    n_saved = len(sol.times)
-
-    v = reconstruct_velocities(sol)
+    v = _full_rows(reconstruct_velocities(sol))
     uxs = _ux_rows(h, sol.u)
     g_at = np.atleast_1d(kernel.g(sol.times))
-    gdot_at = np.atleast_1d(kernel.gdot(sol.times))
+    weights = [kernel.gdot(sol.times)]
+    try:
+        weights.append(kernel.gddot(sol.times))
+    except DerivativeUndefinedError:
+        pass
+    lag_sums = _lag_sums(h, ds, uxs, np.array(weights), kernel)
 
     elastic = 0.5 * g_at * _trap_x(h, uxs * uxs)
-    kinetic = 0.5 * _trap_x(h, _full_rows(v) ** 2)
-
-    history = -0.5 * _lag_sums(h, ds, uxs, gdot_at, kernel)
+    kinetic = 0.5 * _trap_x(h, v ** 2)
+    history = -0.5 * lag_sums[0]
 
     horizon = sol.spec.horizon
     alpha = max(1.0 / float(kernel.g(horizon + 1.0)), 1.0)
     constant = float(
         0.5 * float(kernel.g(0.0)) * _trap_x(h, uxs[0] ** 2)
-        + 0.5 * _trap_x(h, _full_rows(v[:1])[0] ** 2)
+        + 0.5 * _trap_x(h, v[0] ** 2)
     )
-    if not expressions.is_zero(sol.spec.f_expr):
-        f_rows = _f_block(sol)
-        space = _trap_x(h, f_rows * f_rows)
-        wt = np.zeros(n_saved)
-        wt[:-1] += 0.5 * ds
-        wt[1:] += 0.5 * ds
-        constant += 0.5 * float(wt @ space)
+    f_rows = None if expressions.is_zero(sol.spec.f_expr) else _f_block(sol)
+    if f_rows is not None:  # ||f||^2 by the trapezoid in x, then in t
+        constant += 0.5 * float(_trap_x(ds, _trap_x(h, f_rows * f_rows)))
 
     total = elastic + kinetic + history
+    residual = None
+    if len(lag_sums) > 1:
+        # stop one step short of the end: the final velocity is one-sided and
+        # would leak an O(1) artefact into the centred rate at the last step
+        inner = slice(1, -2)
+        rate = (total[2:-1] - total[:-3]) / (2.0 * ds)
+        rhs = 0.5 * weights[0][inner] * _trap_x(h, uxs[inner] ** 2)
+        if f_rows is not None:
+            rhs += _trap_x(h, f_rows[inner] * v[inner])
+        rhs -= 0.5 * lag_sums[1][inner]
+        residual = rate - rhs
     return EnergyReport(
         times=sol.times.copy(),
         elastic=elastic,
@@ -181,6 +205,7 @@ def energy_series(sol: SolutionField) -> EnergyReport:
         alpha=alpha,
         constant=constant,
         bound=float(alpha * np.exp(horizon) * constant),
+        residual=residual,
     )
 
 
@@ -224,34 +249,12 @@ def dissipation_check(report: EnergyReport, f_is_zero: bool) -> DissipationVerdi
 
 
 def identity_residual(sol: SolutionField, report: EnergyReport) -> np.ndarray:
-    """Residual of the energy rate identity at the interior saved steps:
-
-        dE/dt = int f u_t + 1/2 Gdot(t) int |u_x|^2
-                - 1/2 int_0^t Gddot(s) int |u_x(t) - u_x(t-s)|^2 dx ds.
-
-    Needs a kernel with a genuine second derivative (exponential series or
-    mollified); for a raw wedge the curvature is a point mass at the kink
-    and the identity is not evaluated.  Purely diagnostic: the residual
-    carries the O(ds) differencing error of the outer derivative.
-    *report* is :func:`energy_series` of the same solution.
-    """
-    kernel = sol.spec.kernel
-    ds = _uniform_spacing(sol.times)
-    h = sol.grid.h
-    gddot_at = np.atleast_1d(kernel.gddot(sol.times))  # may raise
-    gdot_at = np.atleast_1d(kernel.gdot(sol.times))
-    v = reconstruct_velocities(sol)
-    uxs = _ux_rows(h, sol.u)
-
-    # stop one step short of the end: the final velocity is one-sided and
-    # would leak an O(1) artefact into the centred rate at the last step
-    inner = slice(1, len(sol.times) - 2)
-    rate = (report.total[2:-1] - report.total[:-3]) / (2.0 * ds)
-    rhs = 0.5 * gdot_at[inner] * _trap_x(h, uxs[inner] ** 2)
-    if not expressions.is_zero(sol.spec.f_expr):
-        rhs += _trap_x(h, _f_block(sol)[inner] * _full_rows(v[inner]))
-    rhs -= 0.5 * _lag_sums(h, ds, uxs, gddot_at, kernel)[inner]
-    return rate - rhs
+    """The residual of the energy rate identity that :func:`energy_series`
+    of the same solution computed, ``report.residual``; a kernel with no
+    second derivative raises its :class:`DerivativeUndefinedError` here."""
+    if report.residual is None:
+        sol.spec.kernel.gddot(sol.times)  # raises: no second derivative
+    return report.residual
 
 
 @dataclass

@@ -389,24 +389,20 @@ def _lag_pieces(kernel: RelaxationKernel, dt: float, wl: np.ndarray, first: int 
 
 def _piece_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, lo: int, hi: int):
     """For :func:`_far_sums`: per block s, the rows [a, b) whose lags all lie
-    in the piece [lo, hi], and their share of far (None when the piece's
-    weights are all zero).  q and q' (:func:`_quadratic`) are tabulated on
-    every lag, so that a row leaves the sums with what it holds after the
-    shifts."""
+    in the piece [lo, hi], and their share of far.  q and q'
+    (:func:`_quadratic`) are tabulated on every lag, so that a row leaves
+    the sums with what it holds after the shifts.  A piece whose weights
+    are all zero runs the same sums, and its share is exact zeros."""
     q, dq, c2 = _quadratic(wl, lo, hi)
     table = np.stack([q, dq, np.ones(len(wl))])
     i = np.arange(float(HISTORY_BLOCK))
     spread = np.stack([np.ones(HISTORY_BLOCK), i, c2 * i * i], axis=1)
-    zero = not wl[lo : hi + 1].any()
     sums = np.zeros((3, rows.shape[1]))
     a = b = 0
     s_prev = first
     for s in range(first, stop, HISTORY_BLOCK):
         n = min(HISTORY_BLOCK, stop - s)
         new_a, new_b = max(s + n - 1 - hi, 0), max(s + 1 - max(lo, 1), 0)
-        if zero:
-            yield new_a, new_b, None
-            continue
         d = s - s_prev
         sums[0] += d * sums[1] + c2 * d * d * sums[2]
         sums[1] += 2.0 * c2 * d * sums[2]
@@ -434,17 +430,16 @@ def _far_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, pieces=()
     add [1, i, c2 i^2] @ sums to far[i]; the sums move to the next block by
     the exact Taylor shift of q, rows that enter the range are added and
     rows that leave it are subtracted.  q is read off wl at three lags of
-    the range (:func:`_lag_pieces` takes the ranges and checks them), and a
-    piece whose weights are all zero leaves its rows out.  Every other row
-    is in one matrix product over chunks of fixed length in a fixed order."""
+    the range (:func:`_lag_pieces` takes the ranges and checks them).
+    Every other row is in one matrix product over chunks of fixed length in
+    a fixed order."""
     tracks = [_piece_sums(rows, wl, first, stop, lo, min(hi, len(wl) - 1)) for lo, hi in pieces]
     for s in range(first, stop, HISTORY_BLOCK):
         n = min(HISTORY_BLOCK, stop - s)
         far = np.zeros((n, rows.shape[1]))
         start, direct = 0, []
         for a, b, share in sorted((next(t) for t in tracks), key=lambda c: c[0]):
-            if share is not None:
-                far += share
+            far += share
             direct.append((start, a))
             start = max(start, b)
         direct.append((start, s))

@@ -186,15 +186,17 @@ class TestScenarios:
         assert totals[-1] < totals[0]
 
     def test_energy_audit_computes_series_once(self, tmp_path, monkeypatch):
-        # the identity residual reuses the report instead of recomputing it
-        calls = []
-        series = cli.energy_mod.energy_series
+        # the identity residual comes from the report instead of a second
+        # pass: the series, the velocities, the u_x rows, the sampled f and
+        # the lag sums of Gdot and Gddot are each built once per solution
+        calls = {}
+        for name in ("energy_series", "_ux_rows", "reconstruct_velocities", "_f_block",
+                     "_lag_sums"):
+            def counting(*args, _name=name, _fn=getattr(cli.energy_mod, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
 
-        def counting(sol):
-            calls.append(sol)
-            return series(sol)
-
-        monkeypatch.setattr(cli.energy_mod, "energy_series", counting)
+            monkeypatch.setattr(cli.energy_mod, name, counting)
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
             "problem.scheme = differential\nproblem.f = sin(pi*x)*t\n"
@@ -204,7 +206,8 @@ class TestScenarios:
         run_cli(["energy-audit", "--config", cfgfile, "--out", tmp_path / "o"])
         meta, _, _ = read_csv(tmp_path / "o" / "energy_audit.csv")
         assert any("identity_residual_max" in line for line in meta)
-        assert len(calls) == 1
+        assert calls == {"energy_series": 1, "_ux_rows": 1, "reconstruct_velocities": 1,
+                         "_f_block": 1, "_lag_sums": 1}
 
     def test_energy_audit_zero_data(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -338,14 +338,19 @@ class TestDissipationBranches:
 class TestIdentityResidual:
     def test_prony_residual_small(self):
         sol = standing_mode_solution(nx=64, nt=512)
-        residual = identity_residual(sol, energy_series(sol))
+        report = energy_series(sol)
+        residual = identity_residual(sol, report)
+        assert residual is report.residual  # the energy pass computed it
         # O(ds) differencing noise on an O(1) energy scale
         assert np.max(np.abs(residual)) < 0.05
 
     def test_wedge_unsupported(self):
         sol = standing_mode_solution(nx=32, nt=256, kernel=WedgeKernel(2, 1, 0.4))
-        with pytest.raises(DerivativeUndefinedError):
-            identity_residual(sol, energy_series(sol))
+        report = energy_series(sol)
+        assert report.residual is None
+        with pytest.raises(DerivativeUndefinedError,
+                           match="WedgeKernel does not provide a second derivative"):
+            identity_residual(sol, report)
 
     def test_schemes_start_from_the_same_data(self):
         # both schemes take the velocity at t = 0 from u1 itself; the one-sided
