@@ -39,11 +39,9 @@ from .kernels import (
 )
 from .mollify import MollifiedKernel, sup_distance_K
 from .solver import (
+    ROW_CHUNK,
     ConfigurationError,
     _l2_space_time,
-    _product,
-    _sine_basis,
-    _to_modes,
     l2_distance,
     l2_error_vs,
     manufactured_prony,
@@ -59,6 +57,16 @@ NOISE_FLOOR = 1e-9
 def fmt(x: float) -> str:
     """17 significant digits, scientific: round-trips exactly."""
     return f"{float(x):.16e}"
+
+
+def fmt_table(values: np.ndarray):
+    """Yield the rows of the 2-D float array *values* as CSV text, every
+    value as :func:`fmt` renders it, ROW_CHUNK rows at a time: each chunk is
+    one format string, its lines joined by newlines."""
+    line = ",".join(["%.16e"] * values.shape[1])
+    for lo in range(0, len(values), ROW_CHUNK):
+        chunk = values[lo : lo + ROW_CHUNK]
+        yield "\n".join([line] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def _strictly_decreasing(values) -> bool:
@@ -77,11 +85,14 @@ class ScenarioResult:
     files: list[Path] = field(default_factory=list)
 
 
-def write_csv(path: Path, meta: list[str], header: list[str], rows: list[list[str]]) -> None:
-    lines = [f"# {line}" for line in meta]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, meta: list[str], header: list[str], rows) -> None:
+    """Write the meta lines, prefixed ``#``, the header and *rows*: CSV text
+    of one or more lines per item, as :func:`fmt_table` gives it, written
+    as the items come."""
+    with path.open("w") as out:
+        out.writelines(f"# {line}\n" for line in meta)
+        out.write(",".join(header) + "\n")
+        out.writelines(f"{text}\n" for text in rows)
 
 
 def write_meta(path: Path, cfg: RunConfig, scenario: str) -> None:
@@ -99,30 +110,33 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     grid = sol.grid
     x_full = np.concatenate(([grid.a], grid.x, [grid.b]))
     header = ["time"] + [fmt(xi) for xi in x_full]
-    rows = []
-    for t, row in zip(sol.times, sol.u):
-        full = np.concatenate(([0.0], row, [0.0]))
-        rows.append([fmt(t)] + [fmt(v) for v in full])
+
+    def rows():  # the nodal rows a chunk at a time, never all of them at once
+        for lo, u in sol.nodal_chunks():
+            table = np.zeros((len(u), 1 + len(x_full)))
+            table[:, 0] = sol.times[lo : lo + len(u)]
+            table[:, 2:-1] = u
+            yield from fmt_table(table)
+
     path = out_dir / "snapshots.csv"
     write_csv(
         path,
         [f"scheme = {sol.meta['scheme']}", f"kernel = {sol.meta['kernel']}"],
         header,
-        rows,
+        rows(),
     )
     return ScenarioResult("solve", True, f"solved {len(sol.times)} snapshots", [path])
 
 
-def _wave_reference(grid, u0_row: np.ndarray, g_inf: float):
-    """Exact wave-equation evolution of u0 sampled on the nodes, *u0_row*
-    (u1 = 0, f = 0): sine-mode expansion with frequencies
+def _wave_reference(grid, coefs: np.ndarray, g_inf: float):
+    """Exact wave-equation evolution (u1 = 0, f = 0) of the sine
+    coefficients *coefs* of u0: ``reference(times)`` gives the coefficient
+    rows cos(omega_k t) coefs_k at those times, omega_k =
     sqrt(g_inf) k pi / (b - a)."""
-    sines, _ = _sine_basis(grid)
-    coefs = _to_modes(u0_row[None, :], sines)[0]
-    freqs = np.sqrt(g_inf) * np.pi / grid.length * np.arange(1, len(sines) + 1)
+    freqs = np.sqrt(g_inf) * np.pi / grid.length * np.arange(1, len(coefs) + 1)
 
     def reference(times: np.ndarray) -> np.ndarray:
-        return _product(np.cos(np.outer(times, freqs)) * coefs, sines)[:, : grid.n_interior]
+        return np.cos(np.outer(times, freqs)) * coefs
 
     return reference
 
@@ -138,12 +152,12 @@ def run_wave_limit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
         raise ConfigurationError("the wave reference needs u1 = 0 and f = 0")
 
     errors = []
-    for spec in specs:
+    for spec in specs:  # in the sine basis, the reference made a chunk of rows at a time
         sol = solve_integral(spec)
         if not errors:  # the specs share grid, times, u0 and g_inf
-            reference = _wave_reference(spec.grid, sol.u[0], wedge.g_inf)(sol.times)
+            reference = _wave_reference(spec.grid, sol.modes[0].copy(), wedge.g_inf)
             norm = _l2_space_time(spec.grid, sol.times, reference)
-        errors.append(_l2_space_time(spec.grid, sol.times, sol.u, reference) / norm)
+        errors.append(_l2_space_time(spec.grid, sol.times, sol.modes, reference) / norm)
         del sol  # before the next solve
 
     passed = _strictly_decreasing(errors)
@@ -156,7 +170,7 @@ def run_wave_limit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
             f"grid = {cfg.n_interior} x {cfg.n_steps}",
         ],
         ["a", "rel_l2_error"],
-        [[fmt(a), fmt(e)] for a, e in zip(cfg.a_list, errors)],
+        fmt_table(np.column_stack([cfg.a_list, errors])),
     )
     summary = "errors " + ("strictly decrease" if passed else "do NOT decrease") + \
         " along a_list"
@@ -182,8 +196,8 @@ def run_mollify_study(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
         report = check_admissibility(smoothed, horizon)
         sups.append(sup)
         dists.append(dist)
-        rows.append([fmt(eps), fmt(sup), fmt(report.floor),
-                     "1" if report.admissible else "0", fmt(dist)])
+        rows.append(",".join([fmt(eps), fmt(sup), fmt(report.floor),
+                              "1" if report.admissible else "0", fmt(dist)]))
 
     passed = _decreasing_or_noise(sups) and _decreasing_or_noise(dists)
     path = out_dir / "mollify_study.csv"
@@ -240,8 +254,8 @@ def run_convergence(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
 
     rows = []
     for lev, ((nx, nt), err, order) in enumerate(zip(sizes, errors, orders)):
-        rows.append([str(lev), str(nx), str(nt), fmt(err),
-                     "n/a" if order is None else fmt(order)])
+        rows.append(",".join([str(lev), str(nx), str(nt), fmt(err),
+                              "n/a" if order is None else fmt(order)]))
 
     threshold = ORDER_THRESHOLD[study]
     observed = [o for o in orders if o is not None]
@@ -284,12 +298,9 @@ def run_energy_audit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
         meta.append(f"monotone = {'yes' if verdict.monotone else 'NO'}")
     meta.append(f"bounded = {'yes' if verdict.bounded else 'NO'}")
 
-    rows = [
-        [fmt(t), fmt(e), fmt(k), fmt(hst), fmt(tot), fmt(report.bound)]
-        for t, e, k, hst, tot in zip(
-            report.times, report.elastic, report.kinetic, report.history, report.total
-        )
-    ]
+    rows = fmt_table(np.column_stack([report.times, report.elastic, report.kinetic,
+                                      report.history, report.total,
+                                      np.full(len(report.times), report.bound)]))
     path = out_dir / "energy_audit.csv"
     write_csv(path, meta, ["t", "elastic", "kinetic", "history", "total", "bound"], rows)
     summary = (

@@ -204,7 +204,7 @@ class MollifiedKernel(RelaxationKernel):
                 block = clean_idx[start : start + 4096]
                 args = eps + t[block][:, None] - eps * nodes[None, :]
                 out[block] = base_f(args, block) @ wr
-        for m in np.unique(count[count > 0]):
+        for m in np.flatnonzero(np.bincount(count)[1:]) + 1:  # each count that occurs
             rows_idx = np.nonzero(count == m)[0]
             step = max(_BLOCK_ELEMENTS // ((m + 1) * len(nodes)), 1)
             for start in range(0, len(rows_idx), step):

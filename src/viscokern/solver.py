@@ -27,18 +27,20 @@ boundaries, initial data u0, u1 and forcing f:
   the lag weights, set once per solve (``_gdot_weights``).
 
 Both schemes are linear in the data and run one march (``_March``) on one
-array of rows, the history in the sine basis, which then becomes the
-solution on the nodes in place; a scheme gives it its lag weights and the
-data of each row after row 0 (u0).
+array of rows, the history in the sine basis, which is the solution a
+solve returns: :class:`SolutionField` keeps the coefficient rows and makes
+the nodal values only when they are asked for.  A scheme gives the march
+its lag weights and the data of each row after row 0 (u0).
 
 The march runs in the orthonormal sine basis (the DST-I), whose vectors
 are exact eigenvectors of the three-point Laplacian with eigenvalues
 -lam_k, lam_k = (4/h^2) sin^2(k pi / (2(nx + 1))).  The same table
-(``_sine_basis``) also serves the CLI's wave reference and the energy
-module's mode decay diagnostic.  In the basis each mode is a scalar
-Volterra recurrence, and the rows are advanced HISTORY_BLOCK steps at a
-time (the first level of the Toeplitz splitting of Hairer, Lubich and
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
+(``_sine_basis``, made once per grid and read-only) also gives a
+solution's nodal values and serves the energy module's mode decay
+diagnostic.  In the basis each mode is a scalar Volterra recurrence, and
+the rows are advanced HISTORY_BLOCK steps at a time (the first level of
+the Toeplitz splitting of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat.
+Comput. 6, 1985):
 
 * the history written before the block ("far") is one matrix product over
   the modal rows (``_far_sums``, which the energy diagnostics share for
@@ -47,8 +49,11 @@ Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
   Toeplitz system, whose inverse is again Toeplitz; its first column comes
   from a HISTORY_BLOCK-term recurrence once per solve
   (``_block_inverses``), so a block is one batched product;
-* the block is checked for non-finite values before the next one; after
-  the march each block is turned back into nodal values in place.
+* the block is checked for non-finite values before the next one.
+
+As the DST-I is orthonormal, a row's sum of squares is the same on the
+nodes and in the basis (Parseval), so the space-time norms and distances
+(``l2_norm``, ``l2_distance``) read the coefficients and never the nodes.
 
 The differential form is the integral one differentiated twice in time,
 and its march is the integral march: its second-difference recurrence
@@ -84,6 +89,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -226,18 +232,44 @@ def _check_stability(spec: ProblemSpec) -> float:
 
 @dataclass
 class SolutionField:
-    """Saved trajectory of a solve: u on the interior nodes at the saved
-    times.  Boundary values are structurally zero and not stored;
-    velocities come from the snapshots (:func:`energy.reconstruct_velocities`)."""
+    """Saved trajectory of a solve: the sine coefficients of u at the saved
+    times (``modes``, the march's rows with their zero padding) and u0
+    sampled on the nodes.  The nodal values (:attr:`u`) are made from them
+    when asked for; norms and distances need only the coefficients.
+    Boundary values are structurally zero and not stored; velocities come
+    from the snapshots (:func:`energy.reconstruct_velocities`)."""
 
     spec: ProblemSpec
     times: np.ndarray
-    u: np.ndarray                      # (n_saved, n_interior)
+    modes: np.ndarray                  # (n_saved, padded width)
+    u0: np.ndarray                     # (n_interior,)
     meta: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> Grid:
         return self.spec.grid
+
+    def nodal_chunks(self):
+        """Yield (lo, the nodal rows from lo on) in order, the coefficient
+        rows times the sine table a chunk at a time (:func:`_row_chunks`),
+        with row 0 set to u0 as sampled."""
+        sines, _ = _sine_basis(self.grid)
+        for rows in _row_chunks(len(self.modes), alone=False):
+            chunk = _product(self.modes[rows], sines)[:, : self.grid.n_interior]
+            if rows.start == 0:
+                chunk[0] = self.u0
+            yield rows.start, chunk
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """u on the interior nodes, (n_saved, n_interior), made once; the
+        first row that is not finite raises :class:`SolverDivergenceError`."""
+        u = np.empty((len(self.modes), self.grid.n_interior))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, rows in self.nodal_chunks():
+                u[lo : lo + len(rows)] = rows
+        _check_finite(u, 1, len(u) - 1, self.times, self.meta["scheme"])
+        return u
 
 
 def solve(spec: ProblemSpec) -> SolutionField:
@@ -272,8 +304,8 @@ def _check_finite(u: np.ndarray, first: int, last: int, tgrid: np.ndarray,
                   scheme: str, cause: str = "max |u| at previous step may have overflowed",
                   ) -> None:
     """Raise at the first of the steps first .. last whose row of u is not
-    finite; the march checks its data before the first block, then its
-    nodal rows once, after the last."""
+    finite; the march checks its data before the first block, and the
+    nodal rows of a solution are checked when they are made."""
     finite = np.isfinite(u[first : last + 1]).all(axis=1)
     if not finite.all():
         step = first + int(np.argmin(finite))
@@ -293,6 +325,9 @@ def _check_finite(u: np.ndarray, first: int, last: int, tgrid: np.ndarray,
 #: differently at 1 and 2 threads
 HISTORY_BLOCK = 32
 _FAR_CHUNK = 256
+#: rows per chunk of a basis transform or a norm: few enough calls that
+#: their overhead does not show, and a chunk's temporaries stay small
+ROW_CHUNK = 256
 
 
 def _padded(width: int) -> int:
@@ -315,12 +350,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=2)
 def _sine_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(sines, lam): the orthonormal DST-I as a symmetric table padded with
     zeros to the engine width, and the eigenvalues of minus the three-point
     Laplacian, lam_k = (4/h^2) sin^2(k pi / (2(nx + 1))), zero past nx.  A
     row of nodal values times the table gives its sine coefficients, and
-    the same product turns them back."""
+    the same product turns them back.  Both are read-only, and made once
+    for the last two grids asked for."""
     nx = grid.n_interior
     sines = _engine_rows(_padded(nx), nx)
     table = sines[:nx, :nx]
@@ -332,15 +369,33 @@ def _sine_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     table *= np.sqrt(2.0 / (nx + 1))
     lam = np.zeros(len(sines))
     lam[:nx] = (4.0 / grid.h**2) * np.sin(0.5 * np.pi / (nx + 1) * k) ** 2
+    sines.setflags(write=False)
+    lam.setflags(write=False)
     return sines, lam
 
 
+def _row_chunks(stop: int, alone: bool):
+    """Slices of the rows 0 .. stop - 1 for a basis transform, ROW_CHUNK rows
+    each.  A one-row product rounds differently from the same row in a
+    longer one, so the last row is a slice of its own with *alone*, and
+    otherwise joins the slice before it: the nodal values never leave it
+    alone, so a strided solution's rows are those of the full one, and the
+    sine coefficients leave it alone where HISTORY_BLOCK-row blocks did."""
+    end = stop - 1 if alone else stop
+    starts = list(range(0, end, ROW_CHUNK))
+    if len(starts) > 1 and end - starts[-1] == 1:
+        starts.pop()
+    yield from (slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [end]))
+    if alone:
+        yield slice(end, stop)
+
+
 def _to_modes(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
-    """Sine coefficients of the rows of *values*, in blocks of rows."""
+    """Sine coefficients of the rows of *values*, in chunks of rows."""
     out = np.zeros((len(values), len(sines)))
     out[:, : values.shape[1]] = values
-    for lo in range(0, len(out), HISTORY_BLOCK):
-        out[lo : lo + HISTORY_BLOCK] = _product(out[lo : lo + HISTORY_BLOCK], sines)
+    for rows in _row_chunks(len(out), alone=len(out) % HISTORY_BLOCK == 1):
+        out[rows] = _product(out[rows], sines)
     return out
 
 
@@ -391,10 +446,13 @@ def _piece_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, lo: int
     """For :func:`_far_sums`: per block s, the rows [a, b) whose lags all lie
     in the piece [lo, hi], and their share of far.  q and q'
     (:func:`_quadratic`) are tabulated on every lag, so that a row leaves
-    the sums with what it holds after the shifts.  A piece whose weights
-    are all zero runs the same sums, and its share is exact zeros."""
+    the sums with what it holds after the shifts; the table runs from the
+    last lag down, so the rows entering or leaving at a block take one
+    slice of it.  A piece whose weights are all zero runs the same sums,
+    and its share is exact zeros."""
     q, dq, c2 = _quadratic(wl, lo, hi)
-    table = np.stack([q, dq, np.ones(len(wl))])
+    table = np.stack([q, dq, np.ones(len(wl))])[:, ::-1].copy()
+    last = len(wl) - 1
     i = np.arange(float(HISTORY_BLOCK))
     spread = np.stack([np.ones(HISTORY_BLOCK), i, c2 * i * i], axis=1)
     sums = np.zeros((3, rows.shape[1]))
@@ -406,12 +464,13 @@ def _piece_sums(rows: np.ndarray, wl: np.ndarray, first: int, stop: int, lo: int
         d = s - s_prev
         sums[0] += d * sums[1] + c2 * d * d * sums[2]
         sums[1] += 2.0 * c2 * d * sums[2]
-        for r0, r1, sign in ((a, min(new_a, b), -1.0), (max(new_a, b), new_b, 1.0)):
+        for r0, r1, op in ((a, min(new_a, b), np.subtract), (max(new_a, b), new_b, np.add)):
             if r0 < r1:  # rows r0 .. r1 - 1 at lags s - r0 .. s - r1 + 1
-                coef = sign * table[:, s - r1 + 1 : s - r0 + 1][:, ::-1]
+                coef = table[:, last - s + r0 : last - s + r1]
                 if r0 == 0:
+                    coef = coef.copy()
                     coef[:, 0] *= 0.5
-                sums += _product(coef, rows[r0:r1])
+                op(sums, _product(coef, rows[r0:r1]), out=sums)
         a, b, s_prev = new_a, new_b, s
         yield a, b, spread[:n] @ sums
 
@@ -558,13 +617,15 @@ class _March:
         ``x_t + mu sum_{m<t} w_m lags[t - m] x_m = data(t)``, with the far
         sum's w_m and the lag pieces :func:`_lag_pieces` takes on *lags*; the
         memory quadrature note names them after *what*.  The result holds
-        displacements only, every ``save_stride``-th row.  The array of rows
-        is made after every table (made first, it grew the peak RSS of a
-        mollify study by 20 %).  The march stops after a block that is not
-        finite; each block then becomes nodal values in place, and the first
-        non-finite nodal row is reported."""
+        the coefficient rows of the displacements, every ``save_stride``-th
+        one.  The array of rows is made after every table (made first, it
+        grew the peak RSS of a mollify study by 20 %).  The march stops
+        after a block that is not finite, and its nodal rows are then made
+        at once, so that the first non-finite one is reported; so are they
+        when the largest coefficient could make a nodal value overflow
+        (|u_j| <= sqrt(2 nx) max |c_k|)."""
         spec, nx = self.spec, self.spec.grid.n_interior
-        end = len(self.tgrid)
+        end, peak = len(self.tgrid), 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             pieces, note = _lag_pieces(spec.kernel, spec.dt, lags)
             inverses = _block_inverses(mu[:nx], lags[: min(HISTORY_BLOCK, end - 1)])
@@ -572,10 +633,13 @@ class _March:
             rows[0] = self.u0m
             for s, far in _far_sums(rows, lags, 1, end, pieces):
                 n = len(far)
-                rhs = (data(s, n) - mu * far)[:, :nx]
+                far *= -mu
+                far += data(s, n)
+                rhs = far[:, :nx]
                 block = np.matmul(inverses[:, :n, :n], rhs.T[:, :, None])
                 rows[s : s + n, :nx] = block[:, :, 0].T
-                if not np.isfinite(rows[s : s + n]).all():
+                top = np.abs(block).max()  # not finite with any entry
+                if not np.isfinite(top):
                     # the inverse's zero upper triangle times a later non-finite
                     # right-hand side gives NaN: solve the rows before it alone
                     r = int(np.argmin(np.isfinite(rhs).all(axis=1)))
@@ -583,21 +647,19 @@ class _March:
                     rows[s : s + r, :nx] = block[:, :, 0].T
                     end = s + n
                     break
-            del inverses
-            for s in range(1, end, HISTORY_BLOCK):  # the march's blocks
-                block = rows[s : min(s + HISTORY_BLOCK, end)]
-                block[:] = _product(block, self.sines)
-        u = rows[:, :nx]
-        u[0] = self.u0v
-        _check_finite(u, 1, end - 1, self.tgrid, self.scheme)
-        s = spec.save_stride
+                peak = max(peak, top)
+        del inverses
         meta = {"scheme": self.scheme, "dt": spec.dt, "h": spec.grid.h,
                 "kernel": spec.kernel.describe(), "memory_quadrature":
                 f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, {note}",
                 **meta}
+        sol = SolutionField(spec, self.tgrid[:end], rows[:end], self.u0v, meta)
+        if end < len(self.tgrid) or not peak < 0.5 * np.finfo(float).max / np.sqrt(2.0 * nx):
+            sol.u  # making them raises at the first row that is not finite
+        s = spec.save_stride
         if s > 1:
-            u = u[::s].copy()
-        return SolutionField(spec, self.tgrid[::s].copy(), u, meta)
+            sol = SolutionField(spec, self.tgrid[::s].copy(), rows[::s].copy(), self.u0v, meta)
+        return sol
 
 
 def solve_integral(spec: ProblemSpec) -> SolutionField:
@@ -675,16 +737,23 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
 # space-time norms and manufactured reference problems
 # ---------------------------------------------------------------------------
 
-def _l2_space_time(grid: Grid, times: np.ndarray, values: np.ndarray,
-                   other: np.ndarray | None = None) -> float:
+def _l2_space_time(grid: Grid, times: np.ndarray, values, other=None) -> float:
     """L2 norm of *values*, or of values - *other*, over (a, b) x (t_0, t_end):
-    trapezoid in both directions, with the zero boundary columns implied;
-    the rows are differenced and squared a block at a time."""
-    space = np.empty(len(values))
-    for lo in range(0, len(values), HISTORY_BLOCK):
-        part = values[lo : lo + HISTORY_BLOCK]
-        part = part if other is None else part - other[lo : lo + HISTORY_BLOCK]
-        space[lo : lo + HISTORY_BLOCK] = grid.h * np.sum(part * part, axis=1)
+    trapezoid in both directions, with the zero boundary columns implied.
+    The rows, one per time, are nodal values or sine coefficients, which
+    give the same sums of squares; either may also be a function that gives
+    the rows at the times it is passed.  The rows are taken, differenced and
+    squared ROW_CHUNK at a time."""
+    def rows(source, lo: int) -> np.ndarray:
+        if callable(source):
+            return source(times[lo : lo + ROW_CHUNK])
+        return source[lo : lo + ROW_CHUNK]
+
+    space = np.empty(len(times))
+    for lo in range(0, len(times), ROW_CHUNK):
+        part = rows(values, lo)
+        part = part if other is None else part - rows(other, lo)
+        space[lo : lo + ROW_CHUNK] = grid.h * np.sum(part * part, axis=1)
     if len(times) == 1:
         return float(np.sqrt(space[0]))
     dts = np.diff(times)
@@ -695,16 +764,19 @@ def _l2_space_time(grid: Grid, times: np.ndarray, values: np.ndarray,
 
 
 def l2_norm(sol: SolutionField) -> float:
-    return _l2_space_time(sol.grid, sol.times, sol.u)
+    """Space-time L2 norm of a solve, from its sine coefficients."""
+    return _l2_space_time(sol.grid, sol.times, sol.modes)
 
 
 def l2_distance(sol_a: SolutionField, sol_b: SolutionField) -> float:
-    """Space-time L2 distance of two solves on identical grid and times."""
+    """Space-time L2 distance of two solves on identical grid and times,
+    from their sine coefficients (no nodal values are made)."""
     if sol_a.grid != sol_b.grid:
         raise ConfigurationError("solutions live on different grids")
-    if sol_a.u.shape != sol_b.u.shape or np.max(np.abs(sol_a.times - sol_b.times)) > 1e-12:
+    if (sol_a.modes.shape != sol_b.modes.shape
+            or np.max(np.abs(sol_a.times - sol_b.times)) > 1e-12):
         raise ConfigurationError("solutions saved at different times")
-    return _l2_space_time(sol_a.grid, sol_a.times, sol_a.u, sol_b.u)
+    return _l2_space_time(sol_a.grid, sol_a.times, sol_a.modes, sol_b.modes)
 
 
 def l2_error_vs(sol: SolutionField, exact) -> float:

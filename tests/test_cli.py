@@ -91,6 +91,18 @@ class TestScenarios:
         assert all(float(r[1]) == 0.0 and float(r[-1]) == 0.0 for r in rows)
         assert (tmp_path / "o" / "meta.txt").exists()
 
+    def test_solve_snapshots_are_the_nodal_rows(self, tmp_path):
+        # the rows reach the file a chunk at a time: 601 rows, three chunks
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("discretization.n_interior = 16\ndiscretization.n_steps = 600\n"
+                           "problem.u0 = sin(pi*x)\nproblem.u1 = x*(1-x)\n")
+        assert run_cli(["solve", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
+        sol = solve_integral(parse_config(cfgfile.read_text()).problem_spec())
+        want = [",".join(cli.fmt(v) for v in [t, 0.0, *row, 0.0])
+                for t, row in zip(sol.times, sol.u)]
+        lines = (tmp_path / "o" / "snapshots.csv").read_text().splitlines()
+        assert lines[3:] == want
+
     def test_wave_limit(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(SMALL_WAVE)
@@ -245,6 +257,15 @@ class TestDeterminism:
         for x in (1.5, np.pi, 1e-17, -2.0 / 3.0):
             assert float(cli.fmt(x)) == x
 
+    def test_table_format_is_per_value_format(self):
+        # one format string per chunk of rows gives the bytes of fmt per value
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((513, 5)) * 10.0 ** rng.integers(-300, 300, (513, 5))
+        values[:8, 0] = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308,
+                         np.inf, np.nan]
+        want = "\n".join(",".join(cli.fmt(v) for v in row) for row in values)
+        assert "\n".join(cli.fmt_table(values)) == want
+
 
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path):
@@ -379,9 +400,59 @@ class TestWaveReference:
             )
             spec = cfg.problem_spec(scheme="integral")
             sol = solve_integral(spec)
-            reference = cli._wave_reference(spec.grid, sol.u[0], 1.0)(sol.times)
-            gap = _l2_space_time(spec.grid, sol.times, sol.u - reference)
+            reference = cli._wave_reference(spec.grid, sol.modes[0], 1.0)
+            gap = _l2_space_time(spec.grid, sol.times, sol.modes, reference)
             assert gap < 2e-3  # scheme self-error only
+
+    def test_modal_errors_match_nodal_reference(self, tmp_path):
+        # the errors the scenario takes in the sine basis against the nodal
+        # reference it used to build: u0's coefficients from its nodal row,
+        # the cosine rows turned back onto the nodes, the norms on the nodes
+        from viscokern.kernels import WedgeKernel
+        from viscokern.solver import _product, _sine_basis, _to_modes
+
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(SMALL_WAVE)
+        assert run_cli(["wave-limit", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
+        _, _, rows = read_csv(tmp_path / "o" / "wave_limit.csv")
+        cfg = parse_config(SMALL_WAVE)
+        for (a, got), ramp in zip(rows, cfg.a_list):
+            sol = solve_integral(cfg.problem_spec(kernel=WedgeKernel(2.0, 1.0, ramp),
+                                                  scheme="integral"))
+            sines, _ = _sine_basis(sol.grid)
+            coefs = _to_modes(sol.u[0][None, :], sines)[0]
+            freqs = np.pi / sol.grid.length * np.arange(1, len(sines) + 1)
+            ref = _product(np.cos(np.outer(sol.times, freqs)) * coefs, sines)[:, :48]
+            want = (_l2_space_time(sol.grid, sol.times, sol.u, ref)
+                    / _l2_space_time(sol.grid, sol.times, ref))
+            assert float(a) == ramp
+            assert abs(float(got) - want) <= 1e-12 * want
+
+    def test_no_reference_of_solution_size(self, tmp_path):
+        # the reference is made a chunk of rows at a time: the scenario's
+        # peak stays within half a row array of one solve's.  A whole
+        # reference, alive through the later solves, added a row array
+        import tracemalloc
+
+        from viscokern.kernels import WedgeKernel
+
+        text = SMALL_WAVE.replace("n_interior = 48", "n_interior = 32").replace(
+            "n_steps = 256", "n_steps = 4096")
+        cfg = parse_config(text)
+        row_array = 8 * 4097 * 32
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        solve_peak = peak(lambda: solve_integral(cfg.problem_spec(
+            kernel=WedgeKernel(2.0, 1.0, 0.05), scheme="integral")))
+        study_peak = peak(lambda: cli.run_wave_limit(cfg, tmp_path))
+        assert study_peak < solve_peak + row_array / 2
 
 
 def test_default_configs_parse():
@@ -401,3 +472,17 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_does_not_load_numpy_ma(tmp_path):
+    # nothing on the mollify study's path needs numpy's masked arrays, whose
+    # import takes a noticeable share of a short run
+    src = str(Path(viscokern.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from viscokern.cli import main; "
+            f"code = main(['mollify-study', '--default', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"

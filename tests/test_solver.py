@@ -695,7 +695,8 @@ class TestBlockedMemorySum:
             "    sol = solve(spec)\n"
             "    data = sol.u.tobytes() + energy_series(sol).history.tobytes()\n"
             "    if f == '0':\n"
-            "        data += cli._wave_reference(spec.grid, sol.u[0], 1.0)(sol.times).tobytes()\n"
+            "        reference = cli._wave_reference(spec.grid, sol.modes[0], 1.0)\n"
+            "        data += reference(sol.times).tobytes()\n"
             "    print(hashlib.sha256(data).hexdigest())\n"
         )
         src = str(Path(viscokern.__file__).resolve().parents[1])
@@ -920,8 +921,8 @@ class TestMemoryPeak:
         a, b = solve(self._spec("integral")), solve(self._spec("differential"))
         dist, peak = _traced_peak(lambda: l2_distance(a, b))
         assert peak < 2**20  # the difference of the rows took 4 MB
-        # the same bytes as the whole-array trapezoid
-        d = a.u - b.u
+        # the same bytes as the whole-array trapezoid on the coefficient rows
+        d = a.modes - b.modes
         w = np.zeros(len(a.times))
         w[:-1] += 0.5 * np.diff(a.times)
         w[1:] += 0.5 * np.diff(a.times)
@@ -1020,3 +1021,63 @@ class TestDistances:
             k = int(round(t * 64))
             return sol.u[k]
         assert l2_error_vs(sol, mirror) == 0.0
+
+
+class TestSolutionModes:
+    """A solve keeps the march's sine coefficients; the nodal values are made
+    from them on demand, and the norms never make them."""
+
+    @staticmethod
+    def _pair(scheme, stride):
+        # two solves apart by far more than roundoff: the wedge and its
+        # mollification, with different velocities
+        spec = lambda kernel, u1: make_spec(kernel, scheme, nx=40, nt=512, u0="sin(pi*x)",
+                                            u1=u1, save_stride=stride)
+        return (solve(spec(WEDGE, "x*(1-x)")),
+                solve(spec(MollifiedKernel(WEDGE, 0.1), "sin(2*pi*x)")))
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    def test_modal_norms_match_nodal(self, scheme, stride):
+        a, b = self._pair(scheme, stride)
+        dist, norm = l2_distance(a, b), solver_module.l2_norm(a)
+        assert "u" not in vars(a) and "u" not in vars(b)  # no nodal values made
+        want_dist = solver_module._l2_space_time(a.grid, a.times, a.u, b.u)
+        want_norm = solver_module._l2_space_time(a.grid, a.times, a.u)
+        assert abs(dist - want_dist) <= 1e-12 * want_dist
+        assert abs(norm - want_norm) <= 1e-12 * want_norm
+
+    @pytest.mark.parametrize("nt, stride", [(1024, 1), (1024, 4), (130, 1), (195, 3)])
+    @pytest.mark.parametrize("scheme", ["integral", "differential"])
+    def test_nodal_values_are_the_in_place_transform(self, scheme, nt, stride):
+        # the nodal values the march used to make: every row of the stride-1
+        # solve times the sine table in HISTORY_BLOCK-row blocks from row 1,
+        # row 0 set to u0 as sampled, then every stride-th row
+        kw = dict(nx=64, nt=nt, u0="sin(pi*x)", u1="x*(1-x)", f="x*t")
+        full = solve(make_spec(WEDGE, scheme, **kw))
+        sines, _ = solver_module._sine_basis(full.grid)
+        rows = full.modes.copy()
+        for s in range(1, len(rows), HISTORY_BLOCK):
+            rows[s : s + HISTORY_BLOCK] = solver_module._product(rows[s : s + HISTORY_BLOCK],
+                                                                 sines)
+        want = rows[:, :64]
+        want[0] = expressions.evaluate(full.spec.u0_expr, x=full.grid.x)
+        got = solve(make_spec(WEDGE, scheme, save_stride=stride, **kw)).u
+        np.testing.assert_array_equal(got, want[::stride])
+
+    def test_nodal_chunks_cover_the_rows_once(self):
+        sol = solve(make_spec(WEDGE, "integral", nx=16, nt=1024, u0="sin(pi*x)"))
+        starts, ends = [], []
+        for lo, rows in sol.nodal_chunks():
+            starts.append(lo)
+            ends.append(lo + len(rows))
+            np.testing.assert_array_equal(rows, sol.u[lo : lo + len(rows)])
+        assert starts == [0, 256, 512, 768] and ends == [256, 512, 768, 1025]
+
+    def test_sine_table_made_once_and_read_only(self):
+        sines, lam = solver_module._sine_basis(Grid(0.0, 1.0, 24))
+        assert solver_module._sine_basis(Grid(0.0, 1.0, 24))[0] is sines
+        with pytest.raises(ValueError):
+            sines[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            lam[0] = 1.0
