@@ -13,10 +13,13 @@ alpha * e^T * C with alpha = max{1/G(T+1), 1} and a data constant
 
 The history double integral is the quantity separating viscoelastic from
 elastic behaviour, so it is computed explicitly even though the a-priori
-bound discards it.  Spatial integrals use the trapezoid rule with
-one-sided u_x stencils at the boundary nodes; the time quadratures run
-over the saved snapshots, with the lag sums in the solver's far sums.
-One pass, :func:`energy_series`, also gives the rate identity's residual.
+bound discards it.  The audit reads only the solution's sine coefficients
+c_k (``sol.modes``) and never makes nodal rows: int |u_x|^2 is the march's
+own three-point energy h sum_j |u_{j+1} - u_j|^2 / h^2 = h sum_k lam_k c_k^2,
+int |u_t|^2 is h sum_k v_k^2 (Parseval), and only ||f||^2 is a trapezoid
+on the full grid.  The time quadratures run over the saved snapshots, with
+the lag sums in the solver's far sums.  One pass, :func:`energy_series`,
+also gives the rate identity's residual.
 """
 
 from __future__ import annotations
@@ -53,15 +56,10 @@ def _uniform_spacing(times: np.ndarray) -> float:
     return ds
 
 
-def _full_rows(values: np.ndarray) -> np.ndarray:
-    """Append the zero boundary columns to interior snapshot rows."""
-    n_t = values.shape[0]
-    return np.hstack([np.zeros((n_t, 1)), values, np.zeros((n_t, 1))])
-
-
-def _ux_rows(h: float, values: np.ndarray) -> np.ndarray:
-    """u_x on the full grid: central inside, one-sided at the boundaries."""
-    return np.gradient(_full_rows(values), h, axis=1)
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a_k b_k per row, outside BLAS: a row rounds the same wherever
+    it sits in the block."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
@@ -72,30 +70,33 @@ def _trap_x(h: float, rows: np.ndarray) -> np.ndarray:
     return rows @ w
 
 
-def _lag_sums(h: float, ds: float, uxs: np.ndarray, weights: np.ndarray, kernel) -> np.ndarray:
+def _lag_sums(h: float, ds: float, ys: np.ndarray, weights: np.ndarray, kernel) -> np.ndarray:
     """Per row of *weights* (kernel derivatives at the saved times) and saved
     step n, the ds-trapezoid over the lags s = 0, ds, .., t_n of weight(s)
-    D(t_n, s), D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx.  Lags of
-    DIRECT_LAGS steps and more come from one engine pass per row over the
-    same rows (|u_x|^2, 1, u_x), by |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, with
-    the lag pieces the solver's gate takes on that row from the *kernel*'s
-    declared structure; shorter ones are differenced once for every row."""
-    uxs = uxs - uxs.mean(axis=0)  # D sees differences only: shrink what cancels
-    d = _trap_x(h, uxs * uxs)
-    nx = uxs.shape[1]
-    rows = _engine_rows(len(d), 2 + nx)
+    D(t_n, s), D(t_n, s) = h sum (y(t_n) - y(t_n - s))^2, y = sqrt(lam) c.
+    Lags of DIRECT_LAGS steps and more come from one engine pass per row
+    over the same rows (h sum y^2, 1, y), by |a - b|^2 = |a|^2 + |b|^2 - 2 a.b,
+    with the lag pieces the solver's gate takes on that row from the
+    *kernel*'s declared structure; shorter ones are differenced once for
+    every row."""
+    y = ys - ys.mean(axis=0)  # D sees differences only: shrink what cancels
+    d = h * _dot_rows(y, y)
+    n_saved, width = y.shape
+    rows = _engine_rows(n_saved, 2 + width)
     rows[:, 0] = d
     rows[:, 1] = 1.0
-    rows[:, 2 : 2 + nx] = uxs
-    out = np.empty((len(weights), len(d)))
-    for far_wl, total in zip(np.where(np.arange(len(d)) < DIRECT_LAGS, 0.0, ds * weights), out):
+    rows[:, 2 : 2 + width] = y
+    out = np.empty((len(weights), n_saved))
+    sums = np.zeros_like(rows)  # row 0 stays zero; each pass writes the others
+    for far_wl, total in zip(np.where(np.arange(n_saved) < DIRECT_LAGS, 0.0, ds * weights), out):
         pieces, _ = _lag_pieces(kernel, ds, far_wl, DIRECT_LAGS)
-        sums = np.zeros_like(rows)
-        for s, far in _far_sums(rows, far_wl, 1, len(d), pieces):
+        for s, far in _far_sums(rows, far_wl, 1, n_saved, pieces):
             sums[s : s + len(far)] = far
-        total[:] = d * sums[:, 1] + sums[:, 0] - 2.0 * _trap_x(h, uxs * sums[:, 2 : 2 + nx])
-    for k in range(1, min(DIRECT_LAGS, len(d))):
-        near = ds * weights[:, k, None] * _trap_x(h, (uxs[k:] - uxs[:-k]) ** 2)
+        total[:] = d * sums[:, 1] + sums[:, 0] - 2.0 * h * _dot_rows(y, sums[:, 2 : 2 + width])
+    diffs = np.empty_like(y)  # one buffer: an array per lag keeps two alive at once
+    for k in range(1, min(DIRECT_LAGS, n_saved)):
+        diff = np.subtract(y[k:], y[:-k], out=diffs[k:])
+        near = ds * weights[:, k, None] * (h * _dot_rows(diff, diff))
         near[:, 0] *= 0.5  # lag k ends the trapezoid of step n = k
         out[:, k:] += near
     return out
@@ -109,11 +110,12 @@ def _f_block(sol: SolutionField) -> np.ndarray:
 
 
 def reconstruct_velocities(sol: SolutionField) -> np.ndarray:
-    """Velocities of the saved snapshots, for either scheme: u1 on the nodes
-    at t = 0, central differences inside (O(ds^2)) and a one-sided one at
-    the last step (O(ds))."""
-    v = np.gradient(sol.u, _uniform_spacing(sol.times), axis=0)
-    v[0] = expressions.evaluate(sol.spec.u1_expr, x=sol.grid.x)
+    """Velocities at the saved snapshots in the sine basis, rows like
+    ``sol.modes``, for either scheme: u1's coefficients at t = 0, central
+    differences inside (O(ds^2)) and a one-sided one at the last (O(ds))."""
+    v = np.gradient(sol.modes, _uniform_spacing(sol.times), axis=0)
+    u1 = expressions.evaluate(sol.spec.u1_expr, x=sol.grid.x)
+    v[0] = _to_modes(u1[None, :], _sine_basis(sol.grid)[0])[0]
     return v
 
 
@@ -123,9 +125,9 @@ class EnergyReport:
     bound, and the rate identity's residual at saved steps 1 .. N - 3."""
 
     times: np.ndarray
-    elastic: np.ndarray    # 1/2 int G(t) |u_x|^2
-    kinetic: np.ndarray    # 1/2 int |u_t|^2
-    history: np.ndarray    # -1/2 int_0^t Gdot(s) |u_x(t)-u_x(t-s)|^2 dx ds
+    elastic: np.ndarray    # 1/2 G(t) h sum lam_k c_k^2
+    kinetic: np.ndarray    # 1/2 h sum v_k^2
+    history: np.ndarray    # -1/2 int_0^t Gdot(s) h sum lam_k (c_k(t)-c_k(t-s))^2 ds
     total: np.ndarray
     alpha: float           # max{1/G(T+1), 1}
     constant: float        # data constant C
@@ -147,39 +149,37 @@ def energy_series(sol: SolutionField) -> EnergyReport:
 
     a diagnostic carrying the O(ds) error of the outer derivative (None for
     a raw wedge, whose curvature is a point mass at the kink).  One pass
-    builds the velocities (:func:`reconstruct_velocities`), the u_x rows,
-    the sampled f and the lag sums of Gdot and Gddot (:func:`_lag_sums`).
-    The history integral runs over the saved snapshots, so a coarse save
-    stride coarsens it too; fewer than three snapshots are rejected.
+    builds the velocities (:func:`reconstruct_velocities`), the rows
+    y = sqrt(lam) c and their h sum y^2, the sampled f and the lag sums of
+    Gdot and Gddot (:func:`_lag_sums`).  The history integral runs over the
+    saved snapshots, so a coarse save stride coarsens it too; fewer than
+    three snapshots are rejected.
     """
     kernel = sol.spec.kernel
     if len(sol.times) < 3:
-        raise ConfigurationError(
-            "energy series needs at least 3 saved snapshots; "
-            "reduce save_stride"
-        )
+        raise ConfigurationError("energy series needs at least 3 saved snapshots; "
+                                 "reduce save_stride")
     ds = _uniform_spacing(sol.times)
     h = sol.grid.h
-    v = _full_rows(reconstruct_velocities(sol))
-    uxs = _ux_rows(h, sol.u)
+    sines, lam = _sine_basis(sol.grid)
+    v = reconstruct_velocities(sol)
+    ys = np.sqrt(lam) * sol.modes
+    grad_sq = h * _dot_rows(ys, ys)  # int |u_x|^2 = h sum lam c^2
     g_at = np.atleast_1d(kernel.g(sol.times))
     weights = [kernel.gdot(sol.times)]
     try:
         weights.append(kernel.gddot(sol.times))
     except DerivativeUndefinedError:
         pass
-    lag_sums = _lag_sums(h, ds, uxs, np.array(weights), kernel)
+    lag_sums = _lag_sums(h, ds, ys, np.array(weights), kernel)
 
-    elastic = 0.5 * g_at * _trap_x(h, uxs * uxs)
-    kinetic = 0.5 * _trap_x(h, v ** 2)
+    elastic = 0.5 * g_at * grad_sq
+    kinetic = 0.5 * h * _dot_rows(v, v)
     history = -0.5 * lag_sums[0]
 
     horizon = sol.spec.horizon
     alpha = max(1.0 / float(kernel.g(horizon + 1.0)), 1.0)
-    constant = float(
-        0.5 * float(kernel.g(0.0)) * _trap_x(h, uxs[0] ** 2)
-        + 0.5 * _trap_x(h, v[0] ** 2)
-    )
+    constant = float(0.5 * float(kernel.g(0.0)) * grad_sq[0] + kinetic[0])
     f_rows = None if expressions.is_zero(sol.spec.f_expr) else _f_block(sol)
     if f_rows is not None:  # ||f||^2 by the trapezoid in x, then in t
         constant += 0.5 * float(_trap_x(ds, _trap_x(h, f_rows * f_rows)))
@@ -191,9 +191,9 @@ def energy_series(sol: SolutionField) -> EnergyReport:
         # would leak an O(1) artefact into the centred rate at the last step
         inner = slice(1, -2)
         rate = (total[2:-1] - total[:-3]) / (2.0 * ds)
-        rhs = 0.5 * weights[0][inner] * _trap_x(h, uxs[inner] ** 2)
-        if f_rows is not None:
-            rhs += _trap_x(h, f_rows[inner] * v[inner])
+        rhs = 0.5 * weights[0][inner] * grad_sq[inner]
+        if f_rows is not None:  # int f u_t = h sum f_k v_k, f on the interior nodes
+            rhs += h * _dot_rows(_to_modes(f_rows[inner, 1:-1], sines), v[inner])
         rhs -= 0.5 * lag_sums[1][inner]
         residual = rate - rhs
     return EnergyReport(

@@ -36,11 +36,11 @@ The march runs in the orthonormal sine basis (the DST-I), whose vectors
 are exact eigenvectors of the three-point Laplacian with eigenvalues
 -lam_k, lam_k = (4/h^2) sin^2(k pi / (2(nx + 1))).  The same table
 (``_sine_basis``, made once per grid and read-only) also gives a
-solution's nodal values and serves the energy module's mode decay
-diagnostic.  In the basis each mode is a scalar Volterra recurrence, and
-the rows are advanced HISTORY_BLOCK steps at a time (the first level of
-the Toeplitz splitting of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat.
-Comput. 6, 1985):
+solution's nodal values, the energy module's mode decay diagnostic and,
+through lam, its three-point energy.  In the basis each mode is a scalar
+Volterra recurrence, and the rows are advanced HISTORY_BLOCK steps at a
+time (the first level of the Toeplitz splitting of Hairer, Lubich and
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
 
 * the history written before the block ("far") is one matrix product over
   the modal rows (``_far_sums``, which the energy diagnostics share for
@@ -235,9 +235,8 @@ class SolutionField:
     """Saved trajectory of a solve: the sine coefficients of u at the saved
     times (``modes``, the march's rows with their zero padding) and u0
     sampled on the nodes.  The nodal values (:attr:`u`) are made from them
-    when asked for; norms and distances need only the coefficients.
-    Boundary values are structurally zero and not stored; velocities come
-    from the snapshots (:func:`energy.reconstruct_velocities`)."""
+    when asked for; norms, distances, the energy audit and the velocities
+    (:func:`energy.reconstruct_velocities`) need only the coefficients."""
 
     spec: ProblemSpec
     times: np.ndarray

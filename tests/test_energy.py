@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from viscokern import expressions
 from viscokern.energy import (
     _f_block,
-    _full_rows,
-    _trap_x,
+    _lag_sums,
     _uniform_spacing,
-    _ux_rows,
     dissipation_check,
     energy_series,
     identity_residual,
@@ -30,6 +28,7 @@ from viscokern.solver import (
     ProblemSpec,
     _sine_basis,
     _to_modes,
+    manufactured_prony,
     solve,
 )
 
@@ -40,29 +39,38 @@ PRONY = PronyKernel(1.0, ((1.0, 0.5),))
 # row-by-row lag integrals, the oracle for the engine-based energy path
 # ---------------------------------------------------------------------------
 
-def _lag_integral(h: float, ds: float, uxs: np.ndarray, n: int, weight: np.ndarray) -> float:
+def _y_rows(sol) -> np.ndarray:
+    """The rows y = sqrt(lam) c: h sum y^2 is the three-point Laplacian's
+    energy int |u_x|^2."""
+    return np.sqrt(_sine_basis(sol.grid)[1]) * sol.modes
+
+
+def _lag_integral(h: float, ds: float, ys: np.ndarray, n: int, weight: np.ndarray) -> float:
     """ds-trapezoid of weight(s) D(t_n, s) over the lags s_k = k*ds,
-    k = 0..n, where D(t_n, s) = int |u_x(t_n) - u_x(t_n - s)|^2 dx and
-    *weight* holds the kernel at the saved times."""
-    diffs = uxs[n][None, :] - uxs[n::-1]
-    d_vals = _trap_x(h, diffs * diffs)
+    k = 0..n, where D(t_n, s) = h sum |y(t_n) - y(t_n - s)|^2 and *weight*
+    holds the kernel at the saved times."""
+    diffs = ys[n][None, :] - ys[n::-1]
+    d_vals = h * np.sum(diffs * diffs, axis=1)
     w = np.full(n + 1, ds)
     w[0] *= 0.5
     w[-1] *= 0.5
     return float(w @ (weight[: n + 1] * d_vals))
 
 
+def _lag_rows(sol, weight: np.ndarray) -> np.ndarray:
+    """The lag integral of *weight* (the kernel at the saved times) at every
+    saved step, one row loop each."""
+    ds = _uniform_spacing(sol.times)
+    ys = _y_rows(sol)
+    out = np.zeros(len(sol.times))
+    for n in range(1, len(sol.times)):
+        out[n] = _lag_integral(sol.grid.h, ds, ys, n, weight)
+    return out
+
+
 def _history_rows(sol) -> np.ndarray:
     """The history term of energy_series, one lag integral per snapshot."""
-    ds = _uniform_spacing(sol.times)
-    h = sol.grid.h
-    n_saved = len(sol.times)
-    uxs = _ux_rows(h, sol.u)
-    gdot_at = np.atleast_1d(sol.spec.kernel.gdot(sol.times))
-    history = np.zeros(n_saved)
-    for n in range(1, n_saved):
-        history[n] = -0.5 * _lag_integral(h, ds, uxs, n, gdot_at)
-    return history
+    return -0.5 * _lag_rows(sol, np.atleast_1d(sol.spec.kernel.gdot(sol.times)))
 
 
 def _residual_rows(sol, report) -> np.ndarray:
@@ -73,7 +81,8 @@ def _residual_rows(sol, report) -> np.ndarray:
     gddot_at = np.atleast_1d(kernel.gddot(sol.times))  # may raise
     gdot_at = np.atleast_1d(kernel.gdot(sol.times))
     v = reconstruct_velocities(sol)
-    uxs = _ux_rows(h, sol.u)
+    ys = _y_rows(sol)
+    sines = _sine_basis(sol.grid)[0][: sol.grid.n_interior]
 
     f_rows = None if expressions.is_zero(sol.spec.f_expr) else _f_block(sol)
     # stop one step short of the end: the final velocity is one-sided and
@@ -81,10 +90,10 @@ def _residual_rows(sol, report) -> np.ndarray:
     residuals = np.empty(len(sol.times) - 3)
     for n in range(1, len(sol.times) - 2):
         rate = (report.total[n + 1] - report.total[n - 1]) / (2.0 * ds)
-        rhs = 0.5 * gdot_at[n] * float(_trap_x(h, uxs[n][None, :] ** 2)[0])
-        if f_rows is not None:
-            rhs += float(_trap_x(h, (f_rows[n] * _full_rows(v[n : n + 1])[0])[None, :])[0])
-        rhs -= 0.5 * _lag_integral(h, ds, uxs, n, gddot_at)
+        rhs = 0.5 * gdot_at[n] * h * float(ys[n] @ ys[n])
+        if f_rows is not None:  # f on the interior nodes, in the sine basis
+            rhs += h * float((f_rows[n, 1:-1] @ sines) @ v[n])
+        rhs -= 0.5 * _lag_integral(h, ds, ys, n, gddot_at)
         residuals[n - 1] = rate - rhs
     return residuals
 
@@ -125,13 +134,59 @@ class TestEnergySeries:
 
     def test_initial_terms(self):
         # t = 0: empty history, elastic = G(0)/2 * int |u0'|^2 = G(0) pi^2 / 4,
-        # kinetic = 1/2 int |u1|^2 = 1/8 for u1 = sin(pi x) ... int sin^2 = 1/2
+        # kinetic = 1/2 int |u1|^2 = 1/8 for u1 = sin(pi x) ... int sin^2 = 1/2.
+        # The three-point energy of sin(pi x) is lam_1 / 2, lam_1 =
+        # (4/h^2) sin^2(pi h / 2) = pi^2 (1 - pi^2 h^2 / 12 + ..)
         sol = standing_mode_solution(nx=128, nt=1024, u1="sin(pi*x)")
         report = energy_series(sol)
         h = sol.grid.h
         assert report.history[0] == 0.0
-        assert report.elastic[0] == pytest.approx(2.0 * np.pi**2 / 4.0, rel=5 * h * h)
+        lam_1 = 4.0 / h**2 * np.sin(0.5 * np.pi * h) ** 2
+        assert report.elastic[0] == pytest.approx(2.0 * lam_1 / 4.0, rel=1e-13)
+        assert report.elastic[0] == pytest.approx(2.0 * np.pi**2 / 4.0, rel=h * h)
         assert report.kinetic[0] == pytest.approx(0.25, rel=5 * h * h)
+
+    def test_terms_are_the_three_point_energies(self):
+        # h sum lam_k c_k^2 is h sum_j |u_{j+1} - u_j|^2 / h^2 through the
+        # boundary zeros (summation by parts), and h sum v_k^2 the nodal
+        # h sum v_j^2 (Parseval), both from the nodal rows made here
+        sol = standing_mode_solution(nx=32, nt=128, u0="x*(1-x)*exp(x)", u1="x*(1-x)")
+        report = energy_series(sol)
+        h = sol.grid.h
+        full = np.pad(sol.u, ((0, 0), (1, 1)))
+        grad_sq = h * np.sum(np.diff(full, axis=1) ** 2, axis=1) / h**2
+        elastic = 0.5 * PRONY.g(sol.times) * grad_sq
+        assert np.max(np.abs(report.elastic - elastic)) <= 1e-12 * np.max(elastic)
+        v = np.gradient(sol.u, sol.times[1] - sol.times[0], axis=0)
+        v[0] = sol.grid.x * (1.0 - sol.grid.x)
+        kinetic = 0.5 * h * np.sum(v * v, axis=1)
+        assert np.max(np.abs(report.kinetic - kinetic)) <= 1e-12 * np.max(kinetic)
+
+    def test_makes_no_nodal_rows(self):
+        sol = standing_mode_solution(nx=32, nt=128, f="sin(pi*x)*t")
+        energy_series(sol)
+        assert "u" not in vars(sol)
+
+    def test_manufactured_standing_mode_energy(self):
+        # u = sin(pi x) cos t under a two-term Prony kernel, forced so that it
+        # is exact: E = pi^2/4 G(t) cos^2 t + 1/4 sin^2 t
+        # + pi^2/4 int_0^t -Gdot(s) (cos t - cos(t - s))^2 ds, the lag integral
+        # by 64-point Gauss.  The three-point energy misses it by
+        # pi^2 h^2 / 12 = 2e-4 of max E at t = 0; the central-difference u_x
+        # with one-sided wall stencils missed it by (pi h)^2 / 3 = 7.8e-4
+        g_inf, terms = 0.8, ((0.7, 0.25), (0.5, 0.6))
+        problem = manufactured_prony(PronyKernel(g_inf, terms))
+        sol = solve(problem.spec(Grid(0.0, 1.0, 64), 1.0, 512, "differential"))
+        t = sol.times
+        x, w = np.polynomial.legendre.leggauss(64)
+        s = 0.5 * t[:, None] * (x + 1.0)
+        minus_gdot = sum(g / tau * np.exp(-s / tau) for g, tau in terms)
+        lags = np.sum(0.5 * t[:, None] * w * minus_gdot
+                      * (np.cos(t)[:, None] - np.cos(t[:, None] - s)) ** 2, axis=1)
+        g_t = g_inf + sum(g * np.exp(-t / tau) for g, tau in terms)
+        exact = 0.25 * np.pi**2 * (g_t * np.cos(t) ** 2 + lags) + 0.25 * np.sin(t) ** 2
+        total = energy_series(sol).total
+        assert np.max(np.abs(total - exact)) <= 3e-4 * np.max(exact)
 
     def test_monotone_decay_prony(self):
         sol = standing_mode_solution(nx=128, nt=1024)
@@ -166,7 +221,7 @@ class TestEnergySeries:
     def test_insufficient_snapshots_rejected(self):
         sol = standing_mode_solution(nx=16, nt=128)
         sol.times = sol.times[:2]
-        sol.u = sol.u[:2]
+        sol.modes = sol.modes[:2]
         with pytest.raises(ConfigurationError, match="snapshots"):
             energy_series(sol)
 
@@ -184,8 +239,8 @@ class TestEnergySeries:
 
     def test_velocity_reconstruction_for_integral_scheme(self):
         sol = standing_mode_solution(nx=64, nt=512, scheme="integral")
-        v = reconstruct_velocities(sol)
-        assert v.shape == sol.u.shape
+        v = reconstruct_velocities(sol)  # sine coefficients, like the solution's rows
+        assert v.shape == sol.modes.shape
         assert np.all(v[0] == 0.0)  # u1 = 0 itself, not (u_1 - u_0) / ds
         report = energy_series(sol)
         verdict = dissipation_check(report, f_is_zero=True)
@@ -203,15 +258,7 @@ class TestWedgeHistoryWindow:
 
         h = sol.grid.h
         ds = sol.times[1] - sol.times[0]
-        full = np.hstack([np.zeros((len(sol.times), 1)), sol.u,
-                          np.zeros((len(sol.times), 1))])
-        ux = np.empty_like(full)
-        ux[:, 1:-1] = (full[:, 2:] - full[:, :-2]) / (2 * h)
-        ux[:, 0] = (full[:, 1] - full[:, 0]) / h
-        ux[:, -1] = (full[:, -1] - full[:, -2]) / h
-        wx = np.full(full.shape[1], h)
-        wx[0] *= 0.5
-        wx[-1] *= 0.5
+        ys = _y_rows(sol)
 
         n = len(sol.times) - 1
         assert sol.times[n] > wedge.ramp
@@ -222,7 +269,7 @@ class TestWedgeHistoryWindow:
                 continue
             gd = float(wedge.gdot(s))
             w_k = ds * (0.5 if k in (0, n) else 1.0)
-            d = (ux[n] - ux[n - k]) ** 2 @ wx
+            d = h * np.sum((ys[n] - ys[n - k]) ** 2)
             truncated += -0.5 * w_k * gd * d
         assert report.history[n] == pytest.approx(truncated, abs=1e-12)
 
@@ -294,11 +341,19 @@ class TestEngineAgainstRowLoop:
         assert np.min(report.history) >= -1e-9
         if family not in ("prony", "mollified"):
             return  # no second derivative: identity_residual raises
+        gddot = np.atleast_1d(sol.spec.kernel.gddot(sol.times))
+        lags = _lag_sums(sol.grid.h, _uniform_spacing(sol.times), _y_rows(sol), gddot[None, :],
+                         sol.spec.kernel)[0]
+        expected = _lag_rows(sol, gddot)
+        assert np.max(np.abs(lags - expected)) <= 1e-12 * np.max(np.abs(expected))
         residual = identity_residual(sol, report)
         expected = _residual_rows(sol, report)
         assert residual.shape == expected.shape == (n_saved - 3,)
         if len(expected):
-            scale = np.max(np.abs(expected))
+            # relative to the rate dE/dt the identity balances: the residual
+            # is down to about 1e-5 of it, and 1e-12 of the residual would sit
+            # below the last bit of the terms it is the difference of
+            scale = np.max(np.abs(report.total[2:-1] - report.total[:-3])) / (2.0 * sol.times[1])
             assert np.max(np.abs(residual - expected)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("scheme", ["integral", "differential"])
