@@ -143,9 +143,9 @@ def _wave_reference(grid, coefs: np.ndarray, g_inf: float):
 
 def run_wave_limit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     """Errors against the limit wave solution must shrink with the ramp."""
-    if not isinstance(cfg.base_kernel, WedgeKernel) or cfg.kernel_epsilon is not None:
+    wedge = cfg.kernel
+    if not isinstance(wedge, WedgeKernel):
         raise ConfigurationError("wave-limit needs a raw wedge kernel")
-    wedge = cfg.base_kernel
     specs = [cfg.problem_spec(kernel=WedgeKernel(wedge.g0, wedge.g_inf, ramp),
                               scheme="integral") for ramp in cfg.a_list]
     if not (expressions.is_zero(specs[0].u1_expr) and expressions.is_zero(specs[0].f_expr)):
@@ -180,7 +180,7 @@ def run_wave_limit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
 def run_mollify_study(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     """Smoothing-width sweep: kernel-level and solution-level convergence."""
     eps_list = cfg.epsilon_list
-    base = cfg.base_kernel
+    base = cfg.kernel.base if isinstance(cfg.kernel, MollifiedKernel) else cfg.kernel
     horizon = cfg.horizon
 
     sup_rows = sup_distance_K(base, eps_list, horizon)

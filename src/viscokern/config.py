@@ -44,7 +44,7 @@ from .kernels import (
     require_positive,
 )
 from .mollify import MollifiedKernel
-from .solver import ConfigurationError, ProblemSpec, check_size
+from .solver import SCHEMES, ConfigurationError, ProblemSpec, check_size
 
 
 class ConfigError(ValueError):
@@ -59,7 +59,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated configuration with the kernel already constructed."""
+    """Validated configuration with the kernel already constructed.  Each
+    decision is held once: a mollified kernel carries its base and width
+    (``MollifiedKernel.base`` and ``.epsilon``)."""
 
     domain_a: float
     domain_b: float
@@ -69,8 +71,6 @@ class RunConfig:
     f: str
     scheme: str
     kernel: RelaxationKernel        # final kernel (mollified if requested)
-    base_kernel: RelaxationKernel   # before optional mollification
-    kernel_epsilon: float | None
     n_interior: int
     n_steps: int
     save_stride: int
@@ -215,7 +215,7 @@ _KEYS = {
     "problem.u0": ("sin(pi*x)", _expression("x")),
     "problem.u1": ("0", _expression("x")),
     "problem.f": ("0", _expression("x", "t")),
-    "problem.scheme": ("integral", _choice("integral", "differential")),
+    "problem.scheme": ("integral", _choice(*SCHEMES)),
     "kernel.type": ("wedge", _choice(*_KERNEL_KEYS)),
     "kernel.g0": ("2.0", _positive),
     "kernel.ginf": ("1.0", _positive),
@@ -302,16 +302,16 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         except ValueError as exc:
             errors.append((line(key), str(exc)))
 
-    base = kernel = None
+    kernel = None
     if own and all(key in values for key in own):
         try:
-            base = kernel = _build_kernel(ktype, values, Path(base_dir))
+            kernel = _build_kernel(ktype, values, Path(base_dir))
         except (ValueError, OSError) as exc:
             # an unset kernel.csv has no line of its own
             errors.append((line(own[-1]) or line("kernel.type"), f"{own[-1]}: {exc}"))
     epsilon = values.get("kernel.epsilon")
-    if base is not None and epsilon is not None:
-        kernel = MollifiedKernel(base, epsilon)
+    if kernel is not None and epsilon is not None:
+        kernel = MollifiedKernel(kernel, epsilon)
 
     a, b, horizon = (values.get(key) for key in ("problem.a", "problem.b", "problem.T"))
     if a is not None and b is not None and not 0.0 < b - a < np.inf:
@@ -340,8 +340,6 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         f=values["problem.f"],
         scheme=values["problem.scheme"],
         kernel=kernel,
-        base_kernel=base,
-        kernel_epsilon=epsilon,
         n_interior=values["discretization.n_interior"],
         n_steps=n_steps,
         save_stride=stride,

@@ -47,11 +47,6 @@ class QuadratureToleranceError(ArithmeticError):
     """Refined quadrature could not reach the requested tolerance."""
 
 
-def _as_array(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
@@ -114,9 +109,13 @@ class RelaxationKernel:
         return type(self).__name__
 
     @staticmethod
-    def _check_nonneg_time(t: np.ndarray) -> None:
-        if not np.all(t >= 0.0):  # also fails for NaN
+    def _times(t) -> tuple[np.ndarray, bool]:
+        """(*t* as a float array, whether it was a scalar): the entry of every
+        evaluation, KernelRangeError for a time below 0 or NaN."""
+        arr = np.asarray(t, dtype=float)
+        if not np.all(arr >= 0.0):  # also fails for NaN
             raise KernelRangeError("relaxation kernels are defined for t >= 0")
+        return arr, arr.ndim == 0
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,11 @@ class WedgeKernel(RelaxationKernel):
         return (self.g_inf - self.g0) / self.ramp
 
     def g(self, t):
-        arr, scalar = _as_array(t)
-        self._check_nonneg_time(arr)
+        arr, scalar = self._times(t)
         return _ret(np.where(arr < self.ramp, self.g0 + self.slope * arr, self.g_inf), scalar)
 
     def gdot(self, t):
-        arr, scalar = _as_array(t)
-        self._check_nonneg_time(arr)
+        arr, scalar = self._times(t)
         return _ret(np.where(arr <= self.ramp, self.slope, 0.0), scalar)
 
     def gdot_limits(self, t: float) -> tuple[float, float]:
@@ -185,29 +182,23 @@ class PronyKernel(RelaxationKernel):
             require_positive("Prony weight", g)
             require_positive("Prony relaxation time", tau)
 
-    def g(self, t):
-        arr, scalar = _as_array(t)
-        self._check_nonneg_time(arr)
-        out = np.full_like(arr, self.g_inf, dtype=float)
+    def _series(self, t, order: int):
+        """The order-th derivative of the series at t: g_inf (order 0 only)
+        plus each term's (-1)**order g / tau**order exp(-t/tau)."""
+        arr, scalar = self._times(t)
+        out = np.full_like(arr, 0.0 if order else self.g_inf, dtype=float)
         for g, tau in self.terms:
-            out = out + g * np.exp(-arr / tau)
+            out = out + ((-1) ** order * g / tau**order) * np.exp(-arr / tau)
         return _ret(out, scalar)
+
+    def g(self, t):
+        return self._series(t, 0)
 
     def gdot(self, t):
-        arr, scalar = _as_array(t)
-        self._check_nonneg_time(arr)
-        out = np.zeros_like(arr, dtype=float)
-        for g, tau in self.terms:
-            out = out - (g / tau) * np.exp(-arr / tau)
-        return _ret(out, scalar)
+        return self._series(t, 1)
 
     def gddot(self, t):
-        arr, scalar = _as_array(t)
-        self._check_nonneg_time(arr)
-        out = np.zeros_like(arr, dtype=float)
-        for g, tau in self.terms:
-            out = out + (g / tau**2) * np.exp(-arr / tau)
-        return _ret(out, scalar)
+        return self._series(t, 2)
 
     def _k_closed(self, xi: np.ndarray):
         out = self.g_inf * xi
@@ -267,16 +258,14 @@ class TabulatedKernel(RelaxationKernel):
             )
 
     def g(self, t):
-        arr, scalar = _as_array(t)
-        self._check_nonneg_time(arr)
+        arr, scalar = self._times(t)
         self._check_range(arr)
         return _ret(np.interp(arr, self.times, self.values), scalar)
 
     def _slope(self, t, side: str):
         """Slope of the segment that holds t; at a sample, of the segment
         on *side* of it (the first or last one at the ends of the table)."""
-        arr, scalar = _as_array(t)
-        self._check_nonneg_time(arr)
+        arr, scalar = self._times(t)
         self._check_range(arr)
         i = np.searchsorted(self.times, arr, side=side)
         return _ret(self._slopes[np.clip(i, 1, len(self._slopes)) - 1], scalar)
@@ -319,13 +308,11 @@ class ExpressionKernel(RelaxationKernel):
             raise ValueError(f"G(0) is not defined: {exc}") from exc
 
     def g(self, t):
-        arr, _ = _as_array(t)
-        self._check_nonneg_time(arr)
+        arr, _ = self._times(t)
         return expressions.evaluate(self.expr, t=arr)
 
     def gdot(self, t):
-        arr, scalar = _as_array(t)
-        self._check_nonneg_time(arr)
+        arr, scalar = self._times(t)
         step = self.FD_STEP * (1.0 + np.abs(arr))
         one_sided = arr < step  # stay inside the domain near t = 0
         lo = np.where(one_sided, arr, arr - step)
@@ -417,44 +404,30 @@ def check_admissibility(kernel: RelaxationKernel, horizon: float) -> Admissibili
 
     This is a necessary-condition check: the material model demands the
     properties on all of (0, inf), which a finite audit cannot certify.
-    Violations are reported (with the first offending time each), not
-    raised.
+    The three conditions run through one loop, each reporting the first
+    audit time where it fails; violations are reported, not raised.
     """
     horizon = require_positive("audit horizon", horizon)
     ts = np.linspace(0.0, horizon, AUDIT_POINTS)
     vals = kernel.g(ts)
     h = ts[1] - ts[0]
-    violations = []
-
-    nonpos = np.nonzero(vals <= 0.0)[0]
-    if len(nonpos):
-        i = int(nonpos[0])
-        violations.append(
-            AdmissibilityViolation("positivity", float(ts[i]), f"G = {vals[i]:.6g} <= 0")
-        )
-
-    increases = np.nonzero(np.diff(vals) > AUDIT_TOL)[0]
-    if len(increases):
-        i = int(increases[0])
-        violations.append(
-            AdmissibilityViolation(
-                "monotonicity",
-                float(ts[i + 1]),
-                f"G rises by {vals[i + 1] - vals[i]:.6g} over one audit step",
-            )
-        )
-
+    rise = np.diff(vals)
     second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (2.0 * h * h)
-    concave = np.nonzero(second < -AUDIT_TOL)[0]
-    if len(concave):
-        i = int(concave[0])
-        violations.append(
-            AdmissibilityViolation(
-                "convexity",
-                float(ts[i + 1]),
-                f"second divided difference {second[i]:.6g} < -{AUDIT_TOL:.1e}",
-            )
-        )
+    # (condition, the quantity it bounds, where it fails, audit-time offset
+    # of its index, detail); the first failing index of each is reported
+    audits = (
+        ("positivity", vals, vals <= 0.0, 0, "G = {:.6g} <= 0"),
+        ("monotonicity", rise, rise > AUDIT_TOL, 1, "G rises by {:.6g} over one audit step"),
+        ("convexity", second, second < -AUDIT_TOL, 1,
+         f"second divided difference {{:.6g}} < -{AUDIT_TOL:.1e}"),
+    )
+    violations = []
+    for condition, values, failed, offset, detail in audits:
+        bad = np.flatnonzero(failed)
+        if len(bad):
+            i = int(bad[0])
+            violations.append(
+                AdmissibilityViolation(condition, float(ts[i + offset]), detail.format(values[i])))
 
     return AdmissibilityReport(
         kernel=kernel.describe(),

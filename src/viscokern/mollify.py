@@ -62,9 +62,9 @@ from .kernels import (
 #: (mass error below 1e-15).
 QUAD_ORDER = 32
 QUAD_PANELS = 8
-#: quadrature nodes per work block in windows that hold a kink.  Blocks of
-#: 2**20 nodes raised the peak RSS of a 256x2048 mollify-study from 74 to
-#: 109 MB; 2**17 keeps it at the level of the kink-free path.
+#: quadrature nodes per work block, in windows with kinks or without (512
+#: rows of a kink-free window).  Blocks of 2**20 nodes raised the peak RSS of
+#: a 256x2048 mollify-study from 74 to 109 MB.
 _BLOCK_ELEMENTS = 2**17
 SUP_GRID_POINTS = 512  # grid points on [0, horizon] for the sup in sup_distance_K
 
@@ -157,23 +157,24 @@ class MollifiedKernel(RelaxationKernel):
     # ------------------------------------------------------------------
     # quadrature plumbing
     # ------------------------------------------------------------------
-    def _eval_many(self, times, weight_fn, order: int, fn=None):
-        """eps**-order * int weight_fn(sigma) F(eps + t - eps*sigma) dsigma
-        for every t in *times* (a scalar gives a float), with F = *fn*, by
-        default the base G; the base K has its kinks at the same times.
+    def _eval_many(self, times, order: int, fn=None):
+        """eps**-order * int w(sigma) F(eps + t - eps*sigma) dsigma for every
+        t in *times* (a scalar gives a float), with the weight w = rho,
+        rho_d1 or rho_d2 for order 0, 1 or 2 and F = *fn*, by default the
+        base G; the base K has its kinks at the same times.
 
         Times are grouped by the number m of kinks inside their window.
         Kink-free windows (m = 0) share one weighted rule.  Otherwise the
         m kink images, clipped to [-1, 1], cut the window into m + 1
         segments, each carrying the [-1, 1] rule mapped affinely onto it
-        (a zero-length segment has zero weight); weight_fn and G then run
-        once per block of rows.  A block holds at most _BLOCK_ELEMENTS
-        quadrature nodes, so memory stays flat and the work per time
-        grows with the kinks in its own window only.
+        (a zero-length segment has zero weight); w and F then run once per
+        block of rows.  Every block, with kinks or without, holds at most
+        _BLOCK_ELEMENTS quadrature nodes, so memory stays flat and the work
+        per time grows with the kinks in its own window only.
         """
-        arr = np.asarray(times, dtype=float)
+        arr, scalar = self._times(times)
         t = np.atleast_1d(arr).ravel()
-        self._check_nonneg_time(t)
+        weight_fn = (rho, rho_d1, rho_d2)[order]
         eps = self.epsilon
         if np.any(eps <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(t))):
             raise QuadratureToleranceError(
@@ -197,19 +198,16 @@ class MollifiedKernel(RelaxationKernel):
             return vals
 
         out = np.empty_like(t)
-        clean_idx = np.nonzero(count == 0)[0]
-        if len(clean_idx):
-            wr = weights * weight_fn(nodes)
-            for start in range(0, len(clean_idx), 4096):  # bound the work matrix
-                block = clean_idx[start : start + 4096]
-                args = eps + t[block][:, None] - eps * nodes[None, :]
-                out[block] = base_f(args, block) @ wr
-        for m in np.flatnonzero(np.bincount(count)[1:]) + 1:  # each count that occurs
+        wr = weights * weight_fn(nodes)
+        for m in np.flatnonzero(np.bincount(count)):  # each count that occurs
             rows_idx = np.nonzero(count == m)[0]
             step = max(_BLOCK_ELEMENTS // ((m + 1) * len(nodes)), 1)
             for start in range(0, len(rows_idx), step):
                 rows = rows_idx[start : start + step]
                 tr = t[rows][:, None]
+                if m == 0:  # one weighted rule
+                    out[rows] = base_f(eps + tr - eps * nodes, rows) @ wr
+                    continue
                 ones = np.ones_like(tr)
                 # kinks ascend, so their images descend: reverse to sort
                 c = kinks[first[rows][:, None] + np.arange(m)][:, ::-1]
@@ -224,20 +222,20 @@ class MollifiedKernel(RelaxationKernel):
         if order and self.affine_until is not None:  # the shift identity, as in
             head = t <= self.affine_until  # _k_closed: G_eps' = G'(t + eps), G_eps'' = 0
             out[head] = self.base.gdot(t[head] + eps) if order == 1 else 0.0
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        return float(out[0]) if scalar else out.reshape(arr.shape)
 
     # ------------------------------------------------------------------
     # kernel interface
     # ------------------------------------------------------------------
     def g(self, t):
-        return self._eval_many(t, rho, 0)
+        return self._eval_many(t, 0)
 
     def gdot(self, t):
         # smooth everywhere; differentiate under the integral sign
-        return self._eval_many(t, rho_d1, 1)
+        return self._eval_many(t, 1)
 
     def gddot(self, t):
-        return self._eval_many(t, rho_d2, 2)
+        return self._eval_many(t, 2)
 
     def _k_closed(self, xi: np.ndarray):
         """K_eps(xi) = int rho(sigma) [K(eps + xi - eps*sigma)
@@ -254,14 +252,14 @@ class MollifiedKernel(RelaxationKernel):
         k_base = self.base._k_closed
         xi = np.asarray(xi, dtype=float)
         out = np.empty_like(xi)
-        at_zero = self._eval_many(0.0, rho, 0, k_base)
+        at_zero = self._eval_many(0.0, 0, k_base)
         a, c = self.affine_until, self.constant_after
         head = xi <= (-np.inf if a is None else a)
         tail = (xi >= (np.inf if c is None else c)) & ~head
         rest = ~(head | tail)
         out[head] = k_base(xi[head] + self.epsilon) - k_base(np.array(self.epsilon))
         out[tail] = k_base(xi[tail] + self.epsilon) - at_zero
-        out[rest] = self._eval_many(xi[rest], rho, 0, k_base) - at_zero
+        out[rest] = self._eval_many(xi[rest], 0, k_base) - at_zero
         return out
 
     def describe(self) -> str:

@@ -253,7 +253,7 @@ class SolutionField:
         rows times the sine table a chunk at a time (:func:`_row_chunks`),
         with row 0 set to u0 as sampled."""
         sines, _ = _sine_basis(self.grid)
-        for rows in _row_chunks(len(self.modes), alone=False):
+        for rows in _row_chunks(len(self.modes)):
             chunk = _product(self.modes[rows], sines)[:, : self.grid.n_interior]
             if rows.start == 0:
                 chunk[0] = self.u0
@@ -373,27 +373,25 @@ def _sine_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return sines, lam
 
 
-def _row_chunks(stop: int, alone: bool):
-    """Slices of the rows 0 .. stop - 1 for a basis transform, ROW_CHUNK rows
-    each.  A one-row product rounds differently from the same row in a
-    longer one, so the last row is a slice of its own with *alone*, and
-    otherwise joins the slice before it: the nodal values never leave it
-    alone, so a strided solution's rows are those of the full one, and the
-    sine coefficients leave it alone where HISTORY_BLOCK-row blocks did."""
-    end = stop - 1 if alone else stop
-    starts = list(range(0, end, ROW_CHUNK))
-    if len(starts) > 1 and end - starts[-1] == 1:
+def _row_chunks(stop: int):
+    """Slices of the rows 0 .. stop - 1 for a basis transform either way (to
+    the sine coefficients and back to the nodes), ROW_CHUNK rows each.  A
+    one-row product rounds differently from the same row in a longer one,
+    so a last row left alone joins the slice before it: a row's transform
+    then does not depend on how many rows follow it, and a strided
+    solution's nodal rows are those of the full one."""
+    starts = list(range(0, stop, ROW_CHUNK))
+    if len(starts) > 1 and stop - starts[-1] == 1:
         starts.pop()
-    yield from (slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [end]))
-    if alone:
-        yield slice(end, stop)
+    yield from (slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [stop]))
 
 
 def _to_modes(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
-    """Sine coefficients of the rows of *values*, in chunks of rows."""
+    """Sine coefficients of the rows of *values*, in the chunks of rows of
+    :func:`_row_chunks`, as the nodal values are made."""
     out = np.zeros((len(values), len(sines)))
     out[:, : values.shape[1]] = values
-    for rows in _row_chunks(len(out), alone=len(out) % HISTORY_BLOCK == 1):
+    for rows in _row_chunks(len(out)):
         out[rows] = _product(out[rows], sines)
     return out
 
@@ -729,7 +727,7 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
         return rows
 
     return march.run(twice, mu, data, "trapezoid on Gdot with kink-split panels, summed twice",
-                     cfl_limit=limit)
+                     stability_limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -794,19 +792,9 @@ class ManufacturedProblem:
     kernel: RelaxationKernel
     exact: object  # callable (x_array, t) -> array
 
-    def spec(self, grid: Grid, horizon: float, n_steps: int, scheme: str,
-             save_stride: int = 1) -> ProblemSpec:
-        return ProblemSpec(
-            grid=grid,
-            horizon=horizon,
-            n_steps=n_steps,
-            kernel=self.kernel,
-            u0=self.u0,
-            u1=self.u1,
-            f=self.f,
-            scheme=scheme,
-            save_stride=save_stride,
-        )
+    def spec(self, grid: Grid, horizon: float, n_steps: int, scheme: str) -> ProblemSpec:
+        """The problem on *grid* over [0, horizon], every step saved."""
+        return ProblemSpec(grid, horizon, n_steps, self.kernel, self.u0, self.u1, self.f, scheme)
 
 
 def manufactured_prony(kernel, a: float = 0.0, b: float = 1.0) -> ManufacturedProblem:

@@ -78,8 +78,8 @@ class TestKernelBlock:
     def test_epsilon_wraps_kernel(self):
         cfg = parse_config("kernel.epsilon = 0.05")
         assert isinstance(cfg.kernel, MollifiedKernel)
-        assert isinstance(cfg.base_kernel, WedgeKernel)
-        assert cfg.kernel_epsilon == 0.05
+        assert isinstance(cfg.kernel.base, WedgeKernel)
+        assert cfg.kernel.epsilon == 0.05
 
     def test_wrong_variant_key_rejected(self):
         errs = errors_of("kernel.type = prony\nkernel.a = 0.5")

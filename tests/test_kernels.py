@@ -153,6 +153,32 @@ class TestEvalGdot:
         fd = (PRONY.gdot(1.0 + d) - PRONY.gdot(1.0 - d)) / (2 * d)
         assert PRONY.gddot(1.0) == pytest.approx(fd, rel=1e-8)
 
+    @pytest.mark.parametrize("kernel", [
+        PronyKernel(0.0),
+        PRONY,
+        PronyKernel(0.0, ((1.0, 0.5), (0.3, 2.0))),
+        PronyKernel(0.25, ((0.7, 0.3), (0.4, 1.7), (1.3, 0.05))),
+    ], ids=["none", "one", "two-zero-ginf", "three"])
+    def test_prony_series_matches_term_loops(self, kernel):
+        # the per-term loops each derivative once had, as the oracle: the
+        # one series with coefficients (-1)**order g / tau**order is
+        # bit-identical to them, on scalars and arrays
+        def loops(t):
+            arr = np.asarray(t, dtype=float)
+            g = np.full_like(arr, kernel.g_inf, dtype=float)
+            gd = np.zeros_like(arr, dtype=float)
+            gdd = np.zeros_like(arr, dtype=float)
+            for w, tau in kernel.terms:
+                g = g + w * np.exp(-arr / tau)
+                gd = gd - (w / tau) * np.exp(-arr / tau)
+                gdd = gdd + (w / tau**2) * np.exp(-arr / tau)
+            return g, gd, gdd
+
+        for t in (0.0, 0.37, 800.0, np.linspace(0.0, 5.0, 101)):
+            for got, want in zip((kernel.g(t), kernel.gdot(t), kernel.gddot(t)), loops(t)):
+                assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+                np.testing.assert_array_equal(got, want)
+
     def test_wedge_has_no_second_derivative(self):
         with pytest.raises(DerivativeUndefinedError):
             WEDGE.gddot(0.5)

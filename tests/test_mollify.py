@@ -17,6 +17,7 @@ from viscokern.kernels import (
     check_admissibility,
 )
 from viscokern.mollify import (
+    _BLOCK_ELEMENTS,
     QUAD_ORDER,
     QUAD_PANELS,
     MollifiedKernel,
@@ -237,7 +238,16 @@ class TestBatchedKinkWindows:
         ts = np.linspace(0.8, 1.0, 4098)[1:-1]
         mk.g(ts)
         assert base.calls <= 64  # one per block of rows; the per-point loop made 4096
-        assert base.largest <= 4096 * 256  # no block larger than a kink-free one
+        assert base.largest <= _BLOCK_ELEMENTS  # no block larger than a kink-free one
+
+    def test_kink_free_blocks_share_the_bound(self):
+        # kink-free windows take blocks of at most _BLOCK_ELEMENTS nodes, as
+        # the kinked ones do, and every time is evaluated once
+        base = CountingKernel(PronyKernel(1.0, ((1.0, 0.5),)))
+        ts = np.linspace(0.0, 2.0, 8193)
+        MollifiedKernel(base, 0.1).g(ts)
+        assert base.largest <= _BLOCK_ELEMENTS
+        assert base.elements == len(ts) * QUAD_ORDER * QUAD_PANELS
 
     def test_work_follows_kinks_in_window(self):
         # 1001 samples: hundreds of kinks, but each window of width 0.02
@@ -467,7 +477,7 @@ class TestClosedK:
         xs = np.union1d(np.linspace(0.0, 2.0, 41),
                         [e + d for e in edges for d in (-1e-9, 0.0, 1e-9) if e + d >= 0.0])
         k_base = base._k_closed
-        ref = mk._eval_many(xs, rho, 0, k_base) - mk._eval_many(0.0, rho, 0, k_base)
+        ref = mk._eval_many(xs, 0, k_base) - mk._eval_many(0.0, 0, k_base)
         got = IntegratedKernel(mk).cumulative(xs)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

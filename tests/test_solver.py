@@ -306,6 +306,13 @@ class TestSpecValidation:
         else:
             assert limit == np.inf
 
+    def test_differential_records_its_limit_as_the_stability_limit(self):
+        # both schemes record their bound under one name
+        spec = make_spec(PRONY, "differential", nx=32, nt=128)
+        sol = solve_differential(spec)
+        assert sol.meta["stability_limit"] == cfl_limit(PRONY, spec.grid)
+        assert "cfl_limit" not in sol.meta
+
 
 class TestZeroData:
     @pytest.mark.parametrize("scheme", ["integral", "differential"])
@@ -1073,6 +1080,16 @@ class TestSolutionModes:
             ends.append(lo + len(rows))
             np.testing.assert_array_equal(rows, sol.u[lo : lo + len(rows)])
         assert starts == [0, 256, 512, 768] and ends == [256, 512, 768, 1025]
+
+    @pytest.mark.parametrize("nx", [16, 64, 256])
+    def test_row_transform_ignores_rows_after_it(self, nx):
+        # a row's sine coefficients do not depend on how many rows are
+        # transformed with it, also when it is the last of 1 (mod 32) rows
+        sines, _ = solver_module._sine_basis(Grid(0.0, 1.0, nx))
+        x = np.random.default_rng(nx).standard_normal((290, nx))
+        for n in (33, 65, 257, 289):
+            np.testing.assert_array_equal(solver_module._to_modes(x[:n], sines)[n - 1],
+                                          solver_module._to_modes(x[: n + 1], sines)[n - 1])
 
     def test_sine_table_made_once_and_read_only(self):
         sines, lam = solver_module._sine_basis(Grid(0.0, 1.0, 24))
