@@ -180,14 +180,14 @@ def run_wave_limit(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
 def run_mollify_study(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
     """Smoothing-width sweep: kernel-level and solution-level convergence."""
     eps_list = cfg.epsilon_list
-    base = cfg.kernel.base if isinstance(cfg.kernel, MollifiedKernel) else cfg.kernel
+    mollified = isinstance(cfg.kernel, MollifiedKernel)
+    base = cfg.kernel.base if mollified else cfg.kernel
     horizon = cfg.horizon
 
     sup_rows = sup_distance_K(base, eps_list, horizon)
     ref_sol = solve_integral(cfg.problem_spec(kernel=base, scheme="integral"))
 
-    rows = []
-    sups, dists = [], []
+    rows, sups, dists = [], [], []
     for eps, sup in sup_rows:
         smoothed = MollifiedKernel(base, eps)
         sol = solve_integral(cfg.problem_spec(kernel=smoothed, scheme="integral"))
@@ -201,14 +201,13 @@ def run_mollify_study(cfg: RunConfig, out_dir: Path) -> ScenarioResult:
 
     passed = _decreasing_or_noise(sups) and _decreasing_or_noise(dists)
     path = out_dir / "mollify_study.csv"
-    write_csv(
-        path,
-        [f"kernel = {base.describe()}", f"horizon = {fmt(horizon)}",
-         f"grid = {cfg.n_interior} x {cfg.n_steps}"],
-        ["epsilon", "sup_K_distance", "min_Geps_over_grid", "admissible_flag",
-         "solution_l2_distance"],
-        rows,
-    )
+    meta = [f"kernel = {base.describe()}", f"horizon = {fmt(horizon)}",
+            f"grid = {cfg.n_interior} x {cfg.n_steps}"]
+    if mollified:
+        meta.append(f"kernel.epsilon = {fmt(cfg.kernel.epsilon)} is replaced by the sweep "
+                    "over scenario.epsilon_list")
+    write_csv(path, meta, ["epsilon", "sup_K_distance", "min_Geps_over_grid",
+                           "admissible_flag", "solution_l2_distance"], rows)
     summary = "kernel and solution distances shrink" if passed else \
         "distances do NOT shrink along epsilon_list"
     return ScenarioResult("mollify-study", passed, summary, [path])

@@ -64,7 +64,10 @@ def require_positive(what: str, value: float, allow_zero: bool = False) -> float
 class RelaxationKernel:
     """Base class; concrete variants implement ``g`` and ``gdot``."""
 
-    #: times where dG/dt may jump (empty for smooth kernels)
+    #: times where dG/dt may jump (empty for smooth kernels).  A kernel that
+    #: declares kinks is affine between them (and before the first and after
+    #: the last, on its domain): the mollifier averages it in closed form
+    #: from the slope jumps there (``gdot_limits``)
     kink_times: tuple[float, ...] = ()
 
     #: finest feature width of G, or None; quadratures over G cap their
@@ -95,10 +98,11 @@ class RelaxationKernel:
             f"{type(self).__name__} does not provide a second derivative"
         )
 
-    def gdot_limits(self, t: float) -> tuple[float, float]:
-        """One-sided (left, right) limits of dG/dt at *t*; equal except at
-        a kink.  Consumed by quadratures that split panels at kinks."""
-        v = float(self.gdot(t))
+    def gdot_limits(self, t):
+        """One-sided (left, right) limits of dG/dt at *t*, a scalar or an
+        array; equal except at a kink.  Consumed by quadratures that split
+        panels at kinks and by the mollifier's corner terms."""
+        v = self.gdot(t)
         return v, v
 
     #: how ``_k_closed(xi)``, the closed-form K, evaluates, as solvers report
@@ -148,12 +152,10 @@ class WedgeKernel(RelaxationKernel):
         arr, scalar = self._times(t)
         return _ret(np.where(arr <= self.ramp, self.slope, 0.0), scalar)
 
-    def gdot_limits(self, t: float) -> tuple[float, float]:
-        """One-sided (left, right) limits of dG/dt at *t*."""
-        if t == self.ramp:
-            return self.slope, 0.0
-        v = self.gdot(t)
-        return v, v
+    def gdot_limits(self, t):
+        """One-sided (left, right) limits of dG/dt at *t*, a scalar or an array."""
+        arr, scalar = self._times(t)
+        return self.gdot(arr), _ret(np.where(arr < self.ramp, self.slope, 0.0), scalar)
 
     def _k_closed(self, xi: np.ndarray):
         k_at_ramp = self.ramp * (self.g0 + self.g_inf) / 2.0
@@ -273,7 +275,7 @@ class TabulatedKernel(RelaxationKernel):
     def gdot(self, t):
         return self._slope(t, "left")
 
-    def gdot_limits(self, t: float) -> tuple[float, float]:
+    def gdot_limits(self, t):
         return self._slope(t, "left"), self._slope(t, "right")
 
     def _k_closed(self, xi: np.ndarray):
@@ -327,8 +329,9 @@ class IntegratedKernel:
     """K(xi) = int_0^xi G(tau) dtau, the quantity the weak form consumes.
 
     Wedge, Prony and tabulated kernels evaluate through exact closed
-    forms, and a mollified kernel over one of them through one bump
-    average of the base's closed-form K per abscissa.  Other variants
+    forms, and a mollified kernel over one of them through the bump average
+    of the base's closed-form K: exact, with a correction per kink, over a
+    wedge or a table, by the bump's Gauss rule over Prony.  Other variants
     (expression kernels, smoothed or not) use panel-wise 16-point Gauss
     with panels split at kink times and capped by the kernel's smoothness
     scale, on sorted grids in one pass (:meth:`cumulative`); :meth:`value`

@@ -15,14 +15,29 @@ even unit-mass weight preserves positivity, monotone decrease and
 convexity, reproduces constants exactly, and on any affine stretch of G
 satisfies the shift identity G_eps(t) = G(t + eps).
 
-Evaluation uses one composite Gauss rule on [-1, 1] for every time.  A
-window free of kinks applies it as it is; a window that holds kinks is cut
-at their images sigma = 1 + (t - c)/eps, so every sub-integrand is smooth,
-and the rule is mapped affinely onto each segment.  All windows with the
-same number of kinks are integrated together in blocks of bounded size
-(see ``MollifiedKernel._eval_many``).  Derivatives in t are taken under
-the integral sign: G_eps' and G_eps'' weigh G - G(t + eps) by ``rho_d1``
-and ``rho_d2`` and divide by eps and eps**2.
+A base that declares kinks is affine between them, so it is an affine
+function plus ds_c (t - c)_+ for each kink c, with ds_c the jump of dG/dt
+there (right minus left), and the average is exact in closed form.  With
+u_c = (t + eps - c)/eps and, for p >= 0,
+
+    H_p(u) = int_{-1}^{u} rho(s) (u - s)**p ds    for -1 < u <= 0,
+           = -(-1)**p H_p(-u)                      for 0 < u < 1,
+           = 0                                     for |u| >= 1,
+
+    G_eps(t)   = G(t + eps)  + eps * sum_c ds_c H_1(u_c),
+    G_eps'(t)  = G'(t + eps) +       sum_c ds_c H_0(u_c),
+    G_eps''(t) =                     sum_c ds_c rho(u_c) / eps,
+
+where G' is the left-hand limit at a kink and the sums run over the kinks
+inside the window (t, t + 2 eps), found by ``searchsorted``; a window free
+of kinks is the shift identity to the last bit.  H_p takes one composite
+Gauss rule on [-1, 1], mapped onto [-1, -|u|].
+
+A kink-free base (Prony, expression) takes the rule on the whole window:
+rho for G_eps, and for G_eps' and G_eps'' the weights ``rho_d1`` and
+``rho_d2`` against G - G(t + eps), divided by eps and eps**2.  Those two
+take a rule of twice the order, as the order-32 rule misses the moments of
+the bump's derivatives by 1.5e-12 and 3.6e-11.
 
 The integrated kernel K_eps(xi) = int_0^xi G_eps follows by exchanging
 the two integrals:
@@ -30,17 +45,11 @@ the two integrals:
     K_eps(xi) = int_{-1}^{1} rho(sigma) [K(eps + xi - eps*sigma)
                                          - K(eps - eps*sigma)] dsigma.
 
-Over a wedge, Prony or tabulated base, whose K is closed-form, this is
-one bump average per abscissa by the same rule and kink splits (K has
-its kinks, in the second derivative, where G has them in the first), so
-no quadrature over G_eps is needed.  Where the window meets only the
-base's affine head (xi <= a - 2 eps), the shift identity gives
-K_eps(xi) = K(xi + eps) - K(eps), and where it meets only the constant
-tail, K_eps(xi) = K(xi + eps) minus the average at xi = 0; both are exact
-for an even unit-mass bump, so the bump average runs only in between.
-By the same identity G_eps is affine on [0, a - 2 eps] (``affine_until``).
-Over an expression kernel K_eps is integrated from G_eps by
-:class:`IntegratedKernel`'s Gauss panels.
+Over a kinked base K is piecewise quadratic, and the average is
+K(xi + eps) + eps**2/2 [m_2 G'(xi + eps) + sum_c ds_c H_2(u_c)], with
+m_2 = int rho sigma**2, minus the same at xi = 0.  Over a Prony base it
+is the rule on the closed-form K; over an expression kernel K_eps is
+integrated from G_eps by :class:`IntegratedKernel`'s Gauss panels.
 """
 
 from __future__ import annotations
@@ -59,12 +68,14 @@ from .kernels import (
 #: composite rule on the bump: panels x Gauss order.  A single 16-point rule
 #: leaves ~5e-6 mass error on the bump profile, far too coarse for the
 #: 1e-10 reproduction contracts, so the rule has 8 panels of order 32
-#: (mass error below 1e-15).
+#: (mass error below 1e-15).  The derivative weights rho' and rho'' take
+#: order 64, which meets their moments to 2e-15.
 QUAD_ORDER = 32
 QUAD_PANELS = 8
-#: quadrature nodes per work block, in windows with kinks or without (512
-#: rows of a kink-free window).  Blocks of 2**20 nodes raised the peak RSS of
-#: a 256x2048 mollify-study from 74 to 109 MB.
+DERIVATIVE_ORDER = 64
+#: quadrature nodes per work block (512 rows of a kink-free window at order
+#: 32).  Blocks of 2**20 nodes raised the peak RSS of a 256x2048
+#: mollify-study from 74 to 109 MB.
 _BLOCK_ELEMENTS = 2**17
 SUP_GRID_POINTS = 512  # grid points on [0, horizon] for the sup in sup_distance_K
 
@@ -140,89 +151,92 @@ class MollifiedKernel(RelaxationKernel):
     def __init__(self, base: RelaxationKernel, epsilon: float):
         epsilon = require_positive("smoothing width epsilon", epsilon)
         if epsilon <= 1e-12:
-            raise QuadratureToleranceError(
-                f"epsilon = {epsilon} is below quadrature resolution"
-            )
-        self.base = base
-        self.epsilon = epsilon
+            raise QuadratureToleranceError(f"epsilon = {epsilon} is below quadrature resolution")
+        self.base, self.epsilon = base, epsilon
         self.smoothness_scale = self.epsilon
         # every argument of G lies at or beyond t: constant where G is, and
         # affine (by the shift identity) where G is on the whole window
         self.constant_after = base.constant_after
         if base.affine_until is not None and base.affine_until > 2.0 * epsilon:
             self.affine_until = base.affine_until - 2.0 * epsilon
+        self._kinks = np.sort(np.asarray(base.kink_times, dtype=float))
+        if len(self._kinks):  # the jump of dG/dt at each kink, right minus left
+            left, right = base.gdot_limits(self._kinks)
+            self._jumps = right - left
         if base.closed_k_method is not None:
-            self.closed_k_method = "bump average of the base kernel's closed-form K"
+            self.closed_k_method = "bump average of the base kernel's closed-form K, " + (
+                "exact with a correction per kink" if len(self._kinks) else "by the Gauss rule")
 
-    # ------------------------------------------------------------------
-    # quadrature plumbing
-    # ------------------------------------------------------------------
-    def _eval_many(self, times, order: int, fn=None):
-        """eps**-order * int w(sigma) F(eps + t - eps*sigma) dsigma for every
-        t in *times* (a scalar gives a float), with the weight w = rho,
-        rho_d1 or rho_d2 for order 0, 1 or 2 and F = *fn*, by default the
-        base G; the base K has its kinks at the same times.
-
-        Times are grouped by the number m of kinks inside their window.
-        Kink-free windows (m = 0) share one weighted rule.  Otherwise the
-        m kink images, clipped to [-1, 1], cut the window into m + 1
-        segments, each carrying the [-1, 1] rule mapped affinely onto it
-        (a zero-length segment has zero weight); w and F then run once per
-        block of rows.  Every block, with kinks or without, holds at most
-        _BLOCK_ELEMENTS quadrature nodes, so memory stays flat and the work
-        per time grows with the kinks in its own window only.
-        """
+    def _eval_many(self, times, order: int):
+        """G_eps, G_eps' or G_eps'' at *times* for order 0, 1 or 2, and for
+        order -1 the bump average of K(eps + t - eps*sigma) (a scalar gives
+        a float): the closed form with corner sums over a kinked base, the
+        composite rule otherwise, in blocks of at most _BLOCK_ELEMENTS
+        nodes either way."""
         arr, scalar = self._times(times)
         t = np.atleast_1d(arr).ravel()
-        weight_fn = (rho, rho_d1, rho_d2)[order]
-        eps = self.epsilon
+        eps, base = self.epsilon, self.base
         if np.any(eps <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(t))):
             raise QuadratureToleranceError(
                 f"epsilon = {eps} underflows the time resolution at t ~ {t.max()}"
             )
-        nodes, weights = _unit_rule(QUAD_PANELS, QUAD_ORDER)
-        # the window of t meets the kinks c in (t, t + 2 eps)
-        kinks = np.sort(np.asarray(self.base.kink_times, dtype=float))
-        first = np.searchsorted(kinks, t, side="right")
-        count = np.searchsorted(kinks, t + 2.0 * eps, side="left") - first
-        fn = self.base.g if fn is None else fn
-        # rho' and rho'' integrate to zero, so the derivatives weigh
-        # G - G(t + eps): the same integral without cancelling terms of
-        # size max|G| / eps**order
-        shift = fn(eps + t) if order else None
-
-        def base_f(args, rows):  # a temporary, so no block outlives its use
-            vals = fn(args)
-            if order:
-                vals = vals - shift[rows].reshape((-1,) + (1,) * (args.ndim - 1))
-            return vals
-
-        out = np.empty_like(t)
-        wr = weights * weight_fn(nodes)
-        for m in np.flatnonzero(np.bincount(count)):  # each count that occurs
-            rows_idx = np.nonzero(count == m)[0]
-            step = max(_BLOCK_ELEMENTS // ((m + 1) * len(nodes)), 1)
-            for start in range(0, len(rows_idx), step):
-                rows = rows_idx[start : start + step]
-                tr = t[rows][:, None]
-                if m == 0:  # one weighted rule
-                    out[rows] = base_f(eps + tr - eps * nodes, rows) @ wr
-                    continue
-                ones = np.ones_like(tr)
-                # kinks ascend, so their images descend: reverse to sort
-                c = kinks[first[rows][:, None] + np.arange(m)][:, ::-1]
-                cuts = np.clip(1.0 + (tr - c) / eps, -1.0, 1.0)
-                edges = np.hstack([-ones, cuts, ones])[:, :, None]
-                half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-                sigma = 0.5 * (edges[:, 1:] + edges[:, :-1]) + half * nodes
-                args = eps + tr[:, :, None] - eps * sigma
-                vals = (half * weights) * weight_fn(sigma) * base_f(args, rows)
-                out[rows] = vals.sum(axis=(1, 2))
-        out /= eps**order
-        if order and self.affine_until is not None:  # the shift identity, as in
-            head = t <= self.affine_until  # _k_closed: G_eps' = G'(t + eps), G_eps'' = 0
-            out[head] = self.base.gdot(t[head] + eps) if order == 1 else 0.0
+        if not len(self._kinks):
+            out = self._rule(t, max(order, 0), base._k_closed if order < 0 else base.g)
+        else:
+            if t.size:  # the whole window [t, t + 2 eps] must be in the base's range
+                base.g(np.array([t.min(), t.max() + 2.0 * eps]))
+            x = t + eps
+            if order < 0:  # K is quadratic between the kinks, with K'' = G'
+                nodes, weights = _unit_rule(QUAD_PANELS, QUAD_ORDER)
+                m2 = weights @ (rho(nodes) * nodes**2)
+                shifted, scale = base._k_closed(x) + 0.5 * eps**2 * m2 * base.gdot(x), 0.5 * eps**2
+            else:
+                shifted, scale = (base.g, base.gdot, np.zeros_like)[order](x), eps ** (1 - order)
+            out = shifted + scale * self._corners(t, 1 - order)
         return float(out[0]) if scalar else out.reshape(arr.shape)
+
+    def _rule(self, t: np.ndarray, order: int, fn) -> np.ndarray:
+        """eps**-order * int w(sigma) F(eps + t - eps*sigma) dsigma with the
+        weight w = rho, rho_d1 or rho_d2 for order 0, 1 or 2 and F = *fn*.
+        rho' and rho'' integrate to zero, so the derivatives weigh
+        F - F(t + eps): the same integral without cancelling terms of size
+        max|F| / eps**order."""
+        eps = self.epsilon
+        nodes, weights = _unit_rule(QUAD_PANELS, DERIVATIVE_ORDER if order else QUAD_ORDER)
+        wr = weights * (rho, rho_d1, rho_d2)[order](nodes)
+        shift = fn(eps + t)[:, None] if order else 0.0
+        out = np.empty_like(t)
+        step = _BLOCK_ELEMENTS // len(nodes)
+        for start in range(0, len(t), step):
+            rows = slice(start, start + step)
+            vals = fn(eps + t[rows][:, None] - eps * nodes)
+            out[rows] = (vals - shift[rows] if order else vals) @ wr
+        return out / eps**order
+
+    def _corners(self, t: np.ndarray, p: int) -> np.ndarray:
+        """sum_c ds_c H_p(u_c) over the kinks c in (t, t + 2 eps), with
+        u_c = (t + eps - c)/eps and H_p as in the module docstring; p = -1
+        gives rho(u_c).  The rule runs only for the pairs (t, c) found."""
+        eps = self.epsilon
+        first = np.searchsorted(self._kinks, t, side="right")
+        count = np.searchsorted(self._kinks, t + 2.0 * eps, side="left") - first
+        rows = np.repeat(np.arange(len(t)), count)
+        kink = first[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        u = (t[rows] + eps - self._kinks[kink]) / eps
+        if p < 0:
+            h = rho(u)
+        else:
+            nodes, weights = _unit_rule(QUAD_PANELS, QUAD_ORDER)
+            v = -np.minimum(np.abs(u), 1.0)[:, None]
+            h = np.empty(len(u))
+            step = _BLOCK_ELEMENTS // len(nodes)
+            for start in range(0, len(u), step):
+                top = v[start : start + step]
+                half = 0.5 * (1.0 + top)  # the rule mapped onto [-1, top]
+                sigma = half * (nodes + 1.0) - 1.0
+                h[start : start + step] = half[:, 0] * ((rho(sigma) * (top - sigma) ** p) @ weights)
+            h[u > 0.0] *= -((-1) ** p)
+        return np.bincount(rows, weights=self._jumps[kink] * h, minlength=len(t))
 
     # ------------------------------------------------------------------
     # kernel interface
@@ -231,7 +245,7 @@ class MollifiedKernel(RelaxationKernel):
         return self._eval_many(t, 0)
 
     def gdot(self, t):
-        # smooth everywhere; differentiate under the integral sign
+        # smooth everywhere
         return self._eval_many(t, 1)
 
     def gddot(self, t):
@@ -240,27 +254,8 @@ class MollifiedKernel(RelaxationKernel):
     def _k_closed(self, xi: np.ndarray):
         """K_eps(xi) = int rho(sigma) [K(eps + xi - eps*sigma)
         - K(eps - eps*sigma)] dsigma (Fubini on the definition of G_eps),
-        for a base with a closed-form K.
-
-        The even unit-mass bump averages a polynomial of degree <= 2 to its
-        centre value plus a term in its (constant) second derivative.  So
-        where the window meets only the affine head of G, xi <= a - 2 eps,
-        the second derivatives cancel and K_eps(xi) = K(xi + eps) - K(eps);
-        where it meets only the constant tail, xi >= ``constant_after``,
-        K is affine and K_eps(xi) = K(xi + eps) - int rho(sigma) K(eps -
-        eps*sigma).  Only the abscissae in between take the bump average."""
-        k_base = self.base._k_closed
-        xi = np.asarray(xi, dtype=float)
-        out = np.empty_like(xi)
-        at_zero = self._eval_many(0.0, 0, k_base)
-        a, c = self.affine_until, self.constant_after
-        head = xi <= (-np.inf if a is None else a)
-        tail = (xi >= (np.inf if c is None else c)) & ~head
-        rest = ~(head | tail)
-        out[head] = k_base(xi[head] + self.epsilon) - k_base(np.array(self.epsilon))
-        out[tail] = k_base(xi[tail] + self.epsilon) - at_zero
-        out[rest] = self._eval_many(xi[rest], 0, k_base) - at_zero
-        return out
+        for a base with a closed-form K."""
+        return self._eval_many(xi, -1) - self._eval_many(0.0, -1)
 
     def describe(self) -> str:
         return f"mollified({self.base.describe()}, eps={self.epsilon})"

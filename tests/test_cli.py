@@ -135,6 +135,29 @@ class TestScenarios:
         assert dists[0] > dists[1]
         assert all(r[3] == "1" for r in rows)
 
+    def test_mollify_study_says_the_sweep_replaces_kernel_epsilon(self, tmp_path):
+        # the sweep mollifies the base kernel at each width of epsilon_list;
+        # a configured width is named in the CSV as replaced, and changes
+        # nothing else
+        for name, extra in (("plain", ""), ("eps", "\nkernel.epsilon = 0.3")):
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(SMALL_MOLLIFY + extra)
+            assert run_cli(["mollify-study", "--config", cfgfile, "--out", tmp_path / name]) == 0
+        plain = read_csv(tmp_path / "plain" / "mollify_study.csv")
+        meta, header, rows = read_csv(tmp_path / "eps" / "mollify_study.csv")
+        assert meta == plain[0] + [
+            "# kernel.epsilon = 2.9999999999999999e-01 is replaced by the sweep over "
+            "scenario.epsilon_list"]
+        assert (header, rows) == plain[1:]
+
+    def test_mollify_study_without_kernel_epsilon_has_no_note(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(SMALL_MOLLIFY)
+        assert run_cli(["mollify-study", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
+        meta, _, _ = read_csv(tmp_path / "o" / "mollify_study.csv")
+        assert [line.split(" = ")[0] for line in meta] == ["# kernel", "# horizon", "# grid"]
+        assert not any("epsilon" in line for line in meta)
+
     def test_mollify_study_constant_kernel_passes_at_noise_floor(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(

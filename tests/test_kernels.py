@@ -377,3 +377,46 @@ class TestConstruction:
         tab = catalog()["tabulated"]
         with pytest.raises(ValueError):
             tab.values[0] = 99.0
+
+
+class TestAffineBetweenKinks:
+    # the mollifier's closed form holds for a kernel that declares kinks
+    # only if the kernel is affine between them
+
+    def test_every_kinked_class_is_covered(self):
+        # every RelaxationKernel variant in the package has a catalog
+        # instance, so the kinked ones below are all there are
+        import viscokern.kernels as kernels
+
+        variants = {cls for cls in vars(kernels).values()
+                    if isinstance(cls, type) and issubclass(cls, kernels.RelaxationKernel)
+                    and cls is not kernels.RelaxationKernel}
+        assert variants == {type(k) for k in catalog().values()}
+        kinked = {type(k) for k in catalog().values() if k.kink_times}
+        assert kinked == {WedgeKernel, TabulatedKernel}
+
+    @pytest.mark.parametrize("kernel", [
+        WEDGE, WedgeKernel(3.0, 0.5, 0.25), SIX_SAMPLES, catalog()["tabulated"],
+        TabulatedKernel([0.5, 1.0, 1.2, 3.0], [2.0, 1.4, 1.3, 1.0]),
+    ], ids=["wedge", "short-wedge", "six-samples", "catalog-table", "late-start"])
+    def test_affine_between_kinks(self, kernel):
+        start = kernel.times[0] if isinstance(kernel, TabulatedKernel) else 0.0
+        end = kernel.times[-1] if isinstance(kernel, TabulatedKernel) else 2.0 * max(
+            kernel.kink_times)
+        edges = [start, *kernel.kink_times, end]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            ts = np.linspace(lo, hi, 17)
+            g = kernel.g(ts)
+            slope = (g[-1] - g[0]) / (hi - lo)
+            line = g[0] + slope * (ts - lo)
+            assert np.max(np.abs(g - line)) <= 1e-14 * np.max(np.abs(g)), (lo, hi)
+            # dG/dt is that slope inside the piece, and the one-sided limits
+            # at its ends are the slopes of the pieces on either side
+            np.testing.assert_allclose(kernel.gdot(ts[1:-1]), slope, rtol=1e-12, atol=1e-14)
+            if lo > start:
+                assert kernel.gdot_limits(lo)[1] == pytest.approx(slope, rel=1e-12, abs=1e-14)
+            if hi < end:
+                assert kernel.gdot_limits(hi)[0] == pytest.approx(slope, rel=1e-12, abs=1e-14)
+        # the mollifier takes the limits at every kink in one call
+        left, right = kernel.gdot_limits(np.asarray(kernel.kink_times))
+        assert list(zip(left, right)) == [kernel.gdot_limits(c) for c in kernel.kink_times]

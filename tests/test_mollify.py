@@ -9,6 +9,7 @@ from scipy.integrate import quad, simpson
 from kernel_catalog import catalog
 from viscokern.kernels import (
     IntegratedKernel,
+    KernelRangeError,
     PronyKernel,
     QuadratureToleranceError,
     RelaxationKernel,
@@ -18,9 +19,11 @@ from viscokern.kernels import (
 )
 from viscokern.mollify import (
     _BLOCK_ELEMENTS,
+    DERIVATIVE_ORDER,
     QUAD_ORDER,
     QUAD_PANELS,
     MollifiedKernel,
+    _unit_rule,
     rho,
     rho_d1,
     rho_d2,
@@ -47,25 +50,53 @@ def geps_oracle(base, eps: float, t: float) -> float:
     return val
 
 
-def split_reference(mk, t: float, weight_fn, order: int) -> float:
-    """Per-point reference for MollifiedKernel._eval_many: the sigma
-    interval is split at the kink images strictly inside (-1, 1) and each
-    segment gets its own composite Gauss rule.  For the derivatives
-    (order 1, 2) the integrand weighs G - G(t + eps), as _eval_many does;
-    the result is not divided by eps**order."""
+def split_reference(mk, t: float, weight_fn, order: int, fn=None,
+                    gauss_order: int = QUAD_ORDER) -> float:
+    """Per-point reference for MollifiedKernel: int w(sigma) F(eps + t -
+    eps*sigma) dsigma with the sigma interval split at the kink images
+    strictly inside (-1, 1) and a composite Gauss rule of QUAD_PANELS panels
+    of *gauss_order* on each segment; F = *fn*, by default the base G (the
+    base K has its kinks at the same times).  For the derivatives (order 1,
+    2) the integrand weighs G - G(t + eps), as the rule does; the result is
+    not divided by eps**order."""
     eps = mk.epsilon
-    shift = float(mk.base.g(eps + t)) if order else 0.0
+    fn = mk.base.g if fn is None else fn
+    shift = float(fn(eps + t)) if order else 0.0
     images = (1.0 + (t - c) / eps for c in mk.base.kink_times)
     pts = [-1.0] + sorted(s for s in images if -1.0 < s < 1.0) + [1.0]
-    x, w = leggauss(QUAD_ORDER)
+    x, w = leggauss(gauss_order)
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         edges = np.linspace(lo, hi, QUAD_PANELS + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         nodes, weights = (mid + half * x).ravel(), (half * w).ravel()
-        total += (weights * weight_fn(nodes)) @ (mk.base.g(eps + t - eps * nodes) - shift)
+        total += (weights * weight_fn(nodes)) @ (fn(eps + t - eps * nodes) - shift)
     return total
+
+
+def split_references(mk, ts) -> dict[str, np.ndarray]:
+    """G_eps and K_eps by :func:`split_reference` on the order-32 rule, and
+    G_eps' and G_eps'' on the order-64 rule (the order-32 rule misses the
+    moments of rho' and rho'' by 1.5e-12 and 3.6e-11)."""
+    eps, k_base = mk.epsilon, mk.base._k_closed
+    out = {"g": np.array([split_reference(mk, t, rho, 0) for t in ts])}
+    for order, (name, weight_fn) in enumerate((("gdot", rho_d1), ("gddot", rho_d2)), start=1):
+        out[name] = np.array([split_reference(mk, t, weight_fn, order, gauss_order=DERIVATIVE_ORDER)
+                              for t in ts]) / eps**order
+    k_zero = split_reference(mk, 0.0, rho, 0, k_base)
+    out["K"] = np.array([split_reference(mk, t, rho, 0, k_base) for t in ts]) - k_zero
+    return out
+
+
+def assert_matches_split_references(mk, ts):
+    """G_eps, G_eps', G_eps'' and K_eps within 1e-12 of the largest
+    reference value of each, on the times *ts* (ascending for K_eps)."""
+    ref = split_references(mk, ts)
+    got = {"g": mk.g(ts), "gdot": mk.gdot(ts), "gddot": mk.gddot(ts),
+           "K": IntegratedKernel(mk).cumulative(ts)}
+    for name, values in got.items():
+        assert np.max(np.abs(values - ref[name])) <= 1e-12 * np.max(np.abs(ref[name])), name
 
 
 def gauss_cumulative(kernel, times) -> np.ndarray:
@@ -96,11 +127,14 @@ def gauss_cumulative(kernel, times) -> np.ndarray:
 
 
 class CountingKernel(RelaxationKernel):
-    """Delegates to *base* and records every call to g."""
+    """Delegates to *base* and records every call to g, gdot, gdot_limits
+    and the closed-form K, with the size and the total of the arguments to
+    g."""
 
     def __init__(self, base):
         self.base = base
         self.kink_times = base.kink_times
+        self.closed_k_method = base.closed_k_method
         self.calls = 0
         self.largest = 0
         self.elements = 0
@@ -110,6 +144,18 @@ class CountingKernel(RelaxationKernel):
         self.largest = max(self.largest, np.size(t))
         self.elements += np.size(t)
         return self.base.g(t)
+
+    def gdot(self, t):
+        self.calls += 1
+        return self.base.gdot(t)
+
+    def gdot_limits(self, t):
+        self.calls += 1
+        return self.base.gdot_limits(t)
+
+    def _k_closed(self, xi):
+        self.calls += 1
+        return self.base._k_closed(xi)
 
 
 class TestMollifier:
@@ -189,9 +235,10 @@ class TestMollifiedKernel:
 
 
 class TestBatchedKinkWindows:
-    # the derivatives weigh G - G(t + eps), so their roundoff no longer
-    # grows like max|G| / eps: widths down to 0.005, a fifth of the
-    # smallest in the default study, stay far below 1e-12
+    # over a kinked base the corner sums replace the rule on the window;
+    # split_reference, which cuts the window at every kink image, stays the
+    # oracle.  The derivatives weigh G - G(t + eps), so widths down to 0.005,
+    # a fifth of the smallest in the default study, stay far below 1e-12
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         eps=st.floats(0.005, 0.2),
@@ -212,33 +259,43 @@ class TestBatchedKinkWindows:
         times = np.array([0.0, kink, second, second + 1.0, 5.0])
         slopes = np.array([-1.0, -0.5, -0.2, -0.05])
         values = 2.0 + np.concatenate([[0.0], np.cumsum(slopes * np.diff(times))])
-        base = TabulatedKernel(times, values)
-        mk = MollifiedKernel(base, eps)
+        mk = MollifiedKernel(TabulatedKernel(times, values), eps)
         t_probe = max(kink - 2.0 * eps * where, 0.0)
         grid = np.linspace(max(kink - 2.5 * eps, 0.0), second + 0.5 * eps, 33)
         ts = np.concatenate([[t_probe, kink, second], grid])
         if kink >= 2.0 * eps:
             ts = np.append(ts, [kink - 2.0 * eps, second - 2.0 * eps])
-        for order, (name, weight_fn) in enumerate(
-            (("g", rho), ("gdot", rho_d1), ("gddot", rho_d2))
-        ):
-            got = getattr(mk, name)(ts)
-            ref = np.array([split_reference(mk, float(t), weight_fn, order) for t in ts])
-            ref /= eps**order
-            if order:  # the window lies on the affine head: the shift identity
-                # gives slope -1 and curvature 0 exactly, where the rule is off
-                # by 1.5e-12 relative in the slope
-                ref[ts <= kink - 2.0 * eps] = (slopes[0], 0.0)[order - 1]
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        assert_matches_split_references(mk, np.sort(ts))
+
+    @pytest.mark.parametrize("eps", [0.03, 0.0125])
+    def test_three_kinks_in_one_window_below_the_step(self, eps):
+        # kinks at 0.3, 0.32 and 0.35 share the windows of width 2 eps = 0.06
+        # that reach them; at eps = 0.0125 the width sits below the lag step
+        # 1/32 of the grid, as it does on a coarse solve
+        times = np.array([0.0, 0.3, 0.32, 0.35, 0.8, 3.0])
+        slopes = np.array([-2.0, -1.2, -0.9, -0.4, -0.1])
+        values = 3.0 + np.concatenate([[0.0], np.cumsum(slopes * np.diff(times))])
+        mk = MollifiedKernel(TabulatedKernel(times, values), eps)
+        ts = np.union1d(np.linspace(0.0, 2.0, 65), [0.24, 0.29, 0.3, 0.31, 0.335, 0.35])
+        assert_matches_split_references(mk, ts)
 
     def test_one_base_call_per_block(self):
-        # every window (t, t + 0.2) holds the kink at 1
-        base = CountingKernel(WEDGE)
-        mk = MollifiedKernel(base, 0.1)
-        ts = np.linspace(0.8, 1.0, 4098)[1:-1]
-        mk.g(ts)
-        assert base.calls <= 64  # one per block of rows; the per-point loop made 4096
-        assert base.largest <= _BLOCK_ELEMENTS  # no block larger than a kink-free one
+        # a kinked base is called a fixed number of times per evaluation,
+        # however many times are asked for and however many of their windows
+        # (t, t + 0.2) hold the kink at 1
+        counts = []
+        for n in (4, 4096):
+            base = CountingKernel(WEDGE)
+            mk = MollifiedKernel(base, 0.1)
+            ts = np.linspace(0.8, 1.0, n + 2)[1:-1]
+            per_call = []
+            for evaluate in (mk.g, mk.gdot, mk.gddot, IntegratedKernel(mk).cumulative):
+                before = base.calls
+                evaluate(ts)
+                per_call.append(base.calls - before)
+            counts.append(per_call)
+            assert base.largest <= n  # G at t + eps, never at a window's nodes
+        assert counts[0] == counts[1] and max(counts[1]) <= 6
 
     def test_kink_free_blocks_share_the_bound(self):
         # kink-free windows take blocks of at most _BLOCK_ELEMENTS nodes, as
@@ -259,6 +316,48 @@ class TestBatchedKinkWindows:
         mk.g(ts)
         assert base.elements <= len(ts) * 6 * 256
 
+    def test_window_past_the_table_raises(self):
+        # G_eps(t) averages G over [t, t + 2 eps]: a window that leaves the
+        # table is refused, though t + eps, where the closed form takes G,
+        # lies inside it
+        mk = MollifiedKernel(TabulatedKernel([0.0, 1.0, 2.0], [2.0, 1.5, 1.0]), 0.1)
+        assert np.isfinite(mk.g(1.8))
+        for evaluate in (mk.g, mk.gdot, mk.gddot, IntegratedKernel(mk).cumulative):
+            with pytest.raises(KernelRangeError):
+                evaluate(np.array([0.5, 1.85]))
+
+
+class TestDerivativeRule:
+    def test_moments_of_the_bump_derivatives(self):
+        # int sigma rho'(sigma) = -1 and int sigma**2 rho''(sigma) / 2 = 1;
+        # the order-32 rule misses them by 1.5e-12 and 3.6e-11
+        nodes, weights = _unit_rule(QUAD_PANELS, DERIVATIVE_ORDER)
+        assert abs(weights @ (nodes * rho_d1(nodes)) + 1.0) <= 1e-14
+        assert abs(weights @ (nodes**2 * rho_d2(nodes)) / 2.0 - 1.0) <= 1e-14
+
+    def test_prony_derivatives_against_mpmath(self):
+        # G_eps' = int rho G'(eps + t - eps s) ds and likewise for G_eps'',
+        # with 30 digits, for a kink-free base
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        terms = ((1.0, 0.2), (0.6, 1.5))
+        base = PronyKernel(0.5, terms)
+        eps = 0.05
+        e = mp.mpf(eps)
+        mass = mp.quad(lambda s: mp.exp(1 / (s * s - 1)), [-1, 0, 1])
+
+        def derivative(x, order):
+            return sum(mp.mpf(g) * (-1 / mp.mpf(tau)) ** order * mp.exp(-x / mp.mpf(tau))
+                       for g, tau in terms)
+
+        mk = MollifiedKernel(base, eps)
+        ts = np.linspace(0.0, 3.0, 13)
+        for order, got in ((1, mk.gdot(ts)), (2, mk.gddot(ts))):
+            ref = np.array([float(mp.quad(
+                lambda s: mp.exp(1 / (s * s - 1)) * derivative(e + mp.mpf(float(t)) - e * s, order),
+                [-1, 0, 1]) / mass) for t in ts])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, order
+
 
 class TestAffineHead:
     @pytest.mark.parametrize("eps_steps", [0.55, 0.8, 0.95])
@@ -272,7 +371,7 @@ class TestAffineHead:
         np.testing.assert_array_equal(mk.gdot(head), base.slope)
         np.testing.assert_array_equal(mk.gddot(head), 0.0)
         assert mk.gdot(0.0) == base.slope and mk.gddot(mk.affine_until) == 0.0
-        # past the head the window meets the kink and the rule runs
+        # past the head the window meets the kink and its corner sum runs
         assert abs(mk.gdot(mk.affine_until + 0.5 / 64) - base.slope) > 1e-3
 
 
@@ -464,8 +563,8 @@ class TestClosedK:
     def test_shift_identity_matches_bump_average(self, family, eps):
         # K_eps(xi) = K(xi + eps) - K(eps) on the head xi <= a - 2 eps and
         # K(xi + eps) - int rho K(eps - eps s) past constant_after, against
-        # the bump average of the base K that every abscissa took before;
-        # at eps = 0.35 the head is empty (a - 2 eps <= 0)
+        # the bump average of the base K split at the kink images; at
+        # eps = 0.35 the head is empty (a - 2 eps <= 0)
         if family == "wedge":
             base = WedgeKernel(2.0, 1.0, 0.6)
         else:
@@ -477,7 +576,8 @@ class TestClosedK:
         xs = np.union1d(np.linspace(0.0, 2.0, 41),
                         [e + d for e in edges for d in (-1e-9, 0.0, 1e-9) if e + d >= 0.0])
         k_base = base._k_closed
-        ref = mk._eval_many(xs, 0, k_base) - mk._eval_many(0.0, 0, k_base)
+        ref = np.array([split_reference(mk, x, rho, 0, k_base) for x in xs])
+        ref -= split_reference(mk, 0.0, rho, 0, k_base)
         got = IntegratedKernel(mk).cumulative(xs)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

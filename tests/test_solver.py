@@ -761,8 +761,11 @@ class TestMollifiedSolves:
         assert np.isfinite(sol.u).all()
 
     def test_integral_reports_bump_averaged_base_k(self):
-        sol = solve_integral(make_spec(MollifiedKernel(WEDGE, 0.05), "integral", nx=8, nt=16))
-        assert sol.meta["kernel_quadrature"] == "bump average of the base kernel's closed-form K"
+        # in closed form over a kinked base, by the Gauss rule over a smooth one
+        for base, how in ((WEDGE, "exact with a correction per kink"), (PRONY, "by the Gauss rule")):
+            sol = solve_integral(make_spec(MollifiedKernel(base, 0.05), "integral", nx=8, nt=16))
+            assert sol.meta["kernel_quadrature"] == (
+                f"bump average of the base kernel's closed-form K, {how}")
 
     def test_cfl_uses_smoothed_value_at_zero(self):
         smoothed = MollifiedKernel(WedgeKernel(2.0, 1.0, 0.4), 0.05)
