@@ -46,10 +46,13 @@ Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
   the modal rows (``_far_sums``, which the energy diagnostics share for
   their history lag sums);
 * the rows inside the block solve, per mode, a unit lower-triangular
-  Toeplitz system, whose inverse is again Toeplitz; its first column comes
-  from a HISTORY_BLOCK-term recurrence once per solve
-  (``_block_inverses``), so a block is one batched product;
-* the block is checked for non-finite values before the next one.
+  Toeplitz system, in two halves of SOLVE_BLOCK steps (the same splitting
+  one level down): the second half takes the first through one fixed
+  Toeplitz table of lags 1 .. 31, the same for every mode, and each half
+  is one batched product with the inverse of the half's own system, which
+  is again Toeplitz; its first column comes from a SOLVE_BLOCK-term
+  recurrence once per solve (``_block_inverses``);
+* each half is checked for non-finite values before the next one.
 
 As the DST-I is orthonormal, a row's sum of squares is the same on the
 nodes and in the basis (Parseval), so the space-time norms and distances
@@ -181,10 +184,10 @@ def check_size(n_interior: int, n_steps: int, forced: bool) -> None:
     """ConfigurationError if the arrays of a solve would not fit in physical
     memory, judged from their shapes before anything is made: the array of
     rows (:meth:`_March.run`), the forcing's rows, the sine table and the
-    block inverses."""
+    per-mode inverses of a half block (nx x SOLVE_BLOCK^2)."""
     width = _padded(n_interior)
     need = 8 * ((1 + forced) * (n_steps + 1) * width + width * width
-                + n_interior * HISTORY_BLOCK**2)
+                + n_interior * SOLVE_BLOCK**2)
     try:
         ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such figure here
@@ -323,6 +326,11 @@ def _check_finite(u: np.ndarray, first: int, last: int, tgrid: np.ndarray,
 #: of a product: one BLAS product over more than ~300 of them rounds
 #: differently at 1 and 2 threads
 HISTORY_BLOCK = 32
+#: steps per batched solve: a block solves in two halves, with a per-mode
+#: inverse table (nx x 16 x 16) a quarter of a whole block's; at 256 modes the
+#: two half solves take less time than one whole, likely as the smaller table
+#: stays in a core's L2 cache beside the rows
+SOLVE_BLOCK = 16
 _FAR_CHUNK = 256
 #: rows per chunk of a basis transform or a norm: few enough calls that
 #: their overhead does not show, and a chunk's temporaries stay small
@@ -617,7 +625,7 @@ class _March:
         the coefficient rows of the displacements, every ``save_stride``-th
         one.  The array of rows is made after every table (made first, it
         grew the peak RSS of a mollify study by 20 %).  The march stops
-        after a block that is not finite, and its nodal rows are then made
+        after a half block that is not finite, and its nodal rows are then made
         at once, so that the first non-finite one is reported; so are they
         when the largest coefficient could make a nodal value overflow
         (|u_j| <= sqrt(2 nx) max |c_k|)."""
@@ -625,30 +633,42 @@ class _March:
         end, peak = len(self.tgrid), 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             pieces, note = _lag_pieces(spec.kernel, spec.dt, lags)
-            inverses = _block_inverses(mu[:nx], lags[: min(HISTORY_BLOCK, end - 1)])
+            inverses = _block_inverses(mu[:nx], lags[: min(SOLVE_BLOCK, end - 1)])
+            # cross[i, r] = lags[SOLVE_BLOCK + i - r] weighs a block's row r in
+            # its row SOLVE_BLOCK + i, the same for every mode (lags past the
+            # last are clipped: no half block reads them)
+            i = np.arange(SOLVE_BLOCK)
+            cross = lags[np.minimum(SOLVE_BLOCK + i[:, None] - i, end - 1)]
             rows = np.zeros((end, len(self.sines)))
             rows[0] = self.u0m
             for s, far in _far_sums(rows, lags, 1, end, pieces):
-                n = len(far)
                 far *= -mu
-                far += data(s, n)
-                rhs = far[:, :nx]
-                block = np.matmul(inverses[:, :n, :n], rhs.T[:, :, None])
-                rows[s : s + n, :nx] = block[:, :, 0].T
-                top = np.abs(block).max()  # not finite with any entry
-                if not np.isfinite(top):
-                    # the inverse's zero upper triangle times a later non-finite
-                    # right-hand side gives NaN: solve the rows before it alone
-                    r = int(np.argmin(np.isfinite(rhs).all(axis=1)))
-                    block = np.matmul(inverses[:, :r, :r], rhs[:r].T[:, :, None])
-                    rows[s : s + r, :nx] = block[:, :, 0].T
-                    end = s + n
+                far += data(s, len(far))
+                for h in range(s, s + len(far), SOLVE_BLOCK):
+                    # a half's right-hand side, less its block's rows before h
+                    # through cross (zero columns of it for the first half)
+                    rhs = far[h - s : h - s + SOLVE_BLOCK]
+                    rhs -= mu * _product(cross[: len(rhs), : h - s], rows[s:h])
+                    n, rhs = len(rhs), rhs[:, :nx]
+                    block = np.matmul(inverses[:, :n, :n], rhs.T[:, :, None])
+                    rows[h : h + n, :nx] = block[:, :, 0].T
+                    top = np.abs(block).max()  # not finite with any entry
+                    if not np.isfinite(top):
+                        # the inverse's zero upper triangle times a later non-finite
+                        # right-hand side gives NaN: solve the rows before it alone
+                        r = int(np.argmin(np.isfinite(rhs).all(axis=1)))
+                        block = np.matmul(inverses[:, :r, :r], rhs[:r].T[:, :, None])
+                        rows[h : h + r, :nx] = block[:, :, 0].T
+                        end, peak = h + n, top
+                        break
+                    peak = max(peak, top)
+                if not np.isfinite(peak):
                     break
-                peak = max(peak, top)
         del inverses
         meta = {"scheme": self.scheme, "dt": spec.dt, "h": spec.grid.h,
                 "kernel": spec.kernel.describe(), "memory_quadrature":
-                f"block march in the sine basis, {HISTORY_BLOCK}-step blocks, {what}, {note}",
+                f"block march in the sine basis, {HISTORY_BLOCK}-step blocks solved in "
+                f"{SOLVE_BLOCK}-step halves, {what}, {note}",
                 **meta}
         sol = SolutionField(spec, self.tgrid[:end], rows[:end], self.u0v, meta)
         if end < len(self.tgrid) or not peak < 0.5 * np.finfo(float).max / np.sqrt(2.0 * nx):
@@ -734,30 +754,31 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
 # space-time norms and manufactured reference problems
 # ---------------------------------------------------------------------------
 
-def _l2_space_time(grid: Grid, times: np.ndarray, values, other=None) -> float:
+def _l2_space_time(grid: Grid, times: np.ndarray, values, *others) -> float | list[float]:
     """L2 norm of *values*, or of values - *other*, over (a, b) x (t_0, t_end):
     trapezoid in both directions, with the zero boundary columns implied.
     The rows, one per time, are nodal values or sine coefficients, which
     give the same sums of squares; either may also be a function that gives
     the rows at the times it is passed.  The rows are taken, differenced and
-    squared ROW_CHUNK at a time."""
+    squared ROW_CHUNK at a time.  Given more than one other (None for no
+    other), it returns a list of the norms, one per other, from one pass over
+    the rows of *values*; each is the float one other alone gives."""
     def rows(source, lo: int) -> np.ndarray:
         if callable(source):
             return source(times[lo : lo + ROW_CHUNK])
         return source[lo : lo + ROW_CHUNK]
 
-    space = np.empty(len(times))
+    others = others or (None,)
+    space = np.empty((len(others), len(times)))
     for lo in range(0, len(times), ROW_CHUNK):
         part = rows(values, lo)
-        part = part if other is None else part - rows(other, lo)
-        space[lo : lo + ROW_CHUNK] = grid.h * np.sum(part * part, axis=1)
-    if len(times) == 1:
-        return float(np.sqrt(space[0]))
-    dts = np.diff(times)
-    w = np.zeros(len(times))
-    w[:-1] += 0.5 * dts
-    w[1:] += 0.5 * dts
-    return float(np.sqrt(w @ space))
+        for k, other in enumerate(others):
+            diff = part if other is None else part - rows(other, lo)
+            space[k, lo : lo + ROW_CHUNK] = grid.h * np.sum(diff * diff, axis=1)
+    dts = np.diff(times)  # trapezoid weights; one time takes its space norm
+    w = 0.5 * (np.append(dts, 0.0) + np.append(0.0, dts)) if len(dts) else np.ones(1)
+    norms = [float(np.sqrt(w @ row)) for row in space]
+    return norms if len(others) > 1 else norms[0]
 
 
 def l2_norm(sol: SolutionField) -> float:

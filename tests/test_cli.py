@@ -463,6 +463,30 @@ class TestWaveReference:
             assert float(a) == ramp
             assert abs(float(got) - want) <= 1e-12 * want
 
+    def test_one_pass_gives_the_norm_and_the_first_error(self, tmp_path, monkeypatch):
+        # three ramps make the reference rows three times, not four: the
+        # reference's norm and the first error share one pass, and give the
+        # bytes of two separate passes
+        made, original = [], cli._wave_reference
+
+        def counted(*args):
+            reference = original(*args)
+
+            def rows(times):
+                made.append(len(times))
+                return reference(times)
+            return rows
+
+        monkeypatch.setattr(cli, "_wave_reference", counted)
+        cfg = parse_config(SMALL_WAVE)
+        cli.run_wave_limit(cfg, tmp_path)
+        assert sum(made) == 3 * 257
+        sol = solve_integral(cfg.problem_spec(scheme="integral"))
+        reference = original(sol.grid, sol.modes[0], 1.0)
+        assert _l2_space_time(sol.grid, sol.times, reference, None, sol.modes) == [
+            _l2_space_time(sol.grid, sol.times, reference),
+            _l2_space_time(sol.grid, sol.times, sol.modes, reference)]
+
     def test_no_reference_of_solution_size(self, tmp_path):
         # the reference is made a chunk of rows at a time: the scenario's
         # peak stays within half a row array of one solve's.  A whole

@@ -24,6 +24,7 @@ from viscokern.kernels import (
 from viscokern.mollify import MollifiedKernel
 from viscokern.solver import (
     HISTORY_BLOCK,
+    SOLVE_BLOCK,
     ConfigurationError,
     ProblemSpec,
     SolverDivergenceError,
@@ -572,11 +573,12 @@ def _head_case(scheme, family, where, f="0"):
 
 class TestBlockedMemorySum:
     # the solvers' block march in the sine basis against a march through the
-    # direct sums above; N < B, N = B, N = B + 1 and N above the far
-    # product's chunk length (256 rows)
+    # direct sums above; N below, at and just above a half block (S) and a
+    # block (B), and N above the far product's chunk length (256 rows)
 
     @pytest.mark.parametrize("scheme", ["integral", "differential"])
-    @pytest.mark.parametrize("n_steps", [7, HISTORY_BLOCK, HISTORY_BLOCK + 1, 97, 300])
+    @pytest.mark.parametrize("n_steps", [7, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1,
+                                         HISTORY_BLOCK, HISTORY_BLOCK + 1, 97, 300])
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
         family=st.sampled_from(["wedge", "mollified", "tabulated", "prony"]),
@@ -815,13 +817,17 @@ class TestFailureModes:
             run(spec)
 
     @pytest.mark.parametrize("spec", [
-        # the integral run above: its rows pass the float limit at step 968
+        # the integral run above: its rows pass the float limit at step 968,
+        # in the first half of its block
         ProblemSpec(Grid(0.0, 1.0, 256), 1.0, 2048, PRONY, u0="1e307*sin(pi*x)",
+                    u1="1e307*sin(pi*x)", scheme="integral"),
+        # the same on 2078 steps: at step 982, in the second half of its block
+        ProblemSpec(Grid(0.0, 1.0, 256), 1.0, 2078, PRONY, u0="1e307*sin(pi*x)",
                     u1="1e307*sin(pi*x)", scheme="integral"),
         # forcing near the float limit: dt^2 f overflows with f itself at
         # step 76, found before the first block
         make_spec(PRONY, "differential", u0="sin(pi*x)", f="1e308*exp(t)"),
-    ], ids=["integral", "differential"])
+    ], ids=["integral", "integral-second-half", "differential"])
     def test_blocked_check_reports_first_bad_step(self, monkeypatch, spec):
         # the solvers check their data before the first block, then each
         # block of rows as they write it; the step and time they report
@@ -839,21 +845,25 @@ class TestFailureModes:
             solve(spec)
         step = next(n for n, finite in checked if not finite)
         assert step % HISTORY_BLOCK  # inside a block, not at its end
+        if spec.n_steps == 2078:  # blocks start at steps 1, 33, ..
+            assert (step - 1) % HISTORY_BLOCK > SOLVE_BLOCK
         assert f"at step {step} (t = {step * spec.dt:.6g})" in str(info.value)
 
     def test_reported_step_is_where_the_march_fails(self):
-        # the run above reports step n: at its dt, n - 1 steps march to their
-        # end and n steps fail at step n, not earlier in their block
-        def run(n_steps):
-            return solve(ProblemSpec(Grid(0.0, 1.0, 256), n_steps / 2048, n_steps, PRONY,
-                                     u0="1e307*sin(pi*x)", u1="1e307*sin(pi*x)"))
+        # the integral runs above report step n: at their dt, n - 1 steps
+        # march to their end and n steps fail at step n, not earlier in their
+        # block or half block
+        for full in (2048, 2078):
+            def run(n_steps, full=full):
+                return solve(ProblemSpec(Grid(0.0, 1.0, 256), n_steps / full, n_steps, PRONY,
+                                         u0="1e307*sin(pi*x)", u1="1e307*sin(pi*x)"))
 
-        with pytest.raises(SolverDivergenceError) as info:
-            run(2048)
-        n = int(str(info.value).split("at step ")[1].split()[0])
-        assert np.isfinite(run(n - 1).u).all()
-        with pytest.raises(SolverDivergenceError, match=f"at step {n} "):
-            run(n)
+            with pytest.raises(SolverDivergenceError) as info:
+                run(full)
+            n = int(str(info.value).split("at step ")[1].split()[0])
+            assert np.isfinite(run(n - 1).u).all()
+            with pytest.raises(SolverDivergenceError, match=f"at step {n} "):
+                run(n)
 
     @pytest.mark.parametrize("scheme", ["integral", "differential"])
     @pytest.mark.parametrize("data, step, cause", [
@@ -886,10 +896,10 @@ class TestSizeCheck:
         assert peak < 2**20
 
     def test_estimate_counts_rows_tables_and_forcing(self, monkeypatch):
-        # (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 32^2 inverses
+        # (N + 1) w rows, (N + 1) w forcing rows, w^2 sines, nx 16^2 inverses
         monkeypatch.setattr(solver_module.os, "sysconf", lambda name: {
             "SC_PAGE_SIZE": 1,
-            "SC_PHYS_PAGES": 8 * (11 * 16 + 16 * 16 + 9 * 1024)}[name])
+            "SC_PHYS_PAGES": 8 * (11 * 16 + 16 * 16 + 9 * 256)}[name])
         solver_module.check_size(9, 10, forced=False)
         with pytest.raises(ConfigurationError):
             solver_module.check_size(9, 10, forced=True)
@@ -926,6 +936,15 @@ class TestMemoryPeak:
         # scheme's velocities
         _, peak = _traced_peak(lambda: solve(self._spec(scheme)))
         assert peak < 2 * self.ROW_ARRAY
+
+    def test_wide_solve_inverse_table_stays_small(self):
+        # 512 modes over 64 steps: the rows are 0.25 MiB and the per-mode
+        # inverses of a half block 1 MiB; those of a whole block were 4 MiB
+        # and set the peak at 5.1 MiB.  The sine table is made before tracing
+        spec = ProblemSpec(Grid(0.0, 1.0, 512), 0.04, 64, WEDGE, u0="sin(pi*x)")
+        solve(spec)
+        _, peak = _traced_peak(lambda: solve(spec))
+        assert peak < 8 * 65 * 512 + 2 * 2**20
 
     def test_distance_needs_no_full_size_temporary(self):
         a, b = solve(self._spec("integral")), solve(self._spec("differential"))
