@@ -31,7 +31,7 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import expressions
-from .config import ConfigError, RunConfig, parse_config
+from .config import RunConfig, parse_config
 from .kernels import (
     DerivativeUndefinedError,
     WedgeKernel,
@@ -374,40 +374,25 @@ def main(argv=None) -> int:
         description="1-D viscoelasticity with weakly regular memory kernels",
     )
     parser.add_argument("scenario", choices=sorted(RUNNERS))
-    parser.add_argument("--config", type=Path, help="configuration file")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=Path, help="configuration file")
+    source.add_argument("--default", action="store_true",
+                        help="run the built-in default configuration for the scenario")
     parser.add_argument("--out", type=Path, help="output directory (overrides config)")
-    parser.add_argument(
-        "--default",
-        action="store_true",
-        help="run the built-in default configuration for the scenario",
-    )
     args = parser.parse_args(argv)
 
-    if bool(args.config) == bool(args.default):
-        parser.error("provide exactly one of --config or --default")
-
-    if args.default:
-        text = DEFAULT_CONFIGS[args.scenario]
-        base_dir = Path.cwd()
-    else:
-        try:
-            text = args.config.read_text()
-        except OSError as exc:
-            print(f"viscokern: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        base_dir = args.config.parent
-
     try:
-        cfg = parse_config(text, base_dir=base_dir)
-    except ConfigError as exc:
-        print(f"viscokern: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = args.out if args.out is not None else Path(cfg.out_dir)
-    try:
+        text = DEFAULT_CONFIGS[args.scenario] if args.default else args.config.read_text()
+        cfg = parse_config(text, base_dir=Path.cwd() if args.default else args.config.parent)
+        out_dir = args.out if args.out is not None else Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = RUNNERS[args.scenario](cfg, out_dir)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # exit 2, no warning
+            result = RUNNERS[args.scenario](cfg, out_dir)
         write_meta(out_dir / "meta.txt", cfg, args.scenario)
+        print(f"{args.scenario}: {'PASS' if result.passed else 'FAIL'} - {result.summary}")
+        for path in result.files:
+            print(f"  wrote {path}")
+        sys.stdout.flush()  # a full or closed stdout fails here, inside the contract
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"viscokern: {args.scenario} failed: {exc}", file=sys.stderr)
         return 2
@@ -415,9 +400,6 @@ def main(argv=None) -> int:
         print(f"viscokern: {args.scenario} failed: out of memory: {exc}", file=sys.stderr)
         return 2
 
-    print(f"{args.scenario}: {'PASS' if result.passed else 'FAIL'} - {result.summary}")
-    for path in result.files:
-        print(f"  wrote {path}")
     if not result.passed:
         print(f"viscokern: verdict failed: {result.summary}", file=sys.stderr)
         return 1

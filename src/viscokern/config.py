@@ -15,11 +15,11 @@ Recognised keys, with their defaults:
     kernel.terms = 1:0.5      # prony: comma list of g:tau pairs
     kernel.csv = <path>       # tabulated: two-column CSV (t, G)
     kernel.expression = 1 + exp(-2*t)
-    kernel.epsilon =          # optional: mollify the base kernel
+    kernel.epsilon =          # optional: mollify the base kernel; > 1e-12
     discretization.n_interior = 127
     discretization.n_steps = 512
     discretization.stride = 1                # save every k-th step; divides n_steps
-    scenario.epsilon_list = 0.1,0.05,0.025   # strictly decreasing, 2*eps <= 1
+    scenario.epsilon_list = 0.1,0.05,0.025   # strictly decreasing, > 1e-12, 2*eps <= 1
     scenario.a_list = 0.1,0.05,0.025         # strictly decreasing
     scenario.levels = 3                      # at least 3
     scenario.study = manufactured   # convergence: manufactured | self
@@ -41,9 +41,10 @@ from .kernels import (
     RelaxationKernel,
     TabulatedKernel,
     WedgeKernel,
+    gauss_panels,
     require_positive,
 )
-from .mollify import MollifiedKernel
+from .mollify import MIN_WIDTH, MollifiedKernel
 from .solver import SCHEMES, ConfigurationError, ProblemSpec, check_size
 
 
@@ -131,10 +132,6 @@ def _nonnegative(key: str, raw: str) -> float:
     return require_positive(key, _number(key, raw), allow_zero=True)
 
 
-def _optional_positive(key: str, raw: str) -> float | None:
-    return _positive(key, raw) if raw else None
-
-
 def _at_least(minimum: int):
     def read(key: str, raw: str) -> int:
         try:
@@ -160,11 +157,23 @@ def _decreasing(key: str, raw: str) -> tuple[float, ...]:
     return values
 
 
+def _width(key: str, value: float) -> float:
+    """A smoothing width above the mollifier's floor MIN_WIDTH."""
+    if require_positive(key, value) <= MIN_WIDTH:
+        raise ValueError(f"{key}: smoothing width {value} is not above {MIN_WIDTH}")
+    return value
+
+
+def _epsilon(key: str, raw: str) -> float | None:
+    return _width(key, _number(key, raw)) if raw else None
+
+
 def _widths(key: str, raw: str) -> tuple[float, ...]:
     """Smoothing widths; the floor G_eps(t) >= G(1 + T) holds for 2*eps <= 1."""
     values = _decreasing(key, raw)
     if 2.0 * values[0] > 1.0:
         raise ValueError(f"{key}: smoothing widths must satisfy 2*epsilon <= 1")
+    _width(key, values[-1])
     return values
 
 
@@ -207,31 +216,32 @@ _KERNEL_KEYS = {
 }
 _VARIANT_KEYS = set().union(*_KERNEL_KEYS.values())
 
-#: every key: (default text, reader)
+#: every key: (default text, reader, the RunConfig field it fills or None
+#: for a key of the kernel)
 _KEYS = {
-    "problem.a": ("0.0", _finite),
-    "problem.b": ("1.0", _finite),
-    "problem.T": ("1.0", _finite),
-    "problem.u0": ("sin(pi*x)", _expression("x")),
-    "problem.u1": ("0", _expression("x")),
-    "problem.f": ("0", _expression("x", "t")),
-    "problem.scheme": ("integral", _choice(*SCHEMES)),
-    "kernel.type": ("wedge", _choice(*_KERNEL_KEYS)),
-    "kernel.g0": ("2.0", _positive),
-    "kernel.ginf": ("1.0", _positive),
-    "kernel.a": ("1.0", _positive),
-    "kernel.terms": ("1:0.5", _pairs),
-    "kernel.csv": ("", _text),
-    "kernel.expression": ("1 + exp(-2*t)", _expression("t")),
-    "kernel.epsilon": ("", _optional_positive),
-    "discretization.n_interior": ("127", _at_least(1)),
-    "discretization.n_steps": ("512", _at_least(2)),
-    "discretization.stride": ("1", _at_least(1)),
-    "scenario.epsilon_list": ("0.1,0.05,0.025", _widths),
-    "scenario.a_list": ("0.1,0.05,0.025", _decreasing),
-    "scenario.levels": ("3", _at_least(3)),
-    "scenario.study": ("manufactured", _choice("manufactured", "self")),
-    "output.directory": ("out", _text),
+    "problem.a": ("0.0", _finite, "domain_a"),
+    "problem.b": ("1.0", _finite, "domain_b"),
+    "problem.T": ("1.0", _finite, "horizon"),
+    "problem.u0": ("sin(pi*x)", _expression("x"), "u0"),
+    "problem.u1": ("0", _expression("x"), "u1"),
+    "problem.f": ("0", _expression("x", "t"), "f"),
+    "problem.scheme": ("integral", _choice(*SCHEMES), "scheme"),
+    "kernel.type": ("wedge", _choice(*_KERNEL_KEYS), None),
+    "kernel.g0": ("2.0", _positive, None),
+    "kernel.ginf": ("1.0", _positive, None),
+    "kernel.a": ("1.0", _positive, None),
+    "kernel.terms": ("1:0.5", _pairs, None),
+    "kernel.csv": ("", _text, None),
+    "kernel.expression": ("1 + exp(-2*t)", _expression("t"), None),
+    "kernel.epsilon": ("", _epsilon, None),
+    "discretization.n_interior": ("127", _at_least(1), "n_interior"),
+    "discretization.n_steps": ("512", _at_least(2), "n_steps"),
+    "discretization.stride": ("1", _at_least(1), "save_stride"),
+    "scenario.epsilon_list": ("0.1,0.05,0.025", _widths, "epsilon_list"),
+    "scenario.a_list": ("0.1,0.05,0.025", _decreasing, "a_list"),
+    "scenario.levels": ("3", _at_least(3), "levels"),
+    "scenario.study": ("manufactured", _choice("manufactured", "self"), "study"),
+    "output.directory": ("out", _text, "out_dir"),
 }
 
 
@@ -280,7 +290,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     """
     errors: list[tuple[int, str]] = []
     entries = _parse_lines(text, errors)
-    raw = {key: entries.get(key, (default, 0))[0] for key, (default, _) in _KEYS.items()}
+    raw = {key: entries.get(key, (default, 0))[0] for key, (default, *_) in _KEYS.items()}
 
     def line(key: str) -> int:
         return entries.get(key, ("", 0))[1]
@@ -290,7 +300,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     ktype = raw["kernel.type"]
     own = _KERNEL_KEYS.get(ktype, ())
     values = {}
-    for key, (_, reader) in _KEYS.items():
+    for key, (_, reader, _) in _KEYS.items():
         if key in _VARIANT_KEYS and key not in own:
             if key in entries and own:
                 errors.append((line(key), f"{key} is not valid for kernel.type = {ktype}"))
@@ -306,12 +316,11 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     if own and all(key in values for key in own):
         try:
             kernel = _build_kernel(ktype, values, Path(base_dir))
-        except (ValueError, OSError) as exc:
+            if values.get("kernel.epsilon"):
+                kernel = MollifiedKernel(kernel, values["kernel.epsilon"])
+        except (ValueError, ArithmeticError, OSError) as exc:
             # an unset kernel.csv has no line of its own
             errors.append((line(own[-1]) or line("kernel.type"), f"{own[-1]}: {exc}"))
-    epsilon = values.get("kernel.epsilon")
-    if kernel is not None and epsilon is not None:
-        kernel = MollifiedKernel(kernel, epsilon)
 
     a, b, horizon = (values.get(key) for key in ("problem.a", "problem.b", "problem.T"))
     if a is not None and b is not None and not 0.0 < b - a < np.inf:
@@ -319,6 +328,13 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     if horizon is not None and horizon <= 0.0:
         errors.append((line("problem.T"), "problem.T must be positive"))
     n_steps, stride = values.get("discretization.n_steps"), values.get("discretization.stride")
+    if kernel is not None and kernel.closed_k_method is None and horizon and n_steps:
+        for key in ("kernel.epsilon", "scenario.epsilon_list"):  # K by panels of width <= eps/2
+            try:
+                if values.get(key):
+                    gauss_panels(horizon / n_steps, np.min(values[key]), n_steps)
+            except ConfigurationError as exc:
+                errors.append((line(key), f"{key}: {exc}"))
     if n_steps is not None and stride is not None and n_steps % stride:
         errors.append((line("discretization.stride"), "stride must divide n_steps"))
     n_interior, f = values.get("discretization.n_interior"), values.get("problem.f")
@@ -331,22 +347,5 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        domain_a=a,
-        domain_b=b,
-        horizon=horizon,
-        u0=values["problem.u0"],
-        u1=values["problem.u1"],
-        f=values["problem.f"],
-        scheme=values["problem.scheme"],
-        kernel=kernel,
-        n_interior=values["discretization.n_interior"],
-        n_steps=n_steps,
-        save_stride=stride,
-        epsilon_list=values["scenario.epsilon_list"],
-        a_list=values["scenario.a_list"],
-        levels=values["scenario.levels"],
-        study=values["scenario.study"],
-        out_dir=values["output.directory"],
-        resolved=raw,
-    )
+    return RunConfig(kernel=kernel, resolved=raw,
+                     **{field: values[key] for key, (_, _, field) in _KEYS.items() if field})

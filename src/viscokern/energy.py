@@ -196,6 +196,8 @@ def energy_series(sol: SolutionField) -> EnergyReport:
             rhs += h * _dot_rows(_to_modes(f_rows[inner, 1:-1], sines), v[inner])
         rhs -= 0.5 * lag_sums[1][inner]
         residual = rate - rhs
+    with np.errstate(over="ignore"):  # past T = 709, e^T and the bound are infinite
+        bound = float(alpha * np.exp(horizon) * constant)
     return EnergyReport(
         times=sol.times.copy(),
         elastic=elastic,
@@ -204,7 +206,7 @@ def energy_series(sol: SolutionField) -> EnergyReport:
         total=total,
         alpha=alpha,
         constant=constant,
-        bound=float(alpha * np.exp(horizon) * constant),
+        bound=bound,
         residual=residual,
     )
 

@@ -32,6 +32,9 @@ from . import expressions
 #: tolerance on first and second differences
 AUDIT_POINTS = 512
 AUDIT_TOL = 1e-9
+#: bytes per Gauss panel of IntegratedKernel.cumulative: 16 nodes in each of
+#: four arrays (the nodes, G there, and a mollified kernel's two working copies)
+PANEL_BYTES = 8 * 16 * 4
 
 
 class KernelRangeError(ValueError):
@@ -59,6 +62,20 @@ def require_positive(what: str, value: float, allow_zero: bool = False) -> float
         sign = "nonnegative" if allow_zero else "positive"
         raise ValueError(f"{what} must be finite and {sign}, got {value}")
     return value
+
+
+def gauss_panels(gaps, scale: float, repeat: int = 1) -> np.ndarray:
+    """The Gauss panels :meth:`IntegratedKernel.cumulative` lays on each of
+    *gaps*, none wider than half the smoothness *scale*, or
+    ConfigurationError if the panel arrays of the gaps, each taken *repeat*
+    times, would not fit in memory."""
+    from .solver import check_memory  # the solver's figure; solver imports this module
+
+    with np.errstate(over="ignore"):  # a huge count is refused, not warned about
+        pieces = np.maximum(np.ceil(np.asarray(gaps, dtype=float) / (0.5 * scale)), 1.0)
+    total = repeat * float(np.sum(pieces))
+    check_memory(PANEL_BYTES * total, f"integrating G over {total:.4g} Gauss panels")
+    return pieces
 
 
 class RelaxationKernel:
@@ -352,7 +369,8 @@ class IntegratedKernel:
         """K at every point of an ascending grid (typically the solver's
         uniform lag grid), via the kernel's closed form or panel-wise
         16-point Gauss with panels split at kink times and no wider than
-        half the kernel's smoothness scale."""
+        half the kernel's smoothness scale, counted by :func:`gauss_panels`
+        before any is made."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("need a 1-D, nonempty grid")
@@ -361,17 +379,13 @@ class IntegratedKernel:
         if self.source.closed_k_method is not None:
             return self.source._k_closed(times)
 
-        edges = np.union1d(times, [0.0])
-        interior_kinks = [c for c in self.source.kink_times if 0.0 < c < edges[-1]]
-        if interior_kinks:
-            edges = np.union1d(edges, interior_kinks)
-        cap = self.source.smoothness_scale
-        if cap is not None and np.max(np.diff(edges)) > 0.5 * cap:
-            refined = [np.asarray([edges[0]])]
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                pieces = max(int(np.ceil((hi - lo) / (0.5 * cap))), 1)
-                refined.append(np.linspace(lo, hi, pieces + 1)[1:])
-            edges = np.concatenate(refined)
+        kinks = [c for c in self.source.kink_times if 0.0 < c < times[-1]]
+        edges = np.unique(np.concatenate((times, [0.0], kinks)))
+        pieces = gauss_panels(np.diff(edges), self.source.smoothness_scale or np.inf)
+        if np.any(pieces > 1.0):
+            spans = zip(edges[:-1], edges[1:], pieces.astype(int))
+            edges = np.concatenate(
+                [edges[:1]] + [np.linspace(lo, hi, n + 1)[1:] for lo, hi, n in spans])
         nodes16, weights16 = np.polynomial.legendre.leggauss(16)
         lo, hi = edges[:-1], edges[1:]
         mid = 0.5 * (lo + hi)[:, None]

@@ -78,6 +78,9 @@ DERIVATIVE_ORDER = 64
 #: mollify-study from 74 to 109 MB.
 _BLOCK_ELEMENTS = 2**17
 SUP_GRID_POINTS = 512  # grid points on [0, horizon] for the sup in sup_distance_K
+#: the smoothing widths the rule resolves are those above this floor; a
+#: config's width keys are checked against it where they are read
+MIN_WIDTH = 1e-12
 
 
 @lru_cache(maxsize=8)
@@ -150,7 +153,7 @@ class MollifiedKernel(RelaxationKernel):
 
     def __init__(self, base: RelaxationKernel, epsilon: float):
         epsilon = require_positive("smoothing width epsilon", epsilon)
-        if epsilon <= 1e-12:
+        if epsilon <= MIN_WIDTH:
             raise QuadratureToleranceError(f"epsilon = {epsilon} is below quadrature resolution")
         self.base, self.epsilon = base, epsilon
         self.smoothness_scale = self.epsilon
@@ -273,8 +276,6 @@ def sup_distance_K(
     do; for a Lipschitz base they are bounded by 2 * Lip(G) * eps * horizon.
     """
     epsilons = [float(e) for e in epsilons]
-    if any(e <= 0.0 for e in epsilons):
-        raise ValueError("smoothing widths must be positive")
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("smoothing widths must be strictly decreasing")
     grid = np.linspace(0.0, require_positive("sup horizon", horizon), SUP_GRID_POINTS)

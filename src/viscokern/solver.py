@@ -188,15 +188,20 @@ def check_size(n_interior: int, n_steps: int, forced: bool) -> None:
     width = _padded(n_interior)
     need = 8 * ((1 + forced) * (n_steps + 1) * width + width * width
                 + n_interior * SOLVE_BLOCK**2)
+    check_memory(need, f"a solve with {n_interior} interior nodes and {n_steps} steps")
+
+
+def check_memory(need: float, what: str) -> None:
+    """ConfigurationError if *need* bytes, the arrays of *what* judged from
+    their shapes before anything is made, exceed physical memory; nothing
+    where that figure is unknown."""
     try:
         ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such figure here
         return
     if need > ram:
         raise ConfigurationError(
-            f"a solve with {n_interior} interior nodes and {n_steps} steps needs "
-            f"{need / 2**30:.3g} GiB, more than the {ram / 2**30:.3g} GiB of memory"
-        )
+            f"{what} needs {need / 2**30:.3g} GiB, more than the {ram / 2**30:.3g} GiB of memory")
 
 
 def cfl_limit(kernel: RelaxationKernel, grid: Grid) -> float:

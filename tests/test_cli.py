@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import viscokern
-from viscokern import cli
+from viscokern import cli, config
 from viscokern.config import parse_config
 from viscokern.grids import Grid
 from viscokern.solver import ProblemSpec, SolutionField, _l2_space_time, solve_integral
@@ -391,6 +393,68 @@ class TestExitCodes:
         assert "solve failed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scenario, text, message", [
+        ("solve", "kernel.epsilon = 1e-20",
+         "line 1: kernel.epsilon: smoothing width 1e-20 is not above 1e-12"),
+        ("mollify-study", "scenario.epsilon_list = 1e-13",
+         "line 1: scenario.epsilon_list: smoothing width 1e-13 is not above 1e-12"),
+    ], ids=["kernel-epsilon", "epsilon-list"])
+    def test_width_below_floor_exit_2_at_its_line(self, tmp_path, capsys, scenario, text,
+                                                  message):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert run_cli([scenario, "--config", cfgfile, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"viscokern: {scenario} failed: invalid configuration:")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+    def test_unwritable_stdout_exit_2(self, tmp_path, sink):
+        # the report is part of the run: a stdout that cannot take it is an
+        # I/O error, not a traceback after a passed verdict
+        src = str(Path(viscokern.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        entry = "import sys; from viscokern.cli import main; sys.exit(main())"
+        args = [sys.executable, "-c", entry, "convergence", "--default", "--out", str(tmp_path)]
+        if sink == "full-device":
+            with open("/dev/full", "w") as full:
+                run = subprocess.run(args, env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                                     timeout=120)
+            code, err = run.returncode, run.stderr
+        else:
+            with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) as proc:
+                proc.stdout.close()  # before the child can have written anything
+                err = proc.stderr.read()
+                code = proc.wait(timeout=120)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("viscokern: convergence failed: [Errno ")
+
+    @pytest.mark.parametrize("scenario", ["energy-audit", "mollify-study", "convergence"])
+    def test_overflowing_norm_exit_2(self, tmp_path, capsys, scenario):
+        # the solution of u0 = 1e300 is finite, its energy and L2 norms are not
+        cfgfile = tmp_path / "big.cfg"
+        cfgfile.write_text("problem.u0 = 1e300\nscenario.study = self\n"
+                           "discretization.n_interior = 8\ndiscretization.n_steps = 64\n")
+        assert run_cli([scenario, "--config", cfgfile, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"viscokern: {scenario} failed: ")
+        assert "encountered in" in err
+
+    def test_infinite_energy_bound_is_no_error(self, tmp_path):
+        # past T = 709 e^T overflows: the a-priori bound is infinite, and
+        # the audit still gives its verdicts
+        cfgfile = tmp_path / "long.cfg"
+        cfgfile.write_text("problem.T = 720\nkernel.type = prony\nkernel.ginf = 0.25\n"
+                           "kernel.terms = 0.25:0.5\ndiscretization.n_interior = 1\n"
+                           "discretization.n_steps = 1024\n")
+        assert run_cli(["energy-audit", "--config", cfgfile, "--out", tmp_path / "o"]) != 2
+        meta, _, _ = read_csv(tmp_path / "o" / "energy_audit.csv")
+        assert "# bound = inf" in meta and "# bounded = yes" in meta
+
     def test_memory_error_exit_2(self, tmp_path, monkeypatch, capsys):
         # a stand-in for an oversize grid; nothing is really allocated
         def stub(cfg, out_dir):
@@ -401,6 +465,77 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == ("viscokern: solve failed: out of memory: "
                        "Unable to allocate 48.0 GiB for an array\n")
+
+
+#: values a user would give each key
+TYPICAL = {
+    "problem.a": ("0.0", "-0.5"),
+    "problem.b": ("1.0", "2.0"),
+    "problem.T": ("1.0", "0.5", "2.0"),
+    "problem.u0": ("sin(pi*x)", "x*(1-x)", "0"),
+    "problem.u1": ("0", "x*(1-x)"),
+    "problem.f": ("0", "sin(pi*x)*cos(3*t)"),
+    "problem.scheme": ("integral", "differential"),
+    "kernel.type": ("wedge", "prony", "tabulated", "expression"),
+    "kernel.g0": ("2.0", "3.0"),
+    "kernel.ginf": ("1.0", "0.5"),
+    "kernel.a": ("1.0", "0.3", "0.05"),
+    "kernel.terms": ("1:0.5", "0.6:0.2,0.4:1.5"),
+    "kernel.csv": ("table.csv",),
+    "kernel.expression": ("1 + exp(-2*t)", "2 - t/4"),
+    "kernel.epsilon": ("0.1", "0.05"),
+    "discretization.n_interior": ("4", "8", "16", "31"),
+    "discretization.n_steps": ("64", "128"),
+    "discretization.stride": ("1", "2", "4"),
+    "scenario.epsilon_list": ("0.1,0.05", "0.1,0.05,0.025"),
+    "scenario.a_list": ("0.1,0.05,0.025", "0.2,0.1"),
+    "scenario.levels": ("3", "4"),
+    "scenario.study": ("manufactured", "self"),
+    "output.directory": ("out",),
+}
+#: what a careless or hostile config gives any key: non-finite and extreme
+#: numbers, widths below the floor, broken expressions, lists and CSV paths
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "1e-20", "1 + * 2", "sin(",
+           "exp(1e300*x)", "0.1,nan", "1:0.5,2", "missing.csv", "bad.csv", "abc")
+#: keys set unless drawn hostile: the default grid exceeds 31 x 128, and a
+#: tabulated kernel has no default table
+ALWAYS_SET = ("discretization.n_interior", "discretization.n_steps", "kernel.csv")
+
+
+@st.composite
+def hostile_configs(draw):
+    """Config text: at most two keys hostile, the others unset or typical;
+    of the kernel keys, only those of the drawn kernel.type are typical."""
+    assert set(TYPICAL) == set(config._KEYS)
+    ktype = draw(st.sampled_from(TYPICAL["kernel.type"]))
+    foreign = config._VARIANT_KEYS - set(config._KERNEL_KEYS[ktype])
+    hostile = draw(st.sets(st.sampled_from(sorted(config._KEYS)), max_size=2))
+    lines = [] if "kernel.type" in hostile else [f"kernel.type = {ktype}"]
+    for key in config._KEYS:
+        if key in hostile:
+            lines.append(f"{key} = {draw(st.sampled_from(HOSTILE))}")
+        elif key == "kernel.type" or key in foreign:
+            continue
+        elif key in ALWAYS_SET or draw(st.booleans()):
+            lines.append(f"{key} = {draw(st.sampled_from(TYPICAL[key]))}")
+    return "\n".join(lines)
+
+
+class TestHostileConfigs:
+    # the exit-code contract: 0 passed, 1 failed verdict, 2 refused or failed
+    # run, and nothing escapes cli.main, whatever the config holds
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=hostile_configs(), scenario=st.sampled_from(sorted(cli.RUNNERS)))
+    @example(text="kernel.epsilon = 1e-20", scenario="solve")
+    @example(text="problem.u0 = 1e300\ndiscretization.n_interior = 8\n"
+                  "discretization.n_steps = 64", scenario="energy-audit")
+    def test_every_config_exits_0_1_or_2(self, tmp_path_factory, text, scenario):
+        work = tmp_path_factory.mktemp("hostile")
+        (work / "table.csv").write_text("0,3.0\n0.2,2.2\n0.7,1.2\n5.0,1.0\n")
+        (work / "bad.csv").write_text("0,3.0,1\nnot,a,number\n")
+        (work / "run.cfg").write_text(text)
+        code = run_cli([scenario, "--config", work / "run.cfg", "--out", work / "o"])
+        assert code in (0, 1, 2)
 
 
 class TestWaveReference:

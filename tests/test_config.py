@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -218,6 +219,32 @@ class TestValidation:
         assert errs[0][1].startswith("discretization: a solve with ")
         assert errs[0][1].endswith("GiB of memory")
 
+    @pytest.mark.parametrize("key, value", [
+        ("kernel.epsilon", "1e-20"), ("kernel.epsilon", "1e-12"),
+        ("scenario.epsilon_list", "1e-13"), ("scenario.epsilon_list", "0.1,1e-12"),
+    ])
+    def test_width_at_or_below_floor_reported_at_its_line(self, key, value):
+        width = float(value.split(",")[-1])
+        assert errors_of(f"problem.T = 1.0\n{key} = {value}") == [
+            (2, f"{key}: smoothing width {width} is not above 1e-12")]
+        assert parse_config(f"{key} = 2e-12") is not None  # just above the floor
+
+    @pytest.mark.parametrize("key, value", [
+        ("kernel.epsilon", "0.0001"), ("scenario.epsilon_list", "0.1,0.0001"),
+    ])
+    def test_oversize_gauss_panels_reported_at_the_width(self, monkeypatch, key, value):
+        # an expression base has no closed-form K: K_eps takes Gauss panels no
+        # wider than eps/2, 64 * 313 of them here; 4 MiB of memory stands in
+        # for a width small enough to exhaust a real machine
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**22}[name])
+        grid = "discretization.n_interior = 16\ndiscretization.n_steps = 64"
+        errs = errors_of(f"kernel.type = expression\n{grid}\n{key} = {value}")
+        assert errs == [(4, f"{key}: integrating G over 2.003e+04 Gauss panels needs "
+                            "0.00955 GiB, more than the 0.00391 GiB of memory")]
+        assert parse_config(f"kernel.type = expression\n{grid}\n{key} = 0.1") is not None
+        assert parse_config(f"kernel.type = wedge\n{grid}\n{key} = {value}") is not None
+
     def test_unparseable_kernel_number_reported_once(self):
         errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")
         assert errs == [(2, "kernel.g0: expected a number, got 'abc'")]
@@ -234,4 +261,4 @@ def test_docstring_lists_every_key_with_its_default():
     documented = dict(re.findall(r"([a-z]+\.\w+) = (.*?)(?=\s{2,}|\s*#|$)",
                                  listing, re.MULTILINE))
     documented["kernel.csv"] = documented["kernel.csv"].replace("<path>", "")
-    assert documented == {key: default for key, (default, _) in config._KEYS.items()}
+    assert documented == {key: default for key, (default, *_) in config._KEYS.items()}

@@ -1,3 +1,4 @@
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,7 @@ from viscokern.mollify import (
     rho_d2,
     sup_distance_K,
 )
+from viscokern.solver import ConfigurationError
 
 WEDGE = WedgeKernel(2.0, 1.0, 1.0)
 QUAD_TOL = 1e-10
@@ -580,6 +582,26 @@ class TestClosedK:
         ref -= split_reference(mk, 0.0, rho, 0, k_base)
         got = IntegratedKernel(mk).cumulative(xs)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_oversize_gauss_panels_refused_before_they_are_made(self, monkeypatch):
+        # 64 gaps of 1/64 at eps = 1e-4 take 313 panels each, 10 MB of panel
+        # arrays against 4 MiB of memory
+        import tracemalloc
+
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**22}[name])
+        times = np.linspace(0.0, 1.0, 65)
+        ik = IntegratedKernel(MollifiedKernel(catalog()["expression"], 1e-4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=r"over 2.003e\+04 Gauss panels needs "):
+                ik.cumulative(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        wide = IntegratedKernel(MollifiedKernel(catalog()["expression"], 0.1))
+        assert np.all(np.diff(wide.cumulative(times)) > 0.0)
 
     def test_expression_base_keeps_gauss_path(self):
         mk = MollifiedKernel(catalog()["expression"], 0.05)
