@@ -330,8 +330,8 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     n_steps, stride = values.get("discretization.n_steps"), values.get("discretization.stride")
     if kernel is not None and kernel.closed_k_method is None and horizon and n_steps:
         for key in ("kernel.epsilon", "scenario.epsilon_list"):  # K by panels of width <= eps/2
-            try:
-                if values.get(key):
+            try:  # an unset list is the default, which the scenario may not read
+                if values.get(key) and line(key):
                     gauss_panels(horizon / n_steps, np.min(values[key]), n_steps)
             except ConfigurationError as exc:
                 errors.append((line(key), f"{key}: {exc}"))

@@ -410,6 +410,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("scenario, text, message", [
+        ("solve", "kernel.type = expression\nkernel.epsilon = 0.0001\n"
+         "discretization.n_interior = 16\ndiscretization.n_steps = 64",
+         "line 2: kernel.epsilon: integrating G over 2.003e+04 Gauss panels needs "),
+        ("mollify-study", "kernel.type = expression\nproblem.T = 200\n"
+         "discretization.n_interior = 8\ndiscretization.n_steps = 2560",
+         "mollify-study failed: integrating G over 4088 Gauss panels needs "),
+    ], ids=["kernel-epsilon", "default-epsilon-list"])
+    def test_oversize_gauss_panels_exit_2(self, tmp_path, monkeypatch, capsys, scenario, text,
+                                          message):
+        # 1 MiB of memory stands in for a width small enough to exhaust a real
+        # machine; the default list is refused where the study reads it
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**20}[name])
+        cfgfile = tmp_path / "narrow.cfg"
+        cfgfile.write_text(text)
+        assert run_cli([scenario, "--config", cfgfile, "--out", tmp_path / "o"]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
     def test_unwritable_stdout_exit_2(self, tmp_path, sink):
         # the report is part of the run: a stdout that cannot take it is an

@@ -244,6 +244,8 @@ class TestValidation:
                             "0.00955 GiB, more than the 0.00391 GiB of memory")]
         assert parse_config(f"kernel.type = expression\n{grid}\n{key} = 0.1") is not None
         assert parse_config(f"kernel.type = wedge\n{grid}\n{key} = {value}") is not None
+        # the default list is checked where a mollify study reads it, not here
+        assert parse_config("kernel.type = expression\nproblem.T = 200") is not None
 
     def test_unparseable_kernel_number_reported_once(self):
         errs = errors_of("kernel.type = wedge\nkernel.g0 = abc")
