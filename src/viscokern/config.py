@@ -41,7 +41,6 @@ from .kernels import (
     RelaxationKernel,
     TabulatedKernel,
     WedgeKernel,
-    gauss_panels,
     require_positive,
 )
 from .mollify import MIN_WIDTH, MollifiedKernel
@@ -328,13 +327,6 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     if horizon is not None and horizon <= 0.0:
         errors.append((line("problem.T"), "problem.T must be positive"))
     n_steps, stride = values.get("discretization.n_steps"), values.get("discretization.stride")
-    if kernel is not None and kernel.closed_k_method is None and horizon and n_steps:
-        for key in ("kernel.epsilon", "scenario.epsilon_list"):  # K by panels of width <= eps/2
-            try:  # an unset list is the default, which the scenario may not read
-                if values.get(key) and line(key):
-                    gauss_panels(horizon / n_steps, np.min(values[key]), n_steps)
-            except ConfigurationError as exc:
-                errors.append((line(key), f"{key}: {exc}"))
     if n_steps is not None and stride is not None and n_steps % stride:
         errors.append((line("discretization.stride"), "stride must divide n_steps"))
     n_interior, f = values.get("discretization.n_interior"), values.get("problem.f")

@@ -178,7 +178,6 @@ def energy_series(sol: SolutionField) -> EnergyReport:
     history = -0.5 * lag_sums[0]
 
     horizon = sol.spec.horizon
-    alpha = max(1.0 / float(kernel.g(horizon + 1.0)), 1.0)
     constant = float(0.5 * float(kernel.g(0.0)) * grad_sq[0] + kinetic[0])
     f_rows = None if expressions.is_zero(sol.spec.f_expr) else _f_block(sol)
     if f_rows is not None:  # ||f||^2 by the trapezoid in x, then in t
@@ -196,7 +195,10 @@ def energy_series(sol: SolutionField) -> EnergyReport:
             rhs += h * _dot_rows(_to_modes(f_rows[inner, 1:-1], sines), v[inner])
         rhs -= 0.5 * lag_sums[1][inner]
         residual = rate - rhs
-    with np.errstate(over="ignore"):  # past T = 709, e^T and the bound are infinite
+    # alpha is infinite once G(T + 1) underflows to 0, e^T past T = 709, and
+    # the bound with them
+    with np.errstate(divide="ignore", over="ignore"):
+        alpha = max(float(1.0 / np.float64(kernel.g(horizon + 1.0))), 1.0)
         bound = float(alpha * np.exp(horizon) * constant)
     return EnergyReport(
         times=sol.times.copy(),

@@ -64,20 +64,6 @@ def require_positive(what: str, value: float, allow_zero: bool = False) -> float
     return value
 
 
-def gauss_panels(gaps, scale: float, repeat: int = 1) -> np.ndarray:
-    """The Gauss panels :meth:`IntegratedKernel.cumulative` lays on each of
-    *gaps*, none wider than half the smoothness *scale*, or
-    ConfigurationError if the panel arrays of the gaps, each taken *repeat*
-    times, would not fit in memory."""
-    from .solver import check_memory  # the solver's figure; solver imports this module
-
-    with np.errstate(over="ignore"):  # a huge count is refused, not warned about
-        pieces = np.maximum(np.ceil(np.asarray(gaps, dtype=float) / (0.5 * scale)), 1.0)
-    total = repeat * float(np.sum(pieces))
-    check_memory(PANEL_BYTES * total, f"integrating G over {total:.4g} Gauss panels")
-    return pieces
-
-
 class RelaxationKernel:
     """Base class; concrete variants implement ``g`` and ``gdot``."""
 
@@ -86,10 +72,6 @@ class RelaxationKernel:
     #: the last, on its domain): the mollifier averages it in closed form
     #: from the slope jumps there (``gdot_limits``)
     kink_times: tuple[float, ...] = ()
-
-    #: finest feature width of G, or None; quadratures over G cap their
-    #: panel width by this (mollified kernels vary on the scale epsilon)
-    smoothness_scale: float | None = None
 
     #: a time c after which G is known to be constant, or None; the solvers
     #: then fold the history older than c into a closed form
@@ -349,10 +331,11 @@ class IntegratedKernel:
     forms, and a mollified kernel over one of them through the bump average
     of the base's closed-form K: exact, with a correction per kink, over a
     wedge or a table, by the bump's Gauss rule over Prony.  Other variants
-    (expression kernels, smoothed or not) use panel-wise 16-point Gauss
-    with panels split at kink times and capped by the kernel's smoothness
-    scale, on sorted grids in one pass (:meth:`cumulative`); :meth:`value`
-    is that pass at a single abscissa.  ``method`` names the path taken.
+    (expression kernels, smoothed or not) take one 16-point Gauss panel per
+    gap of the sorted grid, split at kink times, in one pass
+    (:meth:`cumulative`): their G is smooth between kinks, a mollified one
+    at least as smooth as its base.  :meth:`value` is that pass at a single
+    abscissa.  ``method`` names the path taken.
     """
 
     def __init__(self, source: RelaxationKernel):
@@ -367,10 +350,9 @@ class IntegratedKernel:
 
     def cumulative(self, times) -> np.ndarray:
         """K at every point of an ascending grid (typically the solver's
-        uniform lag grid), via the kernel's closed form or panel-wise
-        16-point Gauss with panels split at kink times and no wider than
-        half the kernel's smoothness scale, counted by :func:`gauss_panels`
-        before any is made."""
+        uniform lag grid), via the kernel's closed form or one 16-point
+        Gauss panel per gap, the gaps split at kink times; ConfigurationError
+        if the panel arrays would not fit in memory, before any is made."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("need a 1-D, nonempty grid")
@@ -379,13 +361,12 @@ class IntegratedKernel:
         if self.source.closed_k_method is not None:
             return self.source._k_closed(times)
 
+        from .solver import check_memory  # the solver's figure; solver imports this module
+
         kinks = [c for c in self.source.kink_times if 0.0 < c < times[-1]]
         edges = np.unique(np.concatenate((times, [0.0], kinks)))
-        pieces = gauss_panels(np.diff(edges), self.source.smoothness_scale or np.inf)
-        if np.any(pieces > 1.0):
-            spans = zip(edges[:-1], edges[1:], pieces.astype(int))
-            edges = np.concatenate(
-                [edges[:1]] + [np.linspace(lo, hi, n + 1)[1:] for lo, hi, n in spans])
+        check_memory(PANEL_BYTES * (len(edges) - 1),
+                     f"integrating G over {len(edges) - 1} Gauss panels")
         nodes16, weights16 = np.polynomial.legendre.leggauss(16)
         lo, hi = edges[:-1], edges[1:]
         mid = 0.5 * (lo + hi)[:, None]

@@ -49,7 +49,11 @@ Over a kinked base K is piecewise quadratic, and the average is
 K(xi + eps) + eps**2/2 [m_2 G'(xi + eps) + sum_c ds_c H_2(u_c)], with
 m_2 = int rho sigma**2, minus the same at xi = 0.  Over a Prony base it
 is the rule on the closed-form K; over an expression kernel K_eps is
-integrated from G_eps by :class:`IntegratedKernel`'s Gauss panels.
+integrated from G_eps by :class:`IntegratedKernel`'s Gauss panels, one per
+gap of the grid, as for the base itself.  A base without kinks needs no
+finer panels at a small eps: each derivative of G_eps is the bump average
+of the same derivative of G, so G_eps is at least as smooth as its base,
+whatever the width.
 """
 
 from __future__ import annotations
@@ -156,7 +160,6 @@ class MollifiedKernel(RelaxationKernel):
         if epsilon <= MIN_WIDTH:
             raise QuadratureToleranceError(f"epsilon = {epsilon} is below quadrature resolution")
         self.base, self.epsilon = base, epsilon
-        self.smoothness_scale = self.epsilon
         # every argument of G lies at or beyond t: constant where G is, and
         # affine (by the shift identity) where G is on the whole window
         self.constant_after = base.constant_after

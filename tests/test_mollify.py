@@ -101,18 +101,17 @@ def assert_matches_split_references(mk, ts):
         assert np.max(np.abs(values - ref[name])) <= 1e-12 * np.max(np.abs(ref[name])), name
 
 
-def gauss_cumulative(kernel, times) -> np.ndarray:
+def gauss_cumulative(kernel, times, cap: float) -> np.ndarray:
     """K = int_0^xi G on an ascending grid by 16-point Gauss panels over G,
-    split at the kink times and no wider than half the smoothness scale:
-    the path IntegratedKernel.cumulative took for every mollified kernel
-    before K_eps became a bump average of the base K, kept as the oracle."""
+    split at the kink times and no wider than *cap*/2: with cap = eps, the
+    path IntegratedKernel.cumulative took for every mollified kernel before
+    K_eps became a bump average of the base K, kept as the oracle."""
     times = np.asarray(times, dtype=float)
     edges = np.union1d(times, [0.0])
     interior_kinks = [c for c in kernel.kink_times if 0.0 < c < edges[-1]]
     if interior_kinks:
         edges = np.union1d(edges, interior_kinks)
-    cap = kernel.smoothness_scale
-    if cap is not None and np.max(np.diff(edges)) > 0.5 * cap:
+    if np.max(np.diff(edges)) > 0.5 * cap:
         refined = [np.asarray([edges[0]])]
         for lo, hi in zip(edges[:-1], edges[1:]):
             pieces = max(int(np.ceil((hi - lo) / (0.5 * cap))), 1)
@@ -476,7 +475,7 @@ class TestIntegratedMollified:
         mk = MollifiedKernel(WEDGE, 0.05)
         ik = IntegratedKernel(mk)
         times = np.array([0.0, 0.4, 0.97, 1.3])
-        ref = gauss_cumulative(mk, times)
+        ref = gauss_cumulative(mk, times, mk.epsilon)
         values = np.array([ik.value(float(t)) for t in times])
         for got in (ik.cumulative(times), values):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -520,7 +519,7 @@ class TestClosedK:
             times = np.union1d(times, [t for t in (c - 2.0 * eps, c - eps, c) if t >= 0.0])
         mk = MollifiedKernel(base, eps)
         got = IntegratedKernel(mk).cumulative(times)
-        ref = gauss_cumulative(mk, times)
+        ref = gauss_cumulative(mk, times, mk.epsilon)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("family", ["wedge", "prony"])
@@ -583,33 +582,48 @@ class TestClosedK:
         got = IntegratedKernel(mk).cumulative(xs)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_oversize_gauss_panels_refused_before_they_are_made(self, monkeypatch):
-        # 64 gaps of 1/64 at eps = 1e-4 take 313 panels each, 10 MB of panel
-        # arrays against 4 MiB of memory
-        import tracemalloc
-
-        monkeypatch.setattr(os, "sysconf", lambda name: {
-            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**22}[name])
-        times = np.linspace(0.0, 1.0, 65)
-        ik = IntegratedKernel(MollifiedKernel(catalog()["expression"], 1e-4))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigurationError, match=r"over 2.003e\+04 Gauss panels needs "):
-                ik.cumulative(times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**16
-        wide = IntegratedKernel(MollifiedKernel(catalog()["expression"], 0.1))
-        assert np.all(np.diff(wide.cumulative(times)) > 0.0)
-
-    def test_expression_base_keeps_gauss_path(self):
-        mk = MollifiedKernel(catalog()["expression"], 0.05)
+    @pytest.mark.parametrize("gaps", [64, 2048])
+    @pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-4, 1e-6])
+    def test_expression_base_matches_prony_oracle(self, eps, gaps):
+        # 1 + exp(-2t) is the catalog's Prony modulus: K_eps over the
+        # expression takes one Gauss panel per gap, over the Prony kernel
+        # the bump average of its closed-form K
+        mk = MollifiedKernel(catalog()["expression"], eps)
         assert mk.closed_k_method is None
         ik = IntegratedKernel(mk)
         assert ik.method == "composite 16-point Gauss panels"
-        times = np.linspace(0.0, 1.0, 9)
-        np.testing.assert_array_equal(ik.cumulative(times), gauss_cumulative(mk, times))
+        times = np.linspace(0.0, 3.0, gaps + 1)
+        ref = IntegratedKernel(MollifiedKernel(catalog()["prony"], eps)).cumulative(times)
+        got = ik.cumulative(times)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_oversize_panels_refused_before_they_are_made(self, monkeypatch, tmp_path, capsys):
+        # 1024 gaps take 512 KiB of panel arrays against 256 KiB of memory,
+        # whatever the width; a solve's own arrays at 1 x 1024 fit
+        import tracemalloc
+
+        from viscokern import cli
+
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**18}[name])
+        times = np.linspace(0.0, 1.0, 1025)
+        message = "integrating G over 1024 Gauss panels needs 0.000488 GiB"
+        for kernel in (catalog()["expression"], MollifiedKernel(catalog()["expression"], 1e-6)):
+            ik = IntegratedKernel(kernel)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigurationError, match=message):
+                    ik.cumulative(times)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16
+            assert np.all(np.diff(ik.cumulative(times[::16])) > 0.0)  # 64 gaps fit
+        cfgfile = tmp_path / "long.cfg"
+        cfgfile.write_text("kernel.type = expression\ndiscretization.n_interior = 1\n"
+                           "discretization.n_steps = 1024\n")
+        assert cli.main(["solve", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert f"solve failed: {message}" in capsys.readouterr().err
 
 
 class TestPropertyPreservation:
