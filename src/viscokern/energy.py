@@ -196,10 +196,10 @@ def energy_series(sol: SolutionField) -> EnergyReport:
         rhs -= 0.5 * lag_sums[1][inner]
         residual = rate - rhs
     # alpha is infinite once G(T + 1) underflows to 0, e^T past T = 709, and
-    # the bound with them
+    # the bound with them; zero data (C = 0) have the zero solution, bound 0
     with np.errstate(divide="ignore", over="ignore"):
         alpha = max(float(1.0 / np.float64(kernel.g(horizon + 1.0))), 1.0)
-        bound = float(alpha * np.exp(horizon) * constant)
+        bound = float(alpha * np.exp(horizon) * constant) if constant else 0.0
     return EnergyReport(
         times=sol.times.copy(),
         elastic=elastic,

@@ -108,12 +108,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             if j == len(source):
                 break
             raise ParseError(f"unexpected character {source[j]!r}", j)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         i = m.end()
     tokens.append(("end", "", len(source)))
     return tokens

@@ -455,6 +455,17 @@ class TestExitCodes:
         meta, _, _ = read_csv(tmp_path / "o" / "energy_audit.csv")
         assert "# bound = inf" in meta and "# bounded = yes" in meta
 
+    def test_zero_data_bound_is_zero(self, tmp_path):
+        # zero data have the zero solution and C = 0: the bound is 0, not
+        # the infinite alpha e^T times 0
+        cfgfile = tmp_path / "still.cfg"
+        cfgfile.write_text("problem.u0 = 0\nproblem.T = 720\nkernel.type = prony\n"
+                           "kernel.ginf = 0.25\nkernel.terms = 0.25:0.5\n"
+                           "discretization.n_interior = 1\ndiscretization.n_steps = 1024\n")
+        assert run_cli(["energy-audit", "--config", cfgfile, "--out", tmp_path / "o"]) == 0
+        meta, _, _ = read_csv(tmp_path / "o" / "energy_audit.csv")
+        assert "# bound = 0.0000000000000000e+00" in meta and "# bounded = yes" in meta
+
     def test_underflowing_modulus_gives_an_infinite_alpha(self, tmp_path):
         # G(T + 1) = 0.5 exp(-1602) underflows to 0, so alpha = 1/G(T + 1)
         # and the bound are infinite, not a division by zero; the data are
