@@ -37,6 +37,7 @@ from .solver import (
     _far_sums,
     _lag_pieces,
     _sine_basis,
+    _squares_overflow,
     _to_modes,
 )
 
@@ -162,19 +163,25 @@ def energy_series(sol: SolutionField) -> EnergyReport:
     ds = _uniform_spacing(sol.times)
     h = sol.grid.h
     sines, lam = _sine_basis(sol.grid)
-    v = reconstruct_velocities(sol)
-    ys = np.sqrt(lam) * sol.modes
-    grad_sq = h * _dot_rows(ys, ys)  # int |u_x|^2 = h sum lam c^2
     g_at = np.atleast_1d(kernel.g(sol.times))
-    weights = [kernel.gdot(sol.times)]
+    # Gdot and Gddot after t = 0 only (an exact Gdot(0) may be infinite):
+    # column 0, lag 0, weighs D(t, 0) = 0 and is never read
+    weights = [kernel.gdot(sol.times[1:])]
     try:
-        weights.append(kernel.gddot(sol.times))
+        weights.append(kernel.gddot(sol.times[1:]))
     except DerivativeUndefinedError:
         pass
-    lag_sums = _lag_sums(h, ds, ys, np.array(weights), kernel)
+    weights = np.pad(np.array(weights), ((0, 0), (1, 0)))
+    try:  # the squares of the solution: name them when they overflow
+        v = reconstruct_velocities(sol)
+        ys = np.sqrt(lam) * sol.modes
+        grad_sq = h * _dot_rows(ys, ys)  # int |u_x|^2 = h sum lam c^2
+        kinetic = 0.5 * h * _dot_rows(v, v)
+        lag_sums = _lag_sums(h, ds, ys, weights, kernel)
+    except FloatingPointError as exc:
+        raise _squares_overflow("energy", (sol.modes,), exc) from exc
 
     elastic = 0.5 * g_at * grad_sq
-    kinetic = 0.5 * h * _dot_rows(v, v)
     history = -0.5 * lag_sums[0]
 
     horizon = sol.spec.horizon

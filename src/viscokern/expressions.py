@@ -17,7 +17,9 @@ with FUNC one of sin, cos, exp, sqrt, abs.  Precedence, strongest first:
 parse and evaluation errors can point at the offending token.  Nesting
 (parentheses, calls, unary minus, powers) is limited to ``MAX_NESTING``
 levels.  A tree is evaluated on whole numpy arrays of points at once
-(:func:`evaluate`).
+(:func:`evaluate`).  :func:`derivative` differentiates a tree in t into
+another tree, which may also call ``log`` and ``sign``: the evaluator
+knows them, the parser refuses them.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class Binary:
 
 @dataclass(frozen=True)
 class Call:
-    func: str  # sin cos exp sqrt abs
+    func: str  # sin cos exp sqrt abs, and log sign in derivatives
     arg: "Expr"
     pos: int
 
@@ -233,17 +235,19 @@ def evaluate(expr: Expr, x: float | np.ndarray = 0.0,
 
     ``x`` and ``t`` are scalars or arrays that broadcast together; the
     result is a float for scalar input and a new ndarray of the broadcast
-    shape otherwise.  The tree is walked once, with numpy operations on
-    whole arrays.  A domain fault at any element (division by zero, sqrt
-    of a negative, a fractional power of a negative base, zero to a
-    negative power, sin/cos of an infinity, overflow to inf from finite
-    operands in ``exp`` or ``^``) raises :class:`EvalError` pointing at
-    the operator or call that failed.
+    shape otherwise.  Each distinct node is evaluated once, with numpy
+    operations on whole arrays, however many parents share it (as the
+    nodes of a :func:`derivative` tree do).  A domain fault at any element
+    (division by zero, sqrt of a negative, log of a value <= 0, a
+    fractional power of a negative base, zero to a negative power, sin/cos
+    of an infinity, overflow to inf from finite operands in ``exp`` or
+    ``^``) raises :class:`EvalError` pointing at the operator or call that
+    failed.
     """
     xa = np.asarray(x, dtype=float)
     ta = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
-        out = _eval(expr, xa, ta)
+        out = _eval(expr, xa, ta, {}, _parent_counts(expr))
     if xa.ndim == 0 and ta.ndim == 0:
         return float(out)
     return np.array(np.broadcast_to(out, np.broadcast_shapes(xa.shape, ta.shape)), dtype=float)
@@ -254,26 +258,61 @@ def _fault(mask, message: str, node: Expr) -> None:
         raise EvalError(message, node.pos)
 
 
-def _eval(expr: Expr, x: np.ndarray, t: np.ndarray):
+def _parent_counts(expr: Expr) -> dict:
+    """How often each distinct node of *expr* is asked for its value, by id:
+    once per parent that holds it, and once for the root."""
+    counts, stack = {id(expr): 1}, [expr]
+    while stack:
+        for child in _children(stack.pop()):
+            counts[id(child)] = counts.get(id(child), 0) + 1
+            if counts[id(child)] == 1:
+                stack.append(child)
+    return counts
+
+
+def _children(node: Expr) -> tuple:
+    if isinstance(node, Binary):
+        return node.left, node.right
+    if isinstance(node, Unary):
+        return (node.operand,)
+    return (node.arg,) if isinstance(node, Call) else ()
+
+
+def _eval(expr: Expr, x: np.ndarray, t: np.ndarray, memo: dict, uses: dict):
+    """The value of *expr* for one of its parents.  *memo* holds the value
+    of each node evaluated in this call until its last parent has taken it,
+    and *uses* counts the takes left (:func:`_parent_counts`), so a shared
+    node is evaluated once and no value outlives its last use."""
+    # a chain such as x + x + ... + x is a left spine as long as the chain;
+    # fold it in a loop so that its length costs no recursion
+    spine = []
+    while isinstance(expr, Binary) and id(expr) not in memo:
+        spine.append(expr)
+        expr = expr.left
+    if id(expr) not in memo:
+        memo[id(expr)] = _eval_node(expr, x, t, memo, uses)
+    value = _take(expr, memo, uses)
+    for node in reversed(spine):
+        memo[id(node)] = _binary(node, value, _eval(node.right, x, t, memo, uses))
+        value = _take(node, memo, uses)
+    return value
+
+
+def _take(node: Expr, memo: dict, uses: dict):
+    uses[id(node)] -= 1
+    return memo[id(node)] if uses[id(node)] else memo.pop(id(node))
+
+
+def _eval_node(expr: Expr, x: np.ndarray, t: np.ndarray, memo: dict, uses: dict):
+    """The value of a node that is no binary operator."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
         return x if expr.name == "x" else t
     if isinstance(expr, Unary):
-        return -_eval(expr.operand, x, t)
-    if isinstance(expr, Binary):
-        # a chain such as x + x + ... + x is a left spine as long as the
-        # chain; fold it in a loop so that its length costs no recursion
-        spine = []
-        while isinstance(expr, Binary):
-            spine.append(expr)
-            expr = expr.left
-        value = _eval(expr, x, t)
-        for node in reversed(spine):
-            value = _binary(node, value, _eval(node.right, x, t))
-        return value
+        return -_eval(expr.operand, x, t, memo, uses)
     if isinstance(expr, Call):
-        arg = _eval(expr.arg, x, t)
+        arg = _eval(expr.arg, x, t, memo, uses)
         if expr.func in ("sin", "cos"):
             _fault(np.isinf(arg), f"{expr.func} of an infinite value", expr)
             return np.sin(arg) if expr.func == "sin" else np.cos(arg)
@@ -284,7 +323,10 @@ def _eval(expr: Expr, x: np.ndarray, t: np.ndarray):
         if expr.func == "sqrt":
             _fault(arg < 0.0, "sqrt of a negative value", expr)
             return np.sqrt(arg)
-        return np.abs(arg)
+        if expr.func == "log":
+            _fault(arg <= 0.0, "log of a value <= 0", expr)
+            return np.log(arg)
+        return np.sign(arg) if expr.func == "sign" else np.abs(arg)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -311,3 +353,102 @@ def _binary(node: Binary, lhs, rhs):
 def is_zero(expr: Expr) -> bool:
     """True for the literal constant 0 (used to skip forcing work)."""
     return isinstance(expr, Num) and expr.value == 0.0
+
+
+def derivative(expr: Expr) -> Expr:
+    """d/dt of *expr* as a tree that :func:`evaluate` takes; ``x`` is held
+    fixed.
+
+    Each new node carries the offset of the node it differentiates, so a
+    fault of the derivative (sqrt(t) at t = 0 divides by zero) points into
+    the source.  A subtree free of t differentiates to ``Num(0)``, which
+    sums and products fold away.  ``^`` takes the power rule when the
+    exponent is free of t, l^r (r' log l + r l'/l) otherwise; ``abs``
+    differentiates to ``sign``.  The result shares the subtrees of *expr*
+    (and its own) rather than copying them, so the derivative of an
+    n-factor product has O(n) distinct nodes, not O(n^2).
+    """
+    return _derive(expr, {})
+
+
+def _derive(expr: Expr, memo: dict) -> Expr:
+    # memo maps id(node) to the derivative of every node done so far; a
+    # left chain of + - * / is walked in a loop, as _eval walks it
+    spine = []
+    while isinstance(expr, Binary) and expr.op != "^" and id(expr) not in memo:
+        spine.append(expr)
+        expr = expr.left
+    if id(expr) not in memo:
+        memo[id(expr)] = _derive_node(expr, memo)
+    dl = memo[id(expr)]
+    for node in reversed(spine):
+        dl = memo[id(node)] = _derive_link(node, dl, _derive(node.right, memo))
+    return dl
+
+
+def _derive_link(node: Binary, dl: Expr, dr: Expr) -> Expr:
+    """The derivative of a chain link l op r, op one of + - * /."""
+    left, right, pos = node.left, node.right, node.pos
+    if node.op == "+":
+        return _add(dl, dr, pos)
+    if node.op == "-":
+        return _sub(dl, dr, pos)
+    if node.op == "*":
+        return _add(_mul(dl, right, pos), _mul(left, dr, pos), pos)
+    # (l/r)' = (l' - (l/r) r') / r, with the node's own quotient
+    return _div(_sub(dl, _mul(node, dr, pos), pos), right, pos)
+
+
+def _derive_node(expr: Expr, memo: dict) -> Expr:
+    """The derivative of a node that is no + - * / link."""
+    pos = expr.pos
+    if isinstance(expr, Num):
+        return Num(0.0, pos)
+    if isinstance(expr, Var):
+        return Num(1.0 if expr.name == "t" else 0.0, pos)
+    if isinstance(expr, Unary):
+        return _neg(_derive(expr.operand, memo), pos)
+    if isinstance(expr, Binary):  # l ^ r
+        base, power = expr.left, expr.right
+        dl, dr = _derive(base, memo), _derive(power, memo)
+        if is_zero(dr):  # r l^(r - 1) l'
+            lowered = Binary("^", base, Binary("-", power, Num(1.0, pos), pos), pos)
+            return _mul(_mul(power, lowered, pos), dl, pos)
+        log = Call("log", base, pos)
+        return _mul(expr, _add(_mul(dr, log, pos), _mul(power, _div(dl, base, pos), pos), pos), pos)
+    arg, func = expr.arg, expr.func
+    if func == "sin":
+        outer = Call("cos", arg, pos)
+    elif func == "cos":
+        outer = Unary("-", Call("sin", arg, pos), pos)
+    elif func == "exp":
+        outer = expr
+    elif func == "sqrt":
+        outer = Binary("/", Num(0.5, pos), expr, pos)
+    elif func == "abs":
+        outer = Call("sign", arg, pos)
+    elif func == "log":
+        outer = Binary("/", Num(1.0, pos), arg, pos)
+    else:  # sign, flat wherever it has a derivative
+        return Num(0.0, pos)
+    return _mul(outer, _derive(arg, memo), pos)
+
+
+def _neg(a: Expr, pos: int) -> Expr:
+    return a if is_zero(a) else Unary("-", a, pos)
+
+
+def _add(a: Expr, b: Expr, pos: int) -> Expr:
+    return b if is_zero(a) else a if is_zero(b) else Binary("+", a, b, pos)
+
+
+def _sub(a: Expr, b: Expr, pos: int) -> Expr:
+    return _neg(b, pos) if is_zero(a) else a if is_zero(b) else Binary("-", a, b, pos)
+
+
+def _mul(a: Expr, b: Expr, pos: int) -> Expr:
+    return Num(0.0, pos) if is_zero(a) or is_zero(b) else Binary("*", a, b, pos)
+
+
+def _div(a: Expr, b: Expr, pos: int) -> Expr:
+    return a if is_zero(a) else Binary("/", a, b, pos)

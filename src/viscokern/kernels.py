@@ -10,7 +10,8 @@ jump (wedge and tabulated variants).  Four kernel families are provided:
   smooth.
 * :class:`TabulatedKernel` -- measured samples with linear interpolation,
   i.e. a general piecewise-linear (wedge-like) kernel.
-* :class:`ExpressionKernel` -- formula in ``t`` via :mod:`.expressions`.
+* :class:`ExpressionKernel` -- formula in ``t`` via :mod:`.expressions`,
+  differentiated exactly through its parse tree.
 
 Kernels declare the structure the solvers use, from their parameters and
 never fitted: ``constant_after`` (wedge) and ``affine_until`` (wedge, and a
@@ -92,7 +93,8 @@ class RelaxationKernel:
         raise NotImplementedError
 
     def gddot(self, t):
-        """d2G/dt2 where the variant supports it (Prony, mollified)."""
+        """d2G/dt2 where the variant supports it (Prony, expression, and
+        a mollified kernel over a kinked base or over one of those)."""
         raise DerivativeUndefinedError(
             f"{type(self).__name__} does not provide a second derivative"
         )
@@ -295,30 +297,27 @@ class TabulatedKernel(RelaxationKernel):
 
 
 class ExpressionKernel(RelaxationKernel):
-    """Kernel defined by a formula in ``t``, e.g. ``"1 + exp(-2*t)"``."""
-
-    #: relative step for finite-difference derivatives
-    FD_STEP = 1e-6
+    """Kernel defined by a formula in ``t``, e.g. ``"1 + exp(-2*t)"``, with
+    exact dG/dt and d2G/dt2 from the derivative trees of the formula."""
 
     def __init__(self, source: str):
         self.source = source
         self.expr = expressions.parse(source, {"t"})
+        self._gdot_expr = expressions.derivative(self.expr)
+        self._gddot_expr = expressions.derivative(self._gdot_expr)
         try:
             require_positive("G(0)", self.g(0.0))
         except expressions.EvalError as exc:
             raise ValueError(f"G(0) is not defined: {exc}") from exc
 
     def g(self, t):
-        arr, _ = self._times(t)
-        return expressions.evaluate(self.expr, t=arr)
+        return expressions.evaluate(self.expr, t=self._times(t)[0])
 
     def gdot(self, t):
-        arr, scalar = self._times(t)
-        step = self.FD_STEP * (1.0 + np.abs(arr))
-        one_sided = arr < step  # stay inside the domain near t = 0
-        lo = np.where(one_sided, arr, arr - step)
-        width = np.where(one_sided, step, 2.0 * step)
-        return _ret((self.g(arr + step) - self.g(lo)) / width, scalar)
+        return expressions.evaluate(self._gdot_expr, t=self._times(t)[0])
+
+    def gddot(self, t):
+        return expressions.evaluate(self._gddot_expr, t=self._times(t)[0])
 
     def describe(self) -> str:
         return f"expression({self.source!r})"
@@ -335,7 +334,8 @@ class IntegratedKernel:
     gap of the sorted grid, split at kink times, in one pass
     (:meth:`cumulative`): their G is smooth between kinks, a mollified one
     at least as smooth as its base.  :meth:`value` is that pass at a single
-    abscissa.  ``method`` names the path taken.
+    abscissa, on 1, 2, 4, ... gaps until two estimates agree.  ``method``
+    names the path taken.
     """
 
     def __init__(self, source: RelaxationKernel):
@@ -343,10 +343,19 @@ class IntegratedKernel:
         self.method = source.closed_k_method or "composite 16-point Gauss panels"
 
     def value(self, xi) -> float:
-        """K at a single abscissa xi >= 0."""
-        if not xi >= 0.0:  # also fails for NaN
-            raise KernelRangeError("K(xi) is defined for xi >= 0")
-        return float(self.cumulative([xi])[0])
+        """K at a single finite abscissa xi >= 0: :meth:`cumulative` on
+        [0, xi] cut into 1, 2, 4, ... equal gaps until two successive
+        estimates agree to 1e-13 relative (a closed form agrees on the
+        second); QuadratureToleranceError if they do not by 4096 gaps."""
+        if not 0.0 <= xi < np.inf:  # also fails for NaN
+            raise KernelRangeError("K(xi) is defined for finite xi >= 0")
+        previous = float("nan")
+        for k in range(13):
+            estimate = float(self.cumulative(np.linspace(0.0, xi, 2**k + 1))[-1])
+            if abs(estimate - previous) <= 1e-13 * abs(estimate):
+                return estimate
+            previous = estimate
+        raise QuadratureToleranceError(f"K({xi}) does not settle to 1e-13 relative on 4096 gaps")
 
     def cumulative(self, times) -> np.ndarray:
         """K at every point of an ascending grid (typically the solver's

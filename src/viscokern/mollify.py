@@ -7,8 +7,7 @@ smooth average
              = int_{-1}^{1} rho(sigma) G(eps + t - eps*sigma) dsigma,
 
 where ``rho`` is the standard even bump exp(1/(s^2 - 1)) on (-1, 1),
-scaled to unit mass and zero outside; ``rho_d1`` and ``rho_d2`` are its
-first and second derivatives.  The forward shift by eps keeps every
+scaled to unit mass and zero outside.  The forward shift by eps keeps every
 argument of G at or beyond t, so the average is well defined down to
 t = 0 (at the price of G_eps(0) != G(0) in general).  Averaging with an
 even unit-mass weight preserves positivity, monotone decrease and
@@ -33,11 +32,14 @@ inside the window (t, t + 2 eps), found by ``searchsorted``; a window free
 of kinks is the shift identity to the last bit.  H_p takes one composite
 Gauss rule on [-1, 1], mapped onto [-1, -|u|].
 
-A kink-free base (Prony, expression) takes the rule on the whole window:
-rho for G_eps, and for G_eps' and G_eps'' the weights ``rho_d1`` and
-``rho_d2`` against G - G(t + eps), divided by eps and eps**2.  Those two
-take a rule of twice the order, as the order-32 rule misses the moments of
-the bump's derivatives by 1.5e-12 and 3.6e-11.
+A kink-free base (Prony, expression) takes the rule on the whole window.
+Each derivative of G_eps is the bump average of the same derivative of G,
+
+    G_eps^(k)(t) = int_{-1}^{1} rho(sigma) G^(k)(eps + t - eps*sigma) dsigma,
+
+so G_eps' and G_eps'' average the base's own exact G' and G'' with the
+weight rho, as G_eps averages G: one rule, no division by eps, and a base
+without G'' gives a G_eps without one.
 
 The integrated kernel K_eps(xi) = int_0^xi G_eps follows by exchanging
 the two integrals:
@@ -72,11 +74,9 @@ from .kernels import (
 #: composite rule on the bump: panels x Gauss order.  A single 16-point rule
 #: leaves ~5e-6 mass error on the bump profile, far too coarse for the
 #: 1e-10 reproduction contracts, so the rule has 8 panels of order 32
-#: (mass error below 1e-15).  The derivative weights rho' and rho'' take
-#: order 64, which meets their moments to 2e-15.
+#: (mass error below 1e-15).
 QUAD_ORDER = 32
 QUAD_PANELS = 8
-DERIVATIVE_ORDER = 64
 #: quadrature nodes per work block (512 rows of a kink-free window at order
 #: 32).  Blocks of 2**20 nodes raised the peak RSS of a 256x2048
 #: mollify-study from 74 to 109 MB.
@@ -97,50 +97,26 @@ def _unit_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
 
 
-def _on_support(s, profile, scale: float):
-    """profile(s) / scale where s*s < 1, zero elsewhere; float for a scalar."""
-    arr = np.asarray(s, dtype=float)
-    flat = arr if arr.ndim else arr.reshape(1)
-    out = np.zeros_like(flat)
-    inside = flat * flat < 1.0
-    out[inside] = profile(flat[inside]) / scale
-    return float(out[0]) if arr.ndim == 0 else out
-
-
 def _bump(s):
     return np.exp(1.0 / (s * s - 1.0))
 
 
-def _bump_d1(s):
-    q = s * s - 1.0
-    return np.exp(1.0 / q) * (-2.0 * s / q**2)
-
-
-def _bump_d2(s):
-    q = s * s - 1.0
-    return np.exp(1.0 / q) * (4.0 * s * s / q**4 + 8.0 * s * s / q**3 - 2.0 / q**2)
-
-
 @lru_cache(maxsize=1)
 def _bump_mass() -> float:
-    # normalization constant, computed once by a 256-panel Gauss rule
+    # normalization constant, computed once by a 256-panel Gauss rule (its
+    # nodes lie inside (-1, 1))
     nodes, weights = _unit_rule(256, 16)
-    return float(weights @ _on_support(nodes, _bump, 1.0))
+    return float(weights @ _bump(nodes))
 
 
 def rho(s):
     """The unit-mass bump on (-1, 1), zero outside; float for a scalar."""
-    return _on_support(s, _bump, _bump_mass())
-
-
-def rho_d1(s):
-    """First derivative of :func:`rho`."""
-    return _on_support(s, _bump_d1, _bump_mass())
-
-
-def rho_d2(s):
-    """Second derivative of :func:`rho`."""
-    return _on_support(s, _bump_d2, _bump_mass())
+    arr = np.asarray(s, dtype=float)
+    flat = arr if arr.ndim else arr.reshape(1)
+    out = np.zeros_like(flat)
+    inside = flat * flat < 1.0
+    out[inside] = _bump(flat[inside]) / _bump_mass()
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 class MollifiedKernel(RelaxationKernel):
@@ -187,7 +163,8 @@ class MollifiedKernel(RelaxationKernel):
                 f"epsilon = {eps} underflows the time resolution at t ~ {t.max()}"
             )
         if not len(self._kinks):
-            out = self._rule(t, max(order, 0), base._k_closed if order < 0 else base.g)
+            fn = base._k_closed if order < 0 else (base.g, base.gdot, base.gddot)[order]
+            out = self._rule(t, fn)
         else:
             if t.size:  # the whole window [t, t + 2 eps] must be in the base's range
                 base.g(np.array([t.min(), t.max() + 2.0 * eps]))
@@ -201,23 +178,17 @@ class MollifiedKernel(RelaxationKernel):
             out = shifted + scale * self._corners(t, 1 - order)
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
-    def _rule(self, t: np.ndarray, order: int, fn) -> np.ndarray:
-        """eps**-order * int w(sigma) F(eps + t - eps*sigma) dsigma with the
-        weight w = rho, rho_d1 or rho_d2 for order 0, 1 or 2 and F = *fn*.
-        rho' and rho'' integrate to zero, so the derivatives weigh
-        F - F(t + eps): the same integral without cancelling terms of size
-        max|F| / eps**order."""
+    def _rule(self, t: np.ndarray, fn) -> np.ndarray:
+        """int rho(sigma) F(eps + t - eps*sigma) dsigma with F = *fn*."""
         eps = self.epsilon
-        nodes, weights = _unit_rule(QUAD_PANELS, DERIVATIVE_ORDER if order else QUAD_ORDER)
-        wr = weights * (rho, rho_d1, rho_d2)[order](nodes)
-        shift = fn(eps + t)[:, None] if order else 0.0
+        nodes, weights = _unit_rule(QUAD_PANELS, QUAD_ORDER)
+        wr = weights * rho(nodes)
         out = np.empty_like(t)
         step = _BLOCK_ELEMENTS // len(nodes)
         for start in range(0, len(t), step):
             rows = slice(start, start + step)
-            vals = fn(eps + t[rows][:, None] - eps * nodes)
-            out[rows] = (vals - shift[rows] if order else vals) @ wr
-        return out / eps**order
+            out[rows] = fn(eps + t[rows][:, None] - eps * nodes) @ wr
+        return out
 
     def _corners(self, t: np.ndarray, p: int) -> np.ndarray:
         """sum_c ds_c H_p(u_c) over the kinks c in (t, t + 2 eps), with
@@ -251,7 +222,6 @@ class MollifiedKernel(RelaxationKernel):
         return self._eval_many(t, 0)
 
     def gdot(self, t):
-        # smooth everywhere
         return self._eval_many(t, 1)
 
     def gddot(self, t):

@@ -716,7 +716,9 @@ def solve_differential(spec: ProblemSpec) -> SolutionField:
     g_zero = float(spec.kernel.g(0.0))
     try:
         gd = np.atleast_1d(spec.kernel.gdot(march.tgrid))
-    except DerivativeUndefinedError as exc:
+    except (DerivativeUndefinedError, expressions.EvalError) as exc:
+        # an EvalError is an exact dG/dt that is infinite on the lag grid,
+        # as at t = 0 for 1 + exp(-sqrt(t)); the lag-0 weight needs it finite
         raise UnsupportedKernelError(
             f"differential scheme needs dG/dt a.e.; {spec.kernel.describe()} "
             f"cannot provide it: {exc}"
@@ -778,12 +780,25 @@ def _l2_space_time(grid: Grid, times: np.ndarray, values, *others) -> float | li
     for lo in range(0, len(times), ROW_CHUNK):
         part = rows(values, lo)
         for k, other in enumerate(others):
-            diff = part if other is None else part - rows(other, lo)
-            space[k, lo : lo + ROW_CHUNK] = grid.h * np.sum(diff * diff, axis=1)
+            chunks = (part,) if other is None else (part, rows(other, lo))
+            try:
+                diff = part if other is None else part - chunks[1]
+                space[k, lo : lo + ROW_CHUNK] = grid.h * np.sum(diff * diff, axis=1)
+            except FloatingPointError as exc:
+                what = "norm" if other is None else "distance"
+                raise _squares_overflow(f"space-time L2 {what}", chunks, exc) from exc
     dts = np.diff(times)  # trapezoid weights; one time takes its space norm
     w = 0.5 * (np.append(dts, 0.0) + np.append(0.0, dts)) if len(dts) else np.ones(1)
     norms = [float(np.sqrt(w @ row)) for row in space]
     return norms if len(others) > 1 else norms[0]
+
+
+def _squares_overflow(what: str, rows, exc: FloatingPointError) -> ArithmeticError:
+    """*exc*, raised where *what* squares the arrays *rows*, as an
+    ArithmeticError that names *what* and the rows' largest magnitude and
+    keeps numpy's text."""
+    peak = max(float(np.max(np.abs(r))) for r in rows)
+    return ArithmeticError(f"{what} overflows on rows of magnitude up to {peak:.6g}: {exc}")
 
 
 def l2_norm(sol: SolutionField) -> float:

@@ -281,6 +281,56 @@ class TestScenarios:
         assert any("bounded = yes" in line for line in meta)
 
 
+def _residual_max(out_dir: Path) -> float:
+    meta, _, _ = read_csv(out_dir / "energy_audit.csv")
+    line = next(line for line in meta if "identity_residual_max = " in line)
+    return float(line.split(" = ")[1])
+
+
+class TestExactDerivatives:
+    def test_tiny_width_audit_meets_the_unmollified_one(self, tmp_path):
+        # G_eps' and G_eps'' average the base's own derivatives, with no
+        # division by eps: at eps = 1e-9 the default audit's residual is the
+        # unmollified one
+        residuals = []
+        for name, extra in (("raw", ""), ("tiny", "kernel.epsilon = 1e-9")):
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(cli.DEFAULT_CONFIGS["energy-audit"] + "\n" + extra + "\n")
+            assert run_cli(["energy-audit", "--config", cfgfile, "--out", tmp_path / name]) == 0
+            residuals.append(_residual_max(tmp_path / name))
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-5)
+
+    def test_expression_audit_matches_its_prony_twin(self, tmp_path):
+        # a raw expression kernel has exact derivatives, so its audit gives
+        # the identity residual, and that of its Prony twin
+        kernels = {"prony": "kernel.type = prony\nkernel.ginf = 1\nkernel.terms = 0.6:0.2,0.4:1.5",
+                   "expression": "kernel.type = expression\n"
+                                 "kernel.expression = 1 + 0.6*exp(-t/0.2) + 0.4*exp(-t/1.5)"}
+        residuals = []
+        for name, kernel in kernels.items():
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(f"problem.scheme = differential\n{kernel}\n"
+                               "discretization.n_interior = 64\ndiscretization.n_steps = 512\n")
+            assert run_cli(["energy-audit", "--config", cfgfile, "--out", tmp_path / name]) == 0
+            residuals.append(_residual_max(tmp_path / name))
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
+
+    def test_infinite_slope_at_zero(self, tmp_path, capsys):
+        # d/dt of 1 + exp(-sqrt(t)) is -inf at 0: the integral scheme's audit
+        # reads Gdot after 0 only, the differential scheme needs Gdot(0)
+        kernel = "kernel.type = expression\nkernel.expression = 1 + exp(-sqrt(t))\n"
+        sizes = "discretization.n_interior = 16\ndiscretization.n_steps = 64\n"
+        for scheme, scenario, code in (("integral", "energy-audit", 0),
+                                       ("differential", "solve", 2)):
+            cfgfile = tmp_path / f"{scheme}.cfg"
+            cfgfile.write_text(f"problem.scheme = {scheme}\n{kernel}{sizes}")
+            assert run_cli([scenario, "--config", cfgfile, "--out", tmp_path / scheme]) == code
+        assert _residual_max(tmp_path / "integral") > 0.0
+        err = capsys.readouterr().err
+        assert err.startswith("viscokern: solve failed: differential scheme needs dG/dt")
+        assert "division by zero (at offset 9)" in err
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -443,6 +493,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"viscokern: {scenario} failed: ")
         assert "encountered in" in err
+        # the message names what overflowed and how large the rows are
+        what = "energy" if scenario == "energy-audit" else "space-time L2 distance"
+        assert f"{scenario} failed: {what} overflows on rows of magnitude up to " in err
 
     def test_infinite_energy_bound_is_no_error(self, tmp_path):
         # past T = 709 e^T overflows: the a-priori bound is infinite, and

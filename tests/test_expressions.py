@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from viscokern.expressions import (
     MAX_NESTING,
     EvalError,
     ParseError,
+    derivative,
     evaluate,
     is_zero,
     parse,
@@ -181,7 +183,8 @@ class TestRoundTrip:
                 value = evaluate(expr, x=x, t=t)
                 assert isinstance(value, float)
                 assert value == b, source
-                assert value == pytest.approx(_math_walk(expr, x, t), rel=4e-16, abs=1e-15)
+                assert value == pytest.approx(_math_walk(expr, float(x), float(t)),
+                                              rel=4e-16, abs=1e-15)
 
     def test_broadcast_block(self):
         expr = parse("x*t + 1")
@@ -193,19 +196,20 @@ class TestRoundTrip:
         assert evaluate(parse("2"), x=x).shape == x.shape
 
 
-def _math_walk(expr, x, t):
-    """Point-wise reference: the tree walked in Python floats."""
+def _math_walk(expr, x, t, lib=math):
+    """Point-wise reference: the tree walked in the numbers x and t are, with
+    the functions of *lib* (math for Python floats, or mpmath)."""
     kind = type(expr).__name__
     if kind == "Num":
         return expr.value
     if kind == "Var":
-        return float(x) if expr.name == "x" else float(t)
+        return x if expr.name == "x" else t
     if kind == "Unary":
-        return -_math_walk(expr.operand, x, t)
+        return -_math_walk(expr.operand, x, t, lib)
     if kind == "Call":
-        arg = _math_walk(expr.arg, x, t)
-        return abs(arg) if expr.func == "abs" else getattr(math, expr.func)(arg)
-    lhs, rhs = _math_walk(expr.left, x, t), _math_walk(expr.right, x, t)
+        arg = _math_walk(expr.arg, x, t, lib)
+        return abs(arg) if expr.func == "abs" else getattr(lib, expr.func)(arg)
+    lhs, rhs = _math_walk(expr.left, x, t, lib), _math_walk(expr.right, x, t, lib)
     if expr.op == "+":
         return lhs + rhs
     if expr.op == "-":
@@ -222,3 +226,85 @@ def test_is_zero():
     assert is_zero(parse("0.0"))
     assert not is_zero(parse("0*x"))
     assert not is_zero(parse("1"))
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("source", [
+        "sin(3*t) - cos(t^2)",
+        "exp(-t/0.3) * sqrt(1 + t)",
+        "abs(t - 1.3) * t",
+        "t^2.5 / (1 + t)",
+        "2^(-t)",
+        "(1+t)^(t/2)",
+        "-(t*x) / (2 - -t)",  # x is held fixed
+    ])
+    def test_against_mpmath(self, source):
+        # first and second derivatives against mpmath.diff with 30 digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        expr = parse(source)
+        first = derivative(expr)
+        second = derivative(first)
+        x = 0.7
+        for t in (0.2, 0.9, 2.1):
+            for order, tree in ((1, first), (2, second)):
+                ref = float(mp.diff(lambda s: _math_walk(expr, mp.mpf(x), s, mp), mp.mpf(t), order))
+                assert evaluate(tree, x=x, t=t) == pytest.approx(ref, rel=1e-12), (order, t)
+
+    def test_free_of_t_folds_to_zero(self):
+        assert is_zero(derivative(parse("x*sin(x)/(2 + x) - 3^x")))
+        assert is_zero(derivative(derivative(parse("2*t - 1"))))
+        assert evaluate(derivative(parse("1 + exp(-2*t)")), t=0.0) == -2.0
+
+    def test_fault_points_into_the_source(self):
+        # d/dt sqrt(t) = 0.5 / sqrt(t) divides by zero at t = 0, and the
+        # fault names the sqrt; t^t takes log(t), refused at 0 at the ^
+        with pytest.raises(EvalError, match="division by zero") as exc:
+            evaluate(derivative(parse("1 + sqrt(t)")), t=np.array([1.0, 0.0]))
+        assert exc.value.offset == 4
+        with pytest.raises(EvalError, match="log of a value <= 0") as exc:
+            evaluate(derivative(parse("t^t")), t=0.0)
+        assert exc.value.offset == 1
+
+    def test_internal_calls_are_not_syntax(self):
+        for name in ("log", "sign"):
+            with pytest.raises(ParseError, match="unknown identifier"):
+                parse(f"{name}(t)")
+
+    def test_long_sum_costs_no_recursion(self):
+        second = derivative(derivative(parse("+".join(["exp(-t)"] * 2000))))
+        assert evaluate(second, t=0.5) == pytest.approx(2000.0 * math.exp(-0.5), rel=1e-13)
+
+    def test_long_product_is_linear_in_its_length(self):
+        # the derivative trees share their prefixes, and each shared node is
+        # evaluated once: as plain trees, G'' of 300 factors is cubic
+        source = "*".join(f"(1 + exp(-t/{k})/300)" for k in range(1, 301))
+        ts = np.linspace(0.0, 3.0, 1025)
+        start = time.perf_counter()
+        got = evaluate(derivative(derivative(parse(source))), t=ts)
+        elapsed = time.perf_counter() - start
+        k = np.arange(1, 301)[:, None]
+        e = np.exp(-ts / k) / 300
+        f, df, ddf = 1 + e, -e / k, e / k**2
+        log_slope = np.sum(df / f, axis=0)
+        want = np.prod(f, axis=0) * (log_slope**2 + np.sum(ddf / f - (df / f) ** 2, axis=0))
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+        assert elapsed < 1.0
+
+    def test_values_are_dropped_after_their_last_use(self):
+        # a shared node's value lives until its last parent takes it, so a
+        # long sum and its derivatives hold a few arrays at a time, not one
+        # per node
+        import tracemalloc
+
+        ts = np.linspace(0.0, 1.0, 2**16)
+        tree = parse("+".join(f"{k}*exp(-t/{k})" for k in range(1, 41)))
+        for order in range(3):
+            tracemalloc.start()
+            try:
+                evaluate(tree, t=ts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * ts.nbytes, order
+            tree = derivative(tree)

@@ -11,6 +11,7 @@ from viscokern.kernels import (
     IntegratedKernel,
     KernelRangeError,
     PronyKernel,
+    QuadratureToleranceError,
     TabulatedKernel,
     WedgeKernel,
     check_admissibility,
@@ -91,12 +92,22 @@ class TestEvalK:
             assert abs(ik.value(xi) - quad_k(tab, xi)) < 1e-10
 
     def test_expression_quadrature_path(self):
-        expr = catalog()["expression"]
-        ik = IntegratedKernel(expr)
-        # same modulus as PRONY, so the closed form is the oracle
-        for xi in (0.5, 2.0):
-            expected = IntegratedKernel(PRONY).value(xi)
-            assert abs(ik.value(xi) - expected) < 1e-8
+        # each expression has a Prony twin, whose closed form is the oracle;
+        # the fast-decaying ones need many gaps at large xi
+        twins = ((catalog()["expression"], PRONY),
+                 (ExpressionKernel("exp(-t/0.01)"), PronyKernel(0.0, ((1.0, 0.01),))),
+                 (ExpressionKernel("1 + exp(-t/0.05)"), PronyKernel(1.0, ((1.0, 0.05),))))
+        for expr, prony in twins:
+            ik = IntegratedKernel(expr)
+            for xi in (0.5, 1.0, 2.0, 5.0):
+                expected = IntegratedKernel(prony).value(xi)
+                assert abs(ik.value(xi) - expected) <= 1e-12 * expected, (expr.source, xi)
+
+    def test_value_refuses_what_does_not_settle(self):
+        # K of 2 - sqrt(t) converges like h**1.5 on the first gap: 4096
+        # gaps leave successive estimates far apart
+        with pytest.raises(QuadratureToleranceError, match="4096 gaps"):
+            IntegratedKernel(ExpressionKernel("2 - sqrt(t)")).value(1.0)
 
     def test_value_without_closed_form_splits_at_kinks(self):
         # the wedge integrand is linear on each side of the kink, so the
@@ -112,8 +123,9 @@ class TestEvalK:
     @pytest.mark.parametrize("name", ["wedge", "expression"])
     def test_nan_abscissa_rejected(self, name):
         k = IntegratedKernel(catalog()[name])
-        with pytest.raises(KernelRangeError):
-            k.value(float("nan"))
+        for xi in (float("nan"), float("inf")):
+            with pytest.raises(KernelRangeError):
+                k.value(xi)
         for grid in ([float("nan")], [0.0, float("nan"), 1.0]):
             with pytest.raises(ValueError, match="ascending and nonnegative"):
                 k.cumulative(grid)
@@ -242,10 +254,13 @@ class TestEvalGdot:
         assert tab.gdot(0.01 * 70) == pytest.approx(-0.5, rel=1e-12)
         assert tab.gdot_limits(0.7) == ((1.3 - 1.6) / (0.7 - 0.3), (1.15 - 1.3) / (1.0 - 0.7))
 
-    def test_expression_finite_difference(self):
+    def test_expression_exact_derivatives(self):
+        # the derivative trees of 1 + exp(-2*t) against its Prony twin
         expr = catalog()["expression"]
-        assert expr.gdot(1.0) == pytest.approx(PRONY.gdot(1.0), rel=1e-6)
-        assert expr.gdot(0.0) == pytest.approx(-2.0, rel=1e-4)
+        ts = np.linspace(0.0, 4.0, 33)
+        assert expr.gdot(0.0) == -2.0 and expr.gddot(0.0) == 4.0
+        for got, want in ((expr.gdot(ts), PRONY.gdot(ts)), (expr.gddot(ts), PRONY.gddot(ts))):
+            np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 class TestAdmissibility:

@@ -9,6 +9,8 @@ from scipy.integrate import quad, simpson
 
 from kernel_catalog import catalog
 from viscokern.kernels import (
+    DerivativeUndefinedError,
+    ExpressionKernel,
     IntegratedKernel,
     KernelRangeError,
     PronyKernel,
@@ -20,14 +22,11 @@ from viscokern.kernels import (
 )
 from viscokern.mollify import (
     _BLOCK_ELEMENTS,
-    DERIVATIVE_ORDER,
     QUAD_ORDER,
     QUAD_PANELS,
     MollifiedKernel,
     _unit_rule,
     rho,
-    rho_d1,
-    rho_d2,
     sup_distance_K,
 )
 from viscokern.solver import ConfigurationError
@@ -35,6 +34,28 @@ from viscokern.solver import ConfigurationError
 WEDGE = WedgeKernel(2.0, 1.0, 1.0)
 QUAD_TOL = 1e-10
 leggauss = lru_cache(np.polynomial.legendre.leggauss)
+#: Gauss order of split_reference with the weights rho' and rho'': it meets
+#: their moments to 2e-15, where order 32 misses them by 1.5e-12 and 3.6e-11
+DERIVATIVE_ORDER = 64
+
+
+def _on_bump(s: np.ndarray, factor) -> np.ndarray:
+    """rho(s) * factor(s, s*s - 1) on (-1, 1), zero outside."""
+    inside = s * s < 1.0
+    out = np.zeros_like(s)
+    out[inside] = rho(s[inside]) * factor(s[inside], s[inside] ** 2 - 1.0)
+    return out
+
+
+def rho_d1(s):
+    """rho' on an array: a weight of the oracle only, as the package
+    averages the base's own derivatives with rho."""
+    return _on_bump(s, lambda s, q: -2.0 * s / q**2)
+
+
+def rho_d2(s):
+    """rho'' on an array, like :func:`rho_d1`."""
+    return _on_bump(s, lambda s, q: 4.0 * s * s / q**4 + 8.0 * s * s / q**3 - 2.0 / q**2)
 
 
 def geps_oracle(base, eps: float, t: float) -> float:
@@ -59,8 +80,9 @@ def split_reference(mk, t: float, weight_fn, order: int, fn=None,
     strictly inside (-1, 1) and a composite Gauss rule of QUAD_PANELS panels
     of *gauss_order* on each segment; F = *fn*, by default the base G (the
     base K has its kinks at the same times).  For the derivatives (order 1,
-    2) the integrand weighs G - G(t + eps), as the rule does; the result is
-    not divided by eps**order."""
+    2, weights rho' and rho'', by parts) the integrand weighs G - G(t + eps),
+    which has no cancelling terms of size max|G|; the result is not divided
+    by eps**order."""
     eps = mk.epsilon
     fn = mk.base.g if fn is None else fn
     shift = float(fn(eps + t)) if order else 0.0
@@ -358,6 +380,55 @@ class TestDerivativeRule:
                 lambda s: mp.exp(1 / (s * s - 1)) * derivative(e + mp.mpf(float(t)) - e * s, order),
                 [-1, 0, 1]) / mass) for t in ts])
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, order
+
+
+class TestKinkFreeWidths:
+    # the bump average of a Prony series is the series with each term
+    # scaled by M = int rho(s) exp(eps s / tau) ds, so 30-digit references
+    # of G_eps, its two derivatives and K_eps take one mpmath quadrature per
+    # term and width; the expression twin takes its own derivative trees
+    TERMS = ((0.6, 0.2), (0.4, 1.5))
+    BASES = {"prony": PronyKernel(1.0, TERMS),
+             "expression": ExpressionKernel("1 + 0.6*exp(-t/0.2) + 0.4*exp(-t/1.5)")}
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1e-6, 1e-9])
+    def test_against_mpmath(self, eps):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        e = mp.mpf(eps)
+        mass = mp.quad(lambda s: mp.exp(1 / (s * s - 1)), [-1, 0, 1])
+        scaled = [(mp.mpf(g), mp.mpf(tau), mp.quad(
+            lambda s: mp.exp(1 / (s * s - 1) + e * s / mp.mpf(tau)), [-1, 0, 1]) / mass)
+            for g, tau in self.TERMS]
+        ts = np.linspace(0.0, 3.0, 7)
+        ref = {name: [] for name in ("g", "gdot", "gddot", "K")}
+        for t in ts:
+            t = mp.mpf(float(t))
+            terms = [(g, tau, m * mp.exp(-(e + t) / tau)) for g, tau, m in scaled]
+            ref["g"].append(1 + sum(g * v for g, _, v in terms))
+            ref["gdot"].append(sum(-g / tau * v for g, tau, v in terms))
+            ref["gddot"].append(sum(g / tau**2 * v for g, tau, v in terms))
+            ref["K"].append(t + sum(g * tau * m * mp.exp(-e / tau) * (1 - mp.exp(-t / tau))
+                                    for g, tau, m in scaled))
+        ref["K"] = ref["K"][1:]  # K_eps(0) = 0, checked on its own
+        for name, base in self.BASES.items():
+            mk = MollifiedKernel(base, eps)
+            k_eps = IntegratedKernel(mk).cumulative(ts)
+            # over Prony, K_eps(0) is the difference of two equal rule sums
+            assert abs(k_eps[0]) <= 1e-12 * np.max(k_eps), name
+            got = {"g": mk.g(ts), "gdot": mk.gdot(ts), "gddot": mk.gddot(ts), "K": k_eps[1:]}
+            for quantity, values in got.items():
+                want = np.array([float(v) for v in ref[quantity]])
+                assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want)), (name, quantity)
+
+
+def test_kink_free_base_without_second_derivative():
+    # a table of two samples has no kink and no G'': its G_eps'' would be
+    # the bump average of a G'' it does not have
+    mk = MollifiedKernel(TabulatedKernel([0.0, 4.0], [2.0, 1.0]), 0.1)
+    assert mk.gdot(1.0) == pytest.approx(-0.25, rel=1e-15)
+    with pytest.raises(DerivativeUndefinedError):
+        mk.gddot(1.0)
 
 
 class TestAffineHead:
